@@ -231,7 +231,7 @@ def _detect_one(job: tuple[str, str, DetectConfig]) -> dict:
     try:
         obs = observe_face(decode_pgm(Path(path).read_bytes()), det, frame_id=frame_id)
         return observation_to_row(obs)
-    except IrGazeError as exc:
+    except (IrGazeError, OSError) as exc:
         return {"frame": frame_id, "ok": False,
                 "error": type(exc).__name__, "message": str(exc)}
 

@@ -7,6 +7,12 @@ paints the matching frame (face ellipse, bright pupils, brighter markers,
 Gaussian blur, seeded Gaussian noise).  Identical inputs give bit-identical
 images.
 
+The renderer paints and blurs only a box around the face, since every
+shape lies inside it and the canvas beyond the blur radius is plain
+background.  The rest of the frame is filled with the blur of a 1x1
+background array, which is bit-exact: there the full-frame blur would sum
+the same background taps in the same order.
+
 The pupil model is linear: the pupil sits at the eye center offset by
 (s - 0.5) * gain in the head frame before the pose transform.  Under a
 matched head orientation the gaze interpolation is then exact, so
@@ -230,6 +236,14 @@ def render_scene(
     Every feature center must keep RENDER_MARGIN pixels to the border.
     Deterministic: the same (truth, layout, cfg, seed) give byte-identical
     images.
+
+    Painting and blurring run only on the face box: the face's bounding
+    circle and every feature disk, padded by more than the blur radius and
+    clipped to the frame, because no shape reaches past it.  The rest of
+    the frame takes the blur of a 1x1 background array, which is bit-exact:
+    every tap there reads background, and the box's edge padding replicates
+    background, so each pixel sums the same floats in the same order as a
+    full-frame blur would.
     """
     for name, p in zip(FEATURE_NAMES, truth.features):
         if not (RENDER_MARGIN <= p.x <= cfg.width - 1 - RENDER_MARGIN
@@ -239,43 +253,57 @@ def render_scene(
                 f"{RENDER_MARGIN} px margin in a {cfg.width}x{cfg.height} frame"
             )
 
-    cols = np.arange(cfg.width, dtype=np.float64)
-    ys = (cfg.height - 1) - np.arange(cfg.height, dtype=np.float64)
-    gx, gy = np.meshgrid(cols, ys)
+    k = truth.pose.scale
+    f = truth.features
+    disks = (
+        (f.pupil_right, layout.pupil_radius * k, cfg.pupil),
+        (f.pupil_left, layout.pupil_radius * k, cfg.pupil),
+        (f.marker_right, layout.marker_radius * k, cfg.marker),
+        (f.marker_middle, layout.marker_radius * k, cfg.marker),
+        (f.marker_left, layout.marker_radius * k, cfg.marker),
+    )
+    circles = [(Point(truth.pose.tx, truth.pose.ty), max(layout.face_axes) * k)]
+    circles += [(center, radius) for center, radius, _ in disks]
+    pad = 2 * math.ceil(3.0 * cfg.blur_sigma) + 1
+    top = cfg.height - 1
+    col_lo = max(0, math.floor(min(p.x - r for p, r in circles)) - pad)
+    col_hi = min(cfg.width - 1, math.ceil(max(p.x + r for p, r in circles)) + pad)
+    row_lo = max(0, math.floor(top - max(p.y + r for p, r in circles)) - pad)
+    row_hi = min(top, math.ceil(top - min(p.y - r for p, r in circles)) + pad)
 
-    canvas = np.full((cfg.height, cfg.width), float(cfg.background))
+    # Open grid over the box, Cartesian (y up); broadcasting evaluates the
+    # same per-pixel expressions as a full meshgrid would.
+    gx = np.arange(col_lo, col_hi + 1, dtype=np.float64)[np.newaxis, :]
+    gy = (top - np.arange(row_lo, row_hi + 1, dtype=np.float64))[:, np.newaxis]
+    box = np.full((gy.shape[0], gx.shape[1]), float(cfg.background))
 
     # Face ellipse: invert the pose transform and test against the
     # axis-aligned canonical ellipse.
-    k = truth.pose.scale
     c, s = math.cos(truth.pose.theta), math.sin(truth.pose.theta)
     rx = (gx - truth.pose.tx) / k
     ry = (gy - truth.pose.ty) / k
     local_x = c * rx + s * ry
     local_y = -s * rx + c * ry
     ax, ay = layout.face_axes
-    canvas[(local_x / ax) ** 2 + (local_y / ay) ** 2 <= 1.0] = float(cfg.face)
+    box[(local_x / ax) ** 2 + (local_y / ay) ** 2 <= 1.0] = float(cfg.face)
 
-    def paint_disk(center: Point, radius: float, level: int) -> None:
-        mask = (gx - center.x) ** 2 + (gy - center.y) ** 2 <= radius * radius
-        canvas[mask] = float(level)
+    for center, radius, level in disks:
+        box[(gx - center.x) ** 2 + (gy - center.y) ** 2 <= radius * radius] = float(level)
 
-    paint_disk(truth.features.pupil_right, layout.pupil_radius * k, cfg.pupil)
-    paint_disk(truth.features.pupil_left, layout.pupil_radius * k, cfg.pupil)
-    paint_disk(truth.features.marker_right, layout.marker_radius * k, cfg.marker)
-    paint_disk(truth.features.marker_middle, layout.marker_radius * k, cfg.marker)
-    paint_disk(truth.features.marker_left, layout.marker_radius * k, cfg.marker)
-
-    canvas = _gaussian_blur(canvas, cfg.blur_sigma)
+    outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)
+    canvas = np.full((cfg.height, cfg.width), outside[0, 0])
+    canvas[row_lo : row_hi + 1, col_lo : col_hi + 1] = _gaussian_blur(box, cfg.blur_sigma)
 
     if cfg.noise_sigma > 0:
         effective_seed = seed if seed is not None else truth.seed
         if effective_seed is None:
             raise ValueError("noisy rendering needs a seed")
         rng = np.random.default_rng(effective_seed)
-        canvas = canvas + rng.normal(0.0, cfg.noise_sigma, canvas.shape)
+        canvas += rng.normal(0.0, cfg.noise_sigma, canvas.shape)
 
-    return GrayImage(np.floor(np.clip(canvas, 0, 255) + 0.5).astype(np.uint8))
+    np.clip(canvas, 0, 255, out=canvas)
+    canvas += 0.5
+    return GrayImage(np.floor(canvas, out=canvas).astype(np.uint8))
 
 
 def default_poses(width: int = 640, height: int = 480) -> tuple[HeadPose, ...]:

@@ -1,19 +1,21 @@
 """Shared test fixtures and independent oracles.
 
 Nothing here may call into the implementation paths it is used to check:
-the painter builds rasters directly, the flood fill is a dense BFS, and
-the moment oracle recomputes eccentricity from scratch.
+the painter builds rasters directly, the flood fill is a dense BFS, the
+moment oracle recomputes eccentricity from scratch, and the reference
+scene renderer paints and blurs the whole frame.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
 from irgaze.imaging import GrayImage
-from irgaze.synth import FaceLayout, HeadPose, feature_model
+from irgaze.synth import FaceLayout, GroundTruth, HeadPose, RenderConfig, feature_model
 
 
 def blank(width: int, height: int, level: int = 0) -> np.ndarray:
@@ -105,3 +107,63 @@ def synthetic_observation(
         frame_id=frame_id,
         pair_consistent=True,
     )
+
+
+def _reference_blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur with edge padding, horizontal pass first."""
+    if sigma <= 0:
+        return a
+    r = int(math.ceil(3.0 * sigma))
+    xs = np.arange(-r, r + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (xs / sigma) ** 2)
+    kernel /= kernel.sum()
+
+    out = np.zeros_like(a)
+    padded = np.pad(a, ((0, 0), (r, r)), mode="edge")
+    for i, k in enumerate(kernel):
+        out += k * padded[:, i : i + a.shape[1]]
+    a = out
+    out = np.zeros_like(a)
+    padded = np.pad(a, ((r, r), (0, 0)), mode="edge")
+    for i, k in enumerate(kernel):
+        out += k * padded[i : i + a.shape[0], :]
+    return out
+
+
+def reference_render(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
+                     seed: int) -> GrayImage:
+    """Full-frame scene painter: tests the face ellipse and every disk at
+    every pixel and blurs the whole canvas.  ``render_scene`` must match
+    it byte for byte.  Skips the feature-margin check."""
+    cols = np.arange(cfg.width, dtype=np.float64)
+    ys = (cfg.height - 1) - np.arange(cfg.height, dtype=np.float64)
+    gx, gy = np.meshgrid(cols, ys)
+
+    canvas = np.full((cfg.height, cfg.width), float(cfg.background))
+
+    k = truth.pose.scale
+    c, s = math.cos(truth.pose.theta), math.sin(truth.pose.theta)
+    rx = (gx - truth.pose.tx) / k
+    ry = (gy - truth.pose.ty) / k
+    local_x = c * rx + s * ry
+    local_y = -s * rx + c * ry
+    ax, ay = layout.face_axes
+    canvas[(local_x / ax) ** 2 + (local_y / ay) ** 2 <= 1.0] = float(cfg.face)
+
+    def paint_disk(center, radius: float, level: int) -> None:
+        mask = (gx - center.x) ** 2 + (gy - center.y) ** 2 <= radius * radius
+        canvas[mask] = float(level)
+
+    paint_disk(truth.features.pupil_right, layout.pupil_radius * k, cfg.pupil)
+    paint_disk(truth.features.pupil_left, layout.pupil_radius * k, cfg.pupil)
+    paint_disk(truth.features.marker_right, layout.marker_radius * k, cfg.marker)
+    paint_disk(truth.features.marker_middle, layout.marker_radius * k, cfg.marker)
+    paint_disk(truth.features.marker_left, layout.marker_radius * k, cfg.marker)
+
+    canvas = _reference_blur(canvas, cfg.blur_sigma)
+
+    if cfg.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        canvas = canvas + rng.normal(0.0, cfg.noise_sigma, canvas.shape)
+
+    return GrayImage(np.floor(np.clip(canvas, 0, 255) + 0.5).astype(np.uint8))

@@ -72,6 +72,20 @@ def test_detect_records_failures_as_rows(pipeline, tmp_path):
     assert rows["black"]["error"] == "TooFewComponents"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_detect_missing_frame_is_an_error_row(pipeline, tmp_path, jobs):
+    good = next((pipeline / "ds").glob("*.pgm"))
+    out = tmp_path / "x.jsonl"
+    code = main(["detect", str(tmp_path / "nothere.pgm"), str(good),
+                 "--out", str(out), "--jobs", jobs])
+    assert code == 0
+    rows = {r["frame"]: r for r in read_jsonl(out)}
+    assert set(rows) == {"nothere", good.stem}
+    assert rows["nothere"]["ok"] is False
+    assert rows["nothere"]["error"] == "FileNotFoundError"
+    assert rows[good.stem]["ok"] is True
+
+
 def test_detect_all_failures_exit_code(tmp_path):
     black = tmp_path / "black.pgm"
     black.write_bytes(encode_pgm(GrayImage(np.zeros((40, 40), dtype=np.uint8))))

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irgaze.detection import DetectConfig, observe_face
@@ -11,6 +12,8 @@ from irgaze.errors import FeatureOutOfFrame
 from irgaze.gaze import congruency
 from irgaze.imaging import Point, decode_pgm
 from irgaze.synth import (
+    MAX_ROTATION,
+    RENDER_MARGIN,
     DatasetSpec,
     FaceLayout,
     GroundTruth,
@@ -21,6 +24,8 @@ from irgaze.synth import (
     generate_dataset,
     render_scene,
 )
+
+from helpers import reference_render
 
 LAYOUT = FaceLayout()
 
@@ -181,6 +186,59 @@ def test_render_feeds_back_through_detection():
     assert obs.pupils.left.point.distance_to(f.pupil_left) < 1.5
 
 
+# Largest distance of any feature center from the face center in the default
+# layout at scale 1 (the outer markers, sqrt(90^2 + 55^2) = 105.5).
+_FEATURE_REACH = 106.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(30, 480), height=st.integers(30, 360),
+    theta=st.floats(-MAX_ROTATION, MAX_ROTATION), k=st.floats(0.5, 2.0),
+    shrink=st.floats(0.05, 1.0), face=st.floats(0.1, 1.5),
+    ux=st.floats(0, 1), uy=st.floats(0, 1),
+    s=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    blur=st.sampled_from([0.0, 0.3, 0.8, 2.5]), noise=st.sampled_from([0.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=60, height=50, theta=0.0, k=2.0, shrink=1.0, face=1.0, ux=0.5, uy=0.5,
+         s=(0.5, 0.5), blur=0.8, noise=2.0, seed=1)
+@example(width=640, height=480, theta=MAX_ROTATION, k=2.0, shrink=1.0, face=1.0,
+         ux=0.0, uy=1.0, s=(0.0, 1.0), blur=2.5, noise=2.0, seed=2)
+@example(width=640, height=480, theta=-MAX_ROTATION, k=0.5, shrink=1.0, face=1.5,
+         ux=1.0, uy=0.0, s=(1.0, 0.0), blur=0.3, noise=0.0, seed=3)
+def test_render_matches_full_frame_reference(width, height, theta, k, shrink, face,
+                                             ux, uy, s, blur, noise, seed):
+    """The face-box renderer equals the full-frame painter byte for byte,
+    also where the face spills past the frame edge or exceeds the frame."""
+    # Shrink the feature layout so every feature keeps the margin in this
+    # frame; the face axes scale on their own, so the ellipse may still
+    # cover or spill past the frame.
+    room = (min(width, height) - 1 - 2 * RENDER_MARGIN) / 2.0
+    f = shrink * min(1.0, room / (k * _FEATURE_REACH))
+    d = FaceLayout()
+
+    def scaled(p):
+        return Point(p.x * f, p.y * f)
+
+    layout = FaceLayout(
+        marker_right=scaled(d.marker_right), marker_left=scaled(d.marker_left),
+        marker_middle=scaled(d.marker_middle),
+        eye_right=scaled(d.eye_right), eye_left=scaled(d.eye_left),
+        marker_radius=d.marker_radius * f, pupil_radius=d.pupil_radius * f,
+        pupil_gain=(d.pupil_gain[0] * f, d.pupil_gain[1] * f),
+        face_axes=(d.face_axes[0] * face, d.face_axes[1] * face),
+    )
+    reach = k * _FEATURE_REACH * f
+    x_lo, x_hi = RENDER_MARGIN + reach, width - 1 - RENDER_MARGIN - reach
+    y_lo, y_hi = RENDER_MARGIN + reach, height - 1 - RENDER_MARGIN - reach
+    pose = HeadPose(x_lo + ux * (x_hi - x_lo), y_lo + uy * (y_hi - y_lo), theta, k)
+    truth = GroundTruth(feature_model(pose, s, layout), Point(0.0, 0.0), pose, seed=seed)
+    cfg = RenderConfig(width=width, height=height, blur_sigma=blur, noise_sigma=noise)
+    got = render_scene(truth, layout, cfg)
+    assert got.flat() == reference_render(truth, layout, cfg, seed).flat()
+
+
 # --- generate_dataset -----------------------------------------------------------
 
 def test_dataset_default_shape(tmp_path):
@@ -249,3 +307,30 @@ def test_manifest_schema_fields(tmp_path):
     assert set(train["pose"]) == {"tx", "ty", "theta", "k"}
     assert set(train["truth"]) == {"x_mr", "y_mr", "x_mm", "y_mm", "x_ml", "y_ml",
                                    "x_pr", "y_pr", "x_pl", "y_pl"}
+
+
+def _dataset_digest(directory) -> tuple[int, str]:
+    """One SHA-256 over the sorted files: each file's name, then the
+    SHA-256 of its bytes."""
+    h = hashlib.sha256()
+    files = sorted(directory.iterdir())
+    for path in files:
+        h.update(path.name.encode())
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return len(files), h.hexdigest()
+
+
+# Digests taken with the full-frame renderer; every frame and the manifest
+# must keep these bytes.
+@pytest.mark.parametrize("spec, n_files, digest", [
+    (DatasetSpec(poses=default_poses()[:2], eval_points=5, training_repeats=2,
+                 master_seed=1234),
+     27, "8908fedc9bb3d58958a3e26629561206dbd82763750b7b7e9945e1c61a4477b1"),
+    (DatasetSpec(poses=default_poses(1280, 1024)[:1], eval_points=3,
+                 training_repeats=1, render=RenderConfig(width=1280, height=1024),
+                 master_seed=7),
+     8, "820600f0189c578975ed007982c90b35adfe043b693e72886b359b5d41aec85f"),
+], ids=["640x480", "1280x1024"])
+def test_dataset_bytes_are_pinned(tmp_path, spec, n_files, digest):
+    generate_dataset(spec, tmp_path / "ds")
+    assert _dataset_digest(tmp_path / "ds") == (n_files, digest)
