@@ -32,7 +32,6 @@ from .gaze import (
     congruency,
     estimate_gaze,
     estimate_gaze_single_eye,
-    grid_cell,
     score_accuracy,
     select_closest,
     translate_to_middle,
@@ -76,7 +75,7 @@ __all__ = [
     "GazeEstimate", "GridSpec", "ScreenGeometry", "TrainingSet",
     "TrainingVector",
     "accuracy_table", "build_training_set", "congruency", "estimate_gaze",
-    "estimate_gaze_single_eye", "grid_cell", "score_accuracy",
+    "estimate_gaze_single_eye", "score_accuracy",
     "select_closest", "translate_to_middle",
     "DatasetSpec", "FaceLayout", "FeaturePoints", "GroundTruth", "HeadPose",
     "RenderConfig",

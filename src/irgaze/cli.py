@@ -10,6 +10,7 @@ usable.  All outputs are byte-deterministic for a fixed seed and config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
@@ -26,8 +27,11 @@ from .detection import (
     PupilPair,
     observe_face,
 )
-from .errors import EmptyCorner, IrGazeError, NoUsableEye
+from .errors import EmptyCorner, InputFileError, IrGazeError, NoUsableEye
 from .gaze import (
+    CORNERS,
+    METRICS,
+    WEIGHTINGS,
     ScreenGeometry,
     accuracy_table,
     build_training_set,
@@ -47,18 +51,15 @@ CONFIG_DEFAULTS: dict = {
     "screen": {
         "width_cm": 60.0,
         "height_cm": 60.0,
-        "training_targets": "corners",  # or "cell_centers"
+        "training_targets": "corners",
     },
     "detect": {
         "expected_marker_area": DetectConfig().expected_marker_area,
-        "top_n": None,
-        "expected_pupil_diameter": None,
         "pupil_diameter_fraction": 0.10,
         "eccentricity_max": 0.9,
         "high_mean_weight": 2.0,
         "max_retries": 5,
         "pair_tolerance_floor": 0.02,
-        "cleanup": "open",
     },
     "synth": {
         "width": 640,
@@ -69,6 +70,30 @@ CONFIG_DEFAULTS: dict = {
         "points": 25,
         "training_repeats": 2,
     },
+}
+
+CONFIG_CHOICES = {
+    "metric": METRICS,
+    "eq10_variant": WEIGHTINGS,
+    "screen.training_targets": ("corners", "cell_centers"),
+}
+
+# Each stage's own flags: (flag, config key it sets, argparse options).
+# Every stage also takes --config and --seed, since the benchmark drives all
+# five stages with one "--config C --seed S" prefix; only synth reads the seed.
+STAGE_FLAGS: dict[str, tuple[tuple[str, str, dict], ...]] = {
+    "synth": (
+        ("--poses", "synth.poses", dict(type=int, help="number of head poses")),
+        ("--points", "synth.points", dict(type=int, help="evaluation gaze points per pose")),
+        ("--training-repeats", "synth.training_repeats",
+         dict(type=int, help="training frames per pose and corner")),
+    ),
+    "detect": (("--jobs", "jobs", dict(type=int, help="parallel worker count")),),
+    "train": (("--metric", "metric", dict(choices=METRICS, help="head-orientation metric")),),
+    "estimate": (("--eq10-variant", "eq10_variant",
+                  dict(choices=WEIGHTINGS, help="vertical-interpolation weighting")),),
+    "evaluate": (("--n-min", "grid_n_min", dict(type=int)),
+                 ("--n-max", "grid_n_max", dict(type=int))),
 }
 
 ESTIMATE_COLUMNS = (
@@ -91,12 +116,21 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
+        default = base[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
-            out[key] = _merge_config(base[key], value, where)
-        else:
-            out[key] = value
+            out[key] = _merge_config(default, value, where)
+            continue
+        want = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigError(f"config key {where!r} must be {type(default).__name__}, "
+                              f"got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {where!r} must be finite, got {value!r}")
+        if value not in CONFIG_CHOICES.get(where, (value,)):
+            raise ConfigError(f"config key {where!r} must be one of {CONFIG_CHOICES[where]}")
+        out[key] = value
     return out
 
 
@@ -114,57 +148,104 @@ def load_config(path: str | None) -> dict:
     return _merge_config(CONFIG_DEFAULTS, raw)
 
 
-def _apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    for key in ("seed", "metric", "jobs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    variant = getattr(args, "eq10_variant", None)
-    if variant is not None:
-        cfg["eq10_variant"] = variant
-    return cfg
+def _configured(section: str, factory, *args, **kwargs):
+    """``factory(*args, **kwargs)``, its ValueError reported as bad config."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config {section}: {exc}") from exc
 
 
 def _screen_from_config(cfg: dict) -> ScreenGeometry:
     sc = cfg["screen"]
-    if sc["training_targets"] == "corners":
-        return ScreenGeometry.with_corner_targets(sc["width_cm"], sc["height_cm"])
-    if sc["training_targets"] == "cell_centers":
-        return ScreenGeometry.with_cell_center_targets(sc["width_cm"], sc["height_cm"])
-    raise ConfigError(
-        f"screen.training_targets must be 'corners' or 'cell_centers', "
-        f"got {sc['training_targets']!r}"
-    )
+    factory = (ScreenGeometry.with_corner_targets if sc["training_targets"] == "corners"
+               else ScreenGeometry.with_cell_center_targets)
+    return _configured("screen", factory, sc["width_cm"], sc["height_cm"])
 
 
-def _detect_config(cfg: dict) -> DetectConfig:
-    return DetectConfig(**cfg["detect"])
+# --- input files ----------------------------------------------------------
+
+@contextlib.contextmanager
+def _reading(where: str):
+    """Report an unreadable file, bad JSON or a missing or malformed field
+    met in the block as an InputFileError naming ``where``: the file, and
+    the line or the object being read."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputFileError(f"cannot read {where}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"{where}: not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise InputFileError(f"{where}: missing field {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError, EmptyCorner) as exc:
+        raise InputFileError(f"{where}: malformed field: {exc}") from exc
+
+
+def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str, object]]]:
+    """The screen and the frames of a dataset manifest.  Each frame is
+    (frame id, file, role, label): the label is the corner of a training
+    frame and the gaze point of an evaluation frame."""
+    with _reading(path):
+        doc = json.loads(Path(path).read_text())
+        screen_doc, frame_docs = doc["screen"], doc["frames"]
+    with _reading(f"{path}: screen"):
+        screen = ScreenGeometry.from_dict(screen_doc)
+    frames = []
+    for i, entry in enumerate(frame_docs):
+        with _reading(f"{path}: frames.{i}"):
+            role = entry["role"]
+            if role == "training":
+                label = entry["corner"]
+            else:
+                label = Point(*map(float, entry["gaze"]))
+            if role != "evaluation" and label not in CORNERS:
+                raise ValueError(
+                    f"need role 'evaluation', or 'training' with a corner in {CORNERS}")
+            frames.append((Path(entry["file"]).stem, entry["file"], role, label))
+    return screen, frames
+
+
+def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
+    """(frame id, observation) per line of an observations file; a failed
+    frame carries its error class name in place of the observation."""
+    with _reading(path):
+        lines = Path(path).read_text().splitlines()
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            with _reading(f"{path}:{lineno}"):
+                row = json.loads(line)
+                if not isinstance(row["frame"], str):
+                    raise TypeError("frame must be a string")
+                rows.append((row["frame"],
+                             row_to_observation(row) if row["ok"] else row["error"]))
+    return rows
+
+
+def _read_training_set(path: str) -> TrainingSet:
+    with _reading(path):
+        return TrainingSet.from_dict(json.loads(Path(path).read_text()))
 
 
 # --- synth --------------------------------------------------------------
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _apply_flag_overrides(load_config(args.config), args)
+def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
     sy = cfg["synth"]
-    if args.poses is not None:
-        sy["poses"] = args.poses
-    if args.points is not None:
-        sy["points"] = args.points
-    if args.training_repeats is not None:
-        sy["training_repeats"] = args.training_repeats
-
     all_poses = default_poses(sy["width"], sy["height"])
     if not 0 <= sy["poses"] <= len(all_poses):
         raise ConfigError(f"synth.poses must lie in [0, {len(all_poses)}]")
-    spec = DatasetSpec(
+    render = _configured(
+        "synth", RenderConfig, width=sy["width"], height=sy["height"],
+        noise_sigma=sy["noise_sigma"], blur_sigma=sy["blur_sigma"],
+    )
+    spec = _configured(
+        "synth", DatasetSpec,
         poses=all_poses[: sy["poses"]],
         eval_points=sy["points"],
         training_repeats=sy["training_repeats"],
         screen=_screen_from_config(cfg),
-        render=RenderConfig(
-            width=sy["width"], height=sy["height"],
-            noise_sigma=sy["noise_sigma"], blur_sigma=sy["blur_sigma"],
-        ),
+        render=render,
         master_seed=cfg["seed"],
     )
     try:
@@ -236,18 +317,21 @@ def _detect_one(job: tuple[str, str, DetectConfig]) -> dict:
                 "error": type(exc).__name__, "message": str(exc)}
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _apply_flag_overrides(load_config(args.config), args)
-    det = _detect_config(cfg)
+def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
+    det = _configured("detect", DetectConfig, **cfg["detect"])
 
-    jobs_list: list[tuple[str, str, DetectConfig]] = []
+    inputs = [(Path(path).stem, path) for path in args.images]
     if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
         base = Path(args.manifest).parent
-        for entry in manifest["frames"]:
-            jobs_list.append((Path(entry["file"]).stem, str(base / entry["file"]), det))
-    for path in args.images:
-        jobs_list.append((Path(path).stem, path, det))
+        _, frames = _read_manifest(args.manifest)
+        inputs[:0] = [(frame_id, str(base / file)) for frame_id, file, _, _ in frames]
+    paths: dict[str, str] = {}
+    for frame_id, path in inputs:
+        if frame_id in paths:
+            raise InputFileError(
+                f"frame id {frame_id!r} names both {paths[frame_id]} and {path}")
+        paths[frame_id] = path
+    jobs_list = [(frame_id, path, det) for frame_id, path in paths.items()]
     if not jobs_list:
         print("error: no input frames (give --manifest or PGM paths)", file=sys.stderr)
         return 1
@@ -271,37 +355,17 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 # --- train ----------------------------------------------------------------
 
-def _read_observations(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _apply_flag_overrides(load_config(args.config), args)
-    manifest = json.loads(Path(args.manifest).read_text())
-    corners = {
-        Path(e["file"]).stem: e["corner"]
-        for e in manifest["frames"]
-        if e["role"] == "training"
-    }
-    screen = ScreenGeometry.from_dict(manifest["screen"])
+def cmd_train(args: argparse.Namespace, cfg: dict) -> int:
+    screen, frames = _read_manifest(args.manifest)
+    corners = {fid: label for fid, _, role, label in frames if role == "training"}
 
     labeled = []
     skipped = 0
-    for row in _read_observations(args.observations):
-        corner = corners.get(row["frame"])
+    for frame_id, obs in _read_observations(args.observations):
+        corner = corners.get(frame_id)
         if corner is None:
             continue
-        if not row["ok"]:
-            skipped += 1
-            continue
-        obs = row_to_observation(row)
-        if obs.pupils.right is None or obs.pupils.left is None:
+        if isinstance(obs, str) or obs.pupils.right is None or obs.pupils.left is None:
             skipped += 1
             continue
         labeled.append((obs, corner))
@@ -321,22 +385,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # --- estimate ---------------------------------------------------------------
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _apply_flag_overrides(load_config(args.config), args)
-    ts = TrainingSet.load(args.training_set)
+def cmd_estimate(args: argparse.Namespace, cfg: dict) -> int:
+    ts = _read_training_set(args.training_set)
 
-    rows = sorted(_read_observations(args.observations), key=lambda r: r["frame"])
+    rows = sorted(_read_observations(args.observations), key=lambda r: r[0])
     out_rows = []
-    for row in rows:
+    for frame_id, obs in rows:
         record = {c: "" for c in ESTIMATE_COLUMNS}
-        record["frame"] = row["frame"]
-        if not row["ok"]:
-            record["error"] = row["error"]
+        record["frame"] = frame_id
+        if isinstance(obs, str):
+            record["error"] = obs
             out_rows.append(record)
             continue
         try:
-            est = estimate_gaze(row_to_observation(row), ts,
-                                weighting=cfg["eq10_variant"])
+            est = estimate_gaze(obs, ts, weighting=cfg["eq10_variant"])
         except (NoUsableEye, IrGazeError) as exc:
             record["error"] = type(exc).__name__
             out_rows.append(record)
@@ -370,7 +432,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _load_estimates(path: str | Path) -> dict[str, Point]:
     points = {}
-    with open(path, newline="") as fh:
+    with _reading(path), open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             if row["error"] or not row["x_g"]:
                 continue
@@ -378,13 +440,10 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
     return points
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _apply_flag_overrides(load_config(args.config), args)
-    n_min = args.n_min if args.n_min is not None else cfg["grid_n_min"]
-    n_max = args.n_max if args.n_max is not None else cfg["grid_n_max"]
+def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
+    n_min, n_max = cfg["grid_n_min"], cfg["grid_n_max"]
     if not 2 <= n_min <= n_max:
-        print("error: need 2 <= n-min <= n-max", file=sys.stderr)
-        return 1
+        raise ConfigError(f"need 2 <= grid_n_min <= grid_n_max, got {n_min} and {n_max}")
 
     if len(args.estimates) != len(args.manifest):
         print("error: give one --manifest per --estimates", file=sys.stderr)
@@ -397,12 +456,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     columns = []
     for est_path, man_path in zip(args.estimates, args.manifest):
         name = Path(est_path).stem
-        manifest = json.loads(Path(man_path).read_text())
-        truths = {
-            Path(e["file"]).stem: Point(*e["gaze"])
-            for e in manifest["frames"]
-            if e["role"] == "evaluation"
-        }
+        screen, frames = _read_manifest(man_path)
+        truths = {fid: label for fid, _, role, label in frames if role == "evaluation"}
         estimates = _load_estimates(est_path)
         joined = sorted(set(truths) & set(estimates))
         if not joined:
@@ -410,8 +465,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             return 1
         pairs = [(estimates[f], truths[f]) for f in joined]
 
-        screen = manifest["screen"]
-        table = accuracy_table(pairs, screen["Lx"], screen["Ly"],
+        table = accuracy_table(pairs, screen.width_cm, screen.height_cm,
                                range(n_min, n_max + 1))
         names.append(name)
         columns.append([acc for _, acc in table])
@@ -453,57 +507,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def stage(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON run-configuration file")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--metric", choices=("congruency", "euclidean"),
-                       help="head-orientation similarity metric")
-        p.add_argument("--eq10-variant", dest="eq10_variant",
-                       choices=("corrected", "literal"),
-                       help="vertical-interpolation weighting variant")
-        p.add_argument("--jobs", type=int, help="parallel worker count")
+        for flag, key, options in STAGE_FLAGS[name]:
+            p.add_argument(flag, dest=key, **options)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p)
+    p = stage("synth", cmd_synth, "generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--poses", type=int, help="number of head poses")
-    p.add_argument("--points", type=int, help="evaluation gaze points per pose")
-    p.add_argument("--training-repeats", type=int,
-                   help="training frames per pose and corner")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("detect", help="detect markers and pupils in frames")
-    common(p)
+    p = stage("detect", cmd_detect, "detect markers and pupils in frames")
     p.add_argument("images", nargs="*", help="PGM frames")
     p.add_argument("--manifest", help="dataset manifest listing the frames")
     p.add_argument("--out", required=True, help="observations JSONL path")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("train", help="build a training set from observations")
-    common(p)
+    p = stage("train", cmd_train, "build a training set from observations")
     p.add_argument("--observations", required=True)
     p.add_argument("--manifest", required=True,
                    help="manifest carrying corner labels and screen geometry")
     p.add_argument("--out", required=True, help="training-set JSON path")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("estimate", help="estimate gaze points for observations")
-    common(p)
+    p = stage("estimate", cmd_estimate, "estimate gaze points for observations")
     p.add_argument("--observations", required=True)
     p.add_argument("--training-set", dest="training_set", required=True)
     p.add_argument("--out", required=True, help="estimates CSV path")
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("evaluate", help="score estimates against ground truth")
-    common(p)
+    p = stage("evaluate", cmd_evaluate, "score estimates against ground truth")
     p.add_argument("--estimates", action="append", required=True,
                    help="estimates CSV (repeatable for multi-dataset reports)")
     p.add_argument("--manifest", action="append", required=True,
                    help="matching manifest (one per --estimates)")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.set_defaults(func=cmd_evaluate)
 
     return parser
 
@@ -511,8 +548,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        cfg = load_config(args.config)
+        for key in ("seed", *(key for _, key, _ in STAGE_FLAGS[args.command])):
+            value = getattr(args, key)
+            if value is not None:
+                section, _, leaf = key.rpartition(".")
+                (cfg[section] if section else cfg)[leaf] = value
+        return args.func(args, cfg)
+    except (ConfigError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,6 @@ level-headed frames from being rejected wholesale.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -55,40 +54,33 @@ MIN_ROI_SIDE = 4
 class DetectConfig:
     """Detection tuning knobs.
 
-    ``top_n`` defaults to 3x the expected marker area (enough pixels for
-    all three markers).  ``expected_pupil_diameter`` defaults to
-    ``pupil_diameter_fraction`` of the detected outer-marker distance,
-    recomputed per frame so it tracks head depth.  ``cleanup`` selects the
-    small-blob removal step: "open" removes bright specks (the intended
-    effect), "close" is kept for fidelity experiments.
+    The marker threshold keeps the ``top_n`` = 3x ``expected_marker_area``
+    brightest pixels (enough for all three markers).  The expected pupil
+    diameter is ``pupil_diameter_fraction`` of the detected outer-marker
+    distance, computed per frame so it tracks head depth; it sizes the
+    opening that removes bright specks from each eye region.
     """
 
     expected_marker_area: float = math.pi * 7.0 * 7.0
-    top_n: int | None = None
-    expected_pupil_diameter: float | None = None
     pupil_diameter_fraction: float = 0.10
     eccentricity_max: float = 0.9
     high_mean_weight: float = 2.0
     max_retries: int = 5
     pair_tolerance_floor: float = 0.02
-    cleanup: str = "open"
 
     def __post_init__(self):
-        if self.expected_marker_area <= 0:
-            raise ValueError("expected_marker_area must be positive")
-        if self.resolved_top_n < 3:
-            raise ValueError("top_n must be at least 3")
+        if self.top_n < 3:
+            raise ValueError(
+                f"expected_marker_area must give top_n = round(3 x area) >= 3, "
+                f"got {self.expected_marker_area}"
+            )
         if not 0.0 < self.eccentricity_max <= 1.0:
             raise ValueError("eccentricity_max must lie in (0, 1]")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.cleanup not in ("open", "close"):
-            raise ValueError("cleanup must be 'open' or 'close'")
 
     @property
-    def resolved_top_n(self) -> int:
-        if self.top_n is not None:
-            return self.top_n
+    def top_n(self) -> int:
         return int(round(3.0 * self.expected_marker_area))
 
     @property
@@ -114,12 +106,6 @@ class MarkerTriple:
     def points(self) -> tuple[Point, Point, Point]:
         return (self.right, self.middle, self.left)
 
-    def is_valid(self) -> bool:
-        return (
-            self.right.x >= self.left.x
-            and self.middle.y < 0.5 * (self.right.y + self.left.y)
-        )
-
 
 @dataclass(frozen=True)
 class PupilDetection:
@@ -134,9 +120,6 @@ class PupilDetection:
 class PupilPair:
     right: PupilDetection | None
     left: PupilDetection | None
-
-    def present(self) -> tuple[str, ...]:
-        return tuple(s for s in ("right", "left") if getattr(self, s) is not None)
 
 
 @dataclass(frozen=True)
@@ -154,20 +137,12 @@ class FaceObservation:
 @dataclass(frozen=True)
 class EyeRoi:
     """Eye-region crop plus enough bookkeeping to map detections back to
-    full-frame coordinates.  ``mask`` marks pixels that were overwritten
-    because they belonged to an outer marker blob."""
+    full-frame coordinates."""
 
     image: GrayImage
-    mask: BinaryImage
     col_origin: int
     row_origin: int
     frame_height: int
-
-    @classmethod
-    def from_image(cls, image: GrayImage) -> "EyeRoi":
-        empty = BinaryImage(np.zeros((image.height, image.width), dtype=bool))
-        return cls(image=image, mask=empty, col_origin=0, row_origin=0,
-                   frame_height=image.height)
 
 
 def detect_markers(img: GrayImage, cfg: DetectConfig) -> MarkerTriple:
@@ -181,7 +156,7 @@ def detect_markers(img: GrayImage, cfg: DetectConfig) -> MarkerTriple:
     """
     eq = histogram_equalize(img)
     flat = eq.pixels.ravel()
-    n = min(cfg.resolved_top_n, flat.size)
+    n = min(cfg.top_n, flat.size)
     threshold = float(np.partition(flat, flat.size - n)[flat.size - n])
     regions = connected_components(binarize(eq, threshold))
 
@@ -265,7 +240,6 @@ def extract_eye_roi(img: GrayImage, markers: MarkerTriple, side: str) -> EyeRoi:
 
     return EyeRoi(
         image=GrayImage(np.floor(crop + 0.5).astype(np.uint8)),
-        mask=BinaryImage(mask),
         col_origin=col_lo,
         row_origin=row_lo,
         frame_height=img.height,
@@ -284,7 +258,7 @@ def pupil_threshold(roi: GrayImage, weight: float) -> float:
 def _pupil_candidates(
     binary: BinaryImage, cfg: DetectConfig, cleanup_radius: int
 ) -> list[Region]:
-    cleaned = morphology(binary, cfg.cleanup, cleanup_radius)
+    cleaned = morphology(binary, "open", cleanup_radius)
     return [
         r
         for r in connected_components(cleaned)
@@ -292,22 +266,17 @@ def _pupil_candidates(
     ]
 
 
-def detect_pupil(roi: EyeRoi, cfg: DetectConfig) -> PupilDetection:
+def detect_pupil(roi: EyeRoi, cfg: DetectConfig, pupil_diameter: float) -> PupilDetection:
     """Find the single bright-pupil blob inside an eye region.
 
-    The region is equalized, thresholded at the weighted average, cleaned
-    with a small-element morphology pass (element diameter = 10% of the
-    expected pupil diameter), stripped of border-touching and elongated
-    blobs, and the threshold is moved halfway toward the maximum whenever
-    more than one candidate survives.
+    The region is equalized, thresholded at the weighted average, opened
+    with a small disk (element diameter = 10% of ``pupil_diameter``, the
+    expected pupil diameter in pixels), stripped of border-touching and
+    elongated blobs, and the threshold is moved halfway toward the maximum
+    whenever more than one candidate survives.
     """
-    if cfg.expected_pupil_diameter is None:
-        raise ValueError(
-            "expected_pupil_diameter unset; derive it from the marker "
-            "distance (observe_face does this) or set it explicitly"
-        )
     eq = histogram_equalize(roi.image)
-    element_diameter = max(1, round(0.10 * cfg.expected_pupil_diameter))
+    element_diameter = max(1, round(0.10 * pupil_diameter))
     cleanup_radius = element_diameter // 2
 
     threshold = pupil_threshold(eq, cfg.high_mean_weight)
@@ -358,26 +327,20 @@ def observe_face(img: GrayImage, cfg: DetectConfig, frame_id: str = "") -> FaceO
     pupil.
     """
     markers = detect_markers(img, cfg)
-
-    eff = cfg
-    if eff.expected_pupil_diameter is None:
-        eff = dataclasses.replace(
-            cfg,
-            expected_pupil_diameter=cfg.pupil_diameter_fraction * markers.outer_distance(),
-        )
+    pupil_diameter = cfg.pupil_diameter_fraction * markers.outer_distance()
 
     found: dict[str, PupilDetection | None] = {}
     for side in ("right", "left"):
         try:
             roi = extract_eye_roi(img, markers, side)
-            found[side] = detect_pupil(roi, eff)
+            found[side] = detect_pupil(roi, cfg, pupil_diameter)
         except DetectionError:
             found[side] = None
 
     pair_consistent = None
     if found["right"] is not None and found["left"] is not None:
         pair = PupilPair(right=found["right"], left=found["left"])
-        pair_consistent = validate_pupil_pair(pair, markers, eff)
+        pair_consistent = validate_pupil_pair(pair, markers, cfg)
         if not pair_consistent:
             worse = max(("right", "left"), key=lambda s: found[s].eccentricity)
             found[worse] = None

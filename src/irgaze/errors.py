@@ -10,6 +10,12 @@ class IrGazeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputFileError(IrGazeError):
+    """A stage's input file (manifest, observations, training set, estimates)
+    cannot be read or lacks a field; the message names the file and the line
+    or field."""
+
+
 # --- PGM codec ---------------------------------------------------------------
 
 class PgmError(IrGazeError):

@@ -24,7 +24,6 @@ keeps the unflipped weight for comparison runs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -219,10 +218,6 @@ class TrainingSet:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TrainingSet":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def build_training_set(
@@ -447,14 +442,6 @@ class GridSpec:
             (col + 0.5) * self.width_cm / self.n,
             self.height_cm - (row_from_top + 0.5) * self.height_cm / self.n,
         )
-
-
-def grid_cell(p: Point, grid: GridSpec) -> int:
-    """Label of the grid cell containing ``p``; off-screen points clamp to
-    the nearest cell."""
-    col = min(grid.n - 1, max(0, math.floor(p.x / (grid.width_cm / grid.n))))
-    row = min(grid.n - 1, max(0, math.floor((grid.height_cm - p.y) / (grid.height_cm / grid.n))))
-    return row * grid.n + col + 1
 
 
 def score_accuracy(

@@ -9,7 +9,7 @@ are the only place that mapping is written out.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,15 +52,6 @@ class GrayImage:
 
     def __setattr__(self, name, value):
         raise AttributeError("GrayImage is immutable")
-
-    @classmethod
-    def from_flat(cls, width: int, height: int, values: Iterable[int]) -> "GrayImage":
-        data = np.fromiter(values, dtype=np.int64)
-        if data.size != width * height:
-            raise ValueError(
-                f"expected {width * height} samples, got {data.size}"
-            )
-        return cls(data.reshape(height, width))
 
     @property
     def width(self) -> int:

@@ -70,11 +70,6 @@ class HeadPose:
     def to_dict(self) -> dict:
         return {"tx": self.tx, "ty": self.ty, "theta": self.theta, "k": self.scale}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "HeadPose":
-        return cls(tx=float(d["tx"]), ty=float(d["ty"]),
-                   theta=float(d["theta"]), scale=float(d["k"]))
-
 
 @dataclass(frozen=True)
 class FaceLayout:
@@ -130,9 +125,9 @@ class RenderConfig:
         if not 0 <= self.background < self.face < self.pupil < self.marker <= 255:
             raise ValueError("need marker > pupil > face > background in [0, 255]")
         if self.width < 2 * RENDER_MARGIN or self.height < 2 * RENDER_MARGIN:
-            raise ValueError("image too small for the feature margin")
+            raise ValueError(f"width and height must be at least {2 * RENDER_MARGIN}")
         if self.blur_sigma < 0 or self.noise_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+            raise ValueError("blur_sigma and noise_sigma must be >= 0")
 
 
 class FeaturePoints(NamedTuple):
@@ -164,23 +159,6 @@ class GroundTruth:
             self.features.pupil_left.x, self.features.pupil_left.y,
         )
         return dict(zip(COORD_KEYS, row))
-
-    @classmethod
-    def from_manifest_entry(cls, entry: dict) -> "GroundTruth":
-        t = entry["truth"]
-        features = FeaturePoints(
-            marker_right=Point(t["x_mr"], t["y_mr"]),
-            marker_middle=Point(t["x_mm"], t["y_mm"]),
-            marker_left=Point(t["x_ml"], t["y_ml"]),
-            pupil_right=Point(t["x_pr"], t["y_pr"]),
-            pupil_left=Point(t["x_pl"], t["y_pl"]),
-        )
-        return cls(
-            features=features,
-            gaze_cm=Point(*entry["gaze"]),
-            pose=HeadPose.from_dict(entry["pose"]),
-            seed=entry.get("seed"),
-        )
 
 
 def feature_model(pose: HeadPose, gaze_norm: tuple[float, float],
@@ -339,7 +317,7 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.eval_points < 0 or self.eval_points > self.eval_grid_n ** 2:
-            raise ValueError("eval_points must lie in [0, eval_grid_n^2]")
+            raise ValueError(f"eval_points must lie in [0, {self.eval_grid_n ** 2}]")
         if self.training_repeats < 0:
             raise ValueError("training_repeats must be >= 0")
 

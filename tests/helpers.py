@@ -14,8 +14,28 @@ from collections import deque
 import numpy as np
 
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
-from irgaze.imaging import GrayImage
-from irgaze.synth import FaceLayout, GroundTruth, HeadPose, RenderConfig, feature_model
+from irgaze.imaging import GrayImage, Point
+from irgaze.synth import (
+    FaceLayout,
+    FeaturePoints,
+    GroundTruth,
+    HeadPose,
+    RenderConfig,
+    feature_model,
+)
+
+
+def truth_from_manifest_entry(entry: dict) -> GroundTruth:
+    """The ground truth a manifest frame entry records."""
+    t, pose = entry["truth"], entry["pose"]
+    return GroundTruth(
+        features=FeaturePoints(*(Point(t[f"x_{k}"], t[f"y_{k}"])
+                                 for k in ("mr", "mm", "ml", "pr", "pl"))),
+        gaze_cm=Point(*entry["gaze"]),
+        pose=HeadPose(tx=float(pose["tx"]), ty=float(pose["ty"]),
+                      theta=float(pose["theta"]), scale=float(pose["k"])),
+        seed=entry.get("seed"),
+    )
 
 
 def blank(width: int, height: int, level: int = 0) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import flood_fill_components, synthetic_observation
+from helpers import flood_fill_components, synthetic_observation, truth_from_manifest_entry
 from irgaze.cli import main as cli_main
 from irgaze.detection import DetectConfig, FaceObservation, PupilDetection, PupilPair, observe_face
 from irgaze.errors import IrGazeError
@@ -112,7 +112,7 @@ def test_oracle_detection_accuracy(oracle_run, capsys):
         if obs is None:
             continue
         detected += 1
-        truth = GroundTruth.from_manifest_entry(entry).features
+        truth = truth_from_manifest_entry(entry).features
         points = [
             (obs.markers.right, truth.marker_right),
             (obs.markers.middle, truth.marker_middle),

@@ -275,3 +275,176 @@ def test_full_pipeline_determinism(tmp_path):
             "details": (root / "report" / "details_est.csv").read_bytes(),
         })
     assert outputs[0] == outputs[1]
+
+
+# --- flags and config ---------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "d", "--eq10-variant", "literal"],
+    ["synth", "--out", "d", "--jobs", "2"],
+    ["detect", "x.pgm", "--out", "o.jsonl", "--metric", "euclidean"],
+    ["train", "--observations", "o", "--manifest", "m", "--out", "t", "--jobs", "2"],
+    ["estimate", "--observations", "o", "--training-set", "t", "--out", "e",
+     "--metric", "euclidean"],
+    ["evaluate", "--estimates", "e", "--manifest", "m", "--out", "r", "--jobs", "7"],
+    ["evaluate", "--estimates", "e", "--manifest", "m", "--out", "r",
+     "--eq10-variant", "literal"],
+])
+def test_stage_rejects_flags_it_does_not_read(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
+    """The benchmark's argv: one "--config C --seed S" prefix on all five
+    stages.  Only synth reads the seed, so this reruns the fixture exactly."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    common = ["--config", str(cfg), "--seed", "77"]
+    ds, man = tmp_path / "ds", str(tmp_path / "ds" / "manifest.json")
+    obs, ts, est = (str(tmp_path / n) for n in ("obs.jsonl", "train.json", "est.csv"))
+    for argv in (
+        ["synth", *common, "--out", str(ds), "--poses", "2", "--points", "4",
+         "--training-repeats", "1"],
+        ["detect", *common, "--jobs", "1", "--manifest", man, "--out", obs],
+        ["train", *common, "--observations", obs, "--manifest", man, "--out", ts],
+        ["estimate", *common, "--observations", obs, "--training-set", ts, "--out", est],
+        ["evaluate", *common, "--estimates", est, "--manifest", man,
+         "--out", str(tmp_path / "report")],
+    ):
+        assert main(argv) == 0, argv
+    for name in ("ds/manifest.json", "obs.jsonl", "train.json", "est.csv",
+                 "report/report.csv"):
+        assert (tmp_path / name).read_bytes() == (pipeline / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("override, named", [
+    ({"detect": {"top_n": 462}}, "detect.top_n"),
+    ({"detect": {"expected_pupil_diameter": 10.0}}, "detect.expected_pupil_diameter"),
+    ({"detect": {"cleanup": "close"}}, "detect.cleanup"),
+    ({"detect": {"max_retries": -1}}, "max_retries"),
+    ({"jobs": "2"}, "jobs"),
+    ({"jobs": True}, "jobs"),
+    ({"metric": "cosine"}, "metric"),
+    ({"detect": {"expected_marker_area": float("inf")}}, "expected_marker_area"),
+])
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    assert main(["detect", "--config", str(cfg), str(tmp_path / "x.pgm"),
+                 "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_evaluate_rejects_an_empty_grid_range(pipeline, tmp_path, capsys):
+    assert main(["evaluate", "--estimates", str(pipeline / "est.csv"),
+                 "--manifest", str(pipeline / "ds" / "manifest.json"),
+                 "--out", str(tmp_path / "r"), "--n-min", "5", "--n-max", "3"]) == 2
+    assert "grid_n_min" in capsys.readouterr().err
+
+
+def test_config_accepts_an_int_where_a_float_is_expected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"noise_sigma": 0, "blur_sigma": 1}}))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "ds"),
+                 "--poses", "1", "--points", "1"]) == 0
+
+
+# --- input files ----------------------------------------------------------------
+
+def test_detect_rejects_duplicate_frame_ids(tmp_path, capsys):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.pgm")
+        paths[-1].write_bytes(encode_pgm(GrayImage(np.zeros((40, 40), dtype=np.uint8))))
+    out = tmp_path / "o.jsonl"
+    assert main(["detect", *map(str, paths), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert not out.exists()
+
+
+def test_train_truncated_observations_names_file_and_line(pipeline, tmp_path, capsys):
+    lines = (pipeline / "obs.jsonl").read_text().splitlines()
+    truncated = tmp_path / "obs.jsonl"
+    truncated.write_text("\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]]) + "\n")
+    assert main(["train", "--observations", str(truncated),
+                 "--manifest", str(pipeline / "ds" / "manifest.json"),
+                 "--out", str(tmp_path / "t.json")]) == 2
+    assert f"{truncated}:3" in capsys.readouterr().err
+
+
+def _drop_middle_marker(row):
+    del row["markers"]["middle"]
+
+
+def _number_the_frame(row):
+    row["frame"] = 5
+
+
+@pytest.mark.parametrize("spoil, named", [
+    (_drop_middle_marker, "missing field 'middle'"),
+    (_number_the_frame, "frame must be a string"),
+])
+def test_estimate_bad_observation_names_line_and_field(pipeline, tmp_path, capsys,
+                                                        spoil, named):
+    rows = read_jsonl(pipeline / "obs.jsonl")
+    spoil(rows[1])
+    bad = tmp_path / "obs.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["estimate", "--observations", str(bad),
+                 "--training-set", str(pipeline / "train.json"),
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2" in err and named in err
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"screen": {}}, "corners"),
+    (None, "Lx"),  # the fixture's training set without screen.Lx
+])
+def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, doc, named):
+    if doc is None:
+        doc = json.loads((pipeline / "train.json").read_text())
+        del doc["screen"]["Lx"]
+    bad = tmp_path / "ts.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["estimate", "--observations", str(pipeline / "obs.jsonl"),
+                 "--training-set", str(bad), "--out", str(tmp_path / "e.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(named) in err
+
+
+def test_evaluate_manifest_missing_gaze_names_the_field(pipeline, tmp_path, capsys):
+    manifest = json.loads((pipeline / "ds" / "manifest.json").read_text())
+    i = next(i for i, f in enumerate(manifest["frames"]) if f["role"] == "evaluation")
+    del manifest["frames"][i]["gaze"]
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    assert main(["evaluate", "--estimates", str(pipeline / "est.csv"),
+                 "--manifest", str(bad), "--out", str(tmp_path / "r")]) == 2
+    assert f"frames.{i}: missing field 'gaze'" in capsys.readouterr().err
+
+
+def test_evaluate_estimates_without_columns_names_the_file(pipeline, tmp_path, capsys):
+    bad = tmp_path / "est.csv"
+    bad.write_text("frame,x\nf,1\n")
+    assert main(["evaluate", "--estimates", str(bad),
+                 "--manifest", str(pipeline / "ds" / "manifest.json"),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert f"{bad}: missing field 'error'" in capsys.readouterr().err
+
+
+def test_artifacts_match_their_schemas(pipeline):
+    import jsonschema
+
+    schemas = Path(__file__).resolve().parent.parent / "schemas"
+    for doc, schema in (("ds/manifest.json", "manifest.schema.json"),
+                        ("train.json", "training_set.schema.json")):
+        jsonschema.validate(json.loads((pipeline / doc).read_text()),
+                            json.loads((schemas / schema).read_text()))

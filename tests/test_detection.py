@@ -118,7 +118,6 @@ def test_detect_markers_on_rendered_frame():
     assert markers.right.distance_to(feats.marker_right) < 1.5
     assert markers.middle.distance_to(feats.marker_middle) < 1.5
     assert markers.left.distance_to(feats.marker_left) < 1.5
-    assert markers.is_valid()
     assert markers.regions is not None
 
 
@@ -165,7 +164,11 @@ def test_roi_masks_outer_marker_pixels():
     cfg = DetectConfig()
     markers = detect_markers(img, cfg)
     roi = extract_eye_roi(img, markers, "right")
-    mask = roi.mask.pixels
+    mask = np.zeros((roi.image.height, roi.image.width), dtype=bool)
+    for col, row in markers.regions[0].pixels:  # the right marker's blob
+        r, c = row - roi.row_origin, col - roi.col_origin
+        if 0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]:
+            mask[r, c] = True
     assert mask.any(), "outer marker blob should overlap the ROI corner"
     masked_values = roi.image.pixels[mask]
     unmasked_mean = roi.image.pixels[~mask].mean()
@@ -190,15 +193,16 @@ def test_roi_rejects_unknown_side():
 
 # --- detect_pupil ---------------------------------------------------------------
 
-def eye_cfg(**kw):
-    kw.setdefault("expected_pupil_diameter", 10.0)
-    return DetectConfig(**kw)
+def whole_roi(canvas, col_origin=0, row_origin=0, frame_height=None):
+    img = as_image(canvas)
+    return EyeRoi(image=img, col_origin=col_origin, row_origin=row_origin,
+                  frame_height=img.height if frame_height is None else frame_height)
 
 
 def test_detect_pupil_single_round_blob():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 20, 5, 170)
-    found = detect_pupil(EyeRoi.from_image(as_image(canvas)), eye_cfg())
+    found = detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
     assert found.point.distance_to(Point(30, 20)) < 0.5
     assert found.eccentricity < 0.9
     assert found.area > 50
@@ -207,9 +211,8 @@ def test_detect_pupil_single_round_blob():
 def test_detect_pupil_offsets_map_to_frame_coordinates():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 20, 5, 170)
-    roi = EyeRoi(image=as_image(canvas), mask=EyeRoi.from_image(as_image(canvas)).mask,
-                 col_origin=100, row_origin=200, frame_height=480)
-    found = detect_pupil(roi, eye_cfg())
+    roi = whole_roi(canvas, col_origin=100, row_origin=200, frame_height=480)
+    found = detect_pupil(roi, DetectConfig(), 10.0)
     # ROI row of the blob center: (40-1)-20 = 19 -> frame row 219 -> y = 479-219
     assert found.point.x == pytest.approx(130, abs=0.5)
     assert found.point.y == pytest.approx(479 - 219, abs=0.5)
@@ -219,7 +222,7 @@ def test_detect_pupil_border_blob_rejected():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 38, 5, 170)  # pokes past the top edge
     with pytest.raises(NoPupilFound):
-        detect_pupil(EyeRoi.from_image(as_image(canvas)), eye_cfg())
+        detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
 
 
 def test_detect_pupil_two_persistent_blobs_ambiguous():
@@ -227,7 +230,7 @@ def test_detect_pupil_two_persistent_blobs_ambiguous():
     paint_disk(canvas, 20, 20, 5, 170)
     paint_disk(canvas, 40, 20, 5, 170)
     with pytest.raises(AmbiguousPupil):
-        detect_pupil(EyeRoi.from_image(as_image(canvas)), eye_cfg())
+        detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
 
 
 def test_detect_pupil_retry_raises_threshold_until_unique():
@@ -235,14 +238,8 @@ def test_detect_pupil_retry_raises_threshold_until_unique():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 20, 20, 5, 140)
     paint_disk(canvas, 42, 20, 5, 235)
-    found = detect_pupil(EyeRoi.from_image(as_image(canvas)), eye_cfg())
+    found = detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
     assert found.point.distance_to(Point(42, 20)) < 0.5
-
-
-def test_detect_pupil_requires_expected_diameter():
-    canvas = blank(20, 20, 80)
-    with pytest.raises(ValueError):
-        detect_pupil(EyeRoi.from_image(as_image(canvas)), DetectConfig())
 
 
 def test_threshold_raising_shrinks_foreground():
@@ -312,17 +309,14 @@ def test_observe_face_is_deterministic():
 # --- DetectConfig -------------------------------------------------------------
 
 def test_config_default_top_n_tracks_marker_area():
-    cfg = DetectConfig(expected_marker_area=100.0)
-    assert cfg.resolved_top_n == 300
-    assert DetectConfig(expected_marker_area=100.0, top_n=500).resolved_top_n == 500
+    assert DetectConfig(expected_marker_area=100.0).top_n == 300
 
 
 @pytest.mark.parametrize("bad", [
-    dict(top_n=2),
+    dict(expected_marker_area=0.5),  # top_n = round(1.5) = 2
     dict(eccentricity_max=0.0),
     dict(eccentricity_max=1.2),
     dict(max_retries=-1),
-    dict(cleanup="blur"),
     dict(expected_marker_area=0.0),
 ])
 def test_config_validation(bad):
@@ -332,6 +326,8 @@ def test_config_validation(bad):
 
 def test_config_replace_keeps_frozen_semantics():
     cfg = DetectConfig()
-    derived = dataclasses.replace(cfg, expected_pupil_diameter=18.0)
-    assert cfg.expected_pupil_diameter is None
-    assert derived.expected_pupil_diameter == 18.0
+    derived = dataclasses.replace(cfg, max_retries=2)
+    assert cfg.max_retries == 5
+    assert derived.max_retries == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_retries = 1

@@ -25,7 +25,7 @@ from irgaze.synth import (
     render_scene,
 )
 
-from helpers import reference_render
+from helpers import reference_render, truth_from_manifest_entry
 
 LAYOUT = FaceLayout()
 
@@ -280,7 +280,7 @@ def test_dataset_truth_matches_rendered_file(tmp_path):
                        training_repeats=0, master_seed=13)
     manifest = generate_dataset(spec, tmp_path / "ds")
     entry = manifest["frames"][0]
-    truth = GroundTruth.from_manifest_entry(entry)
+    truth = truth_from_manifest_entry(entry)
     rerendered = render_scene(truth, spec.layout, spec.render)
     stored = decode_pgm((tmp_path / "ds" / entry["file"]).read_bytes())
     assert rerendered == stored
