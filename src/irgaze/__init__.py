@@ -26,7 +26,6 @@ from .gaze import (
     GridSpec,
     ScreenGeometry,
     TrainingSet,
-    TrainingVector,
     accuracy_table,
     build_training_set,
     congruency,
@@ -34,7 +33,6 @@ from .gaze import (
     estimate_gaze_single_eye,
     score_accuracy,
     select_closest,
-    translate_to_middle,
 )
 from .imaging import (
     BinaryImage,
@@ -73,10 +71,9 @@ __all__ = [
     "detect_markers", "detect_pupil", "extract_eye_roi", "observe_face",
     "pupil_threshold", "validate_pupil_pair",
     "GazeEstimate", "GridSpec", "ScreenGeometry", "TrainingSet",
-    "TrainingVector",
     "accuracy_table", "build_training_set", "congruency", "estimate_gaze",
     "estimate_gaze_single_eye", "score_accuracy",
-    "select_closest", "translate_to_middle",
+    "select_closest",
     "DatasetSpec", "FaceLayout", "FeaturePoints", "GroundTruth", "HeadPose",
     "RenderConfig",
     "default_poses", "feature_model", "generate_dataset", "render_scene",

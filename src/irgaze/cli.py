@@ -225,7 +225,8 @@ def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
 
 def _read_training_set(path: str) -> TrainingSet:
     with _reading(path):
-        return TrainingSet.from_dict(json.loads(Path(path).read_text()))
+        return TrainingSet.from_dict(json.loads(Path(path).read_text()),
+                                     reading=lambda section: _reading(f"{path}: {section}"))
 
 
 # --- synth --------------------------------------------------------------
@@ -318,6 +319,9 @@ def _detect_one(job: tuple[str, str, DetectConfig]) -> dict:
 
 
 def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
+    workers = cfg["jobs"]
+    if workers < 1:
+        raise ConfigError(f"jobs must be at least 1, got {workers}")
     det = _configured("detect", DetectConfig, **cfg["detect"])
 
     inputs = [(Path(path).stem, path) for path in args.images]
@@ -336,7 +340,6 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
         print("error: no input frames (give --manifest or PGM paths)", file=sys.stderr)
         return 1
 
-    workers = cfg["jobs"]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_detect_one, jobs_list))
@@ -448,14 +451,21 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     if len(args.estimates) != len(args.manifest):
         print("error: give one --manifest per --estimates", file=sys.stderr)
         return 1
+    # Each dataset is named by its estimates file's stem, which labels its
+    # report column and its details file.
+    stems: dict[str, str] = {}
+    for est_path in args.estimates:
+        name = Path(est_path).stem
+        if name in stems:
+            raise InputFileError(
+                f"estimates {stems[name]} and {est_path} share the dataset name {name!r}")
+        stems[name] = est_path
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    names = []
     columns = []
-    for est_path, man_path in zip(args.estimates, args.manifest):
-        name = Path(est_path).stem
+    for (name, est_path), man_path in zip(stems.items(), args.manifest):
         screen, frames = _read_manifest(man_path)
         truths = {fid: label for fid, _, role, label in frames if role == "evaluation"}
         estimates = _load_estimates(est_path)
@@ -467,7 +477,6 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
 
         table = accuracy_table(pairs, screen.width_cm, screen.height_cm,
                                range(n_min, n_max + 1))
-        names.append(name)
         columns.append([acc for _, acc in table])
 
         detail_path = out_dir / f"details_{name}.csv"
@@ -481,7 +490,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     report_path = out_dir / "report.csv"
     with open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["N", *names, "AVG", "STD"])
+        writer.writerow(["N", *stems, "AVG", "STD"])
         for i, n in enumerate(range(n_min, n_max + 1)):
             pct = [100.0 * col[i] for col in columns]
             avg = sum(pct) / len(pct)

@@ -103,9 +103,6 @@ class MarkerTriple:
     def outer_distance(self) -> float:
         return self.right.distance_to(self.left)
 
-    def points(self) -> tuple[Point, Point, Point]:
-        return (self.right, self.middle, self.left)
-
 
 @dataclass(frozen=True)
 class PupilDetection:

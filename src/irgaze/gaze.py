@@ -1,11 +1,13 @@
 """Training-based gaze estimation.
 
-Calibration frames are grouped by the screen corner being gazed at; for an
-input frame the closest head orientation per corner is selected (triangle
-congruency of the marker triples, or summed marker distance), the chosen
-vectors are translated so their middle markers coincide with the input's,
-and the gaze point is linearly interpolated from the pupil position
-relative to the four corner pupil positions:
+Calibration frames are grouped by the screen corner being gazed at, each
+corner's training vectors held as one (n, 10) array of marker and pupil
+coordinates.  For an input frame the closest head orientation per corner
+is selected (triangle congruency of the marker triples, or summed marker
+distance), scored over the whole corner at once.  The chosen vectors'
+pupils are translated by the input's middle marker minus the vector's, and
+the gaze point is linearly interpolated from the pupil position relative to
+the four corner pupil positions:
 
     x_G = W  * (alpha * (x1 -> x2 span) + x1) + (1 - W)  * (beta  * (x3 -> x4 span) + x3)
     y_G = W' * (gamma * (y3 -> y1 span) + y3) + (1 - W') * (delta * (y4 -> y2 span) + y4)
@@ -23,10 +25,13 @@ keeps the unflipped weight for comparison runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .detection import FaceObservation, MarkerTriple
 from .errors import (
@@ -49,6 +54,9 @@ COORD_KEYS = (
     "x_mr", "y_mr", "x_mm", "y_mm", "x_ml", "y_ml",
     "x_pr", "y_pr", "x_pl", "y_pl",
 )
+MARKER_COLS = slice(0, 6)
+MIDDLE_COLS = slice(2, 4)
+PUPIL_COLS = slice(6, 10)  # right pupil x, y, then left pupil x, y
 
 _EDGE_EPS = 1e-9
 _DENOM_EPS = 1e-6
@@ -114,74 +122,15 @@ class ScreenGeometry:
 
 
 @dataclass(frozen=True)
-class TrainingVector:
-    """One calibration frame: the five feature points labeled with the
-    corner that was being gazed at."""
-
-    corner: int
-    marker_right: Point
-    marker_middle: Point
-    marker_left: Point
-    pupil_right: Point
-    pupil_left: Point
-    frame_id: str = ""
-
-    @classmethod
-    def from_observation(cls, obs: FaceObservation, corner: int) -> "TrainingVector":
-        if obs.pupils.right is None or obs.pupils.left is None:
-            raise IncompleteObservation(
-                f"frame {obs.frame_id!r} is missing a pupil; training needs both"
-            )
-        return cls(
-            corner=corner,
-            marker_right=obs.markers.right,
-            marker_middle=obs.markers.middle,
-            marker_left=obs.markers.left,
-            pupil_right=obs.pupils.right.point,
-            pupil_left=obs.pupils.left.point,
-            frame_id=obs.frame_id,
-        )
-
-    @property
-    def marker_triple(self) -> MarkerTriple:
-        return MarkerTriple(self.marker_right, self.marker_middle, self.marker_left)
-
-    def pupil(self, eye: str) -> Point:
-        return self.pupil_right if eye == "right" else self.pupil_left
-
-    def as_row(self) -> tuple[float, ...]:
-        return (
-            self.marker_right.x, self.marker_right.y,
-            self.marker_middle.x, self.marker_middle.y,
-            self.marker_left.x, self.marker_left.y,
-            self.pupil_right.x, self.pupil_right.y,
-            self.pupil_left.x, self.pupil_left.y,
-        )
-
-    def to_dict(self) -> dict:
-        d = {"frame": self.frame_id}
-        d.update(zip(COORD_KEYS, self.as_row()))
-        return d
-
-    @classmethod
-    def from_dict(cls, corner: int, d: dict) -> "TrainingVector":
-        v = [float(d[k]) for k in COORD_KEYS]
-        return cls(
-            corner=corner,
-            marker_right=Point(v[0], v[1]),
-            marker_middle=Point(v[2], v[3]),
-            marker_left=Point(v[4], v[5]),
-            pupil_right=Point(v[6], v[7]),
-            pupil_left=Point(v[8], v[9]),
-            frame_id=str(d.get("frame", "")),
-        )
-
-
-@dataclass(frozen=True)
 class TrainingSet:
-    """Corner-indexed training vectors plus the screen they calibrate."""
+    """Corner-indexed training vectors plus the screen they calibrate.
 
-    by_corner: dict[int, list[TrainingVector]]
+    ``by_corner[c]`` holds corner ``c``'s vectors as one read-only (n, 10)
+    float64 array, one row per calibration frame with its columns in
+    ``COORD_KEYS`` order; ``frame_ids[c]`` names the row's frames."""
+
+    by_corner: dict[int, np.ndarray]
+    frame_ids: dict[int, tuple[str, ...]]
     screen: ScreenGeometry
     metric: str = "congruency"
 
@@ -189,8 +138,13 @@ class TrainingSet:
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         for c in CORNERS:
-            if not self.by_corner.get(c):
+            rows = self.by_corner.get(c)
+            if rows is None or len(rows) == 0:
                 raise EmptyCorner(c)
+            if rows.shape != (len(self.frame_ids[c]), len(COORD_KEYS)):
+                raise ValueError(f"corner {c}: need one {len(COORD_KEYS)}-column row "
+                                 f"per frame id, got shape {rows.shape}")
+            rows.setflags(write=False)
 
     def counts(self) -> dict[int, int]:
         return {c: len(self.by_corner[c]) for c in CORNERS}
@@ -200,21 +154,34 @@ class TrainingSet:
             "screen": self.screen.to_dict(),
             "metric": self.metric,
             "corners": {
-                str(c): [v.to_dict() for v in self.by_corner[c]] for c in CORNERS
+                str(c): [{"frame": frame, **dict(zip(COORD_KEYS, row))}
+                         for frame, row in zip(self.frame_ids[c],
+                                               self.by_corner[c].tolist())]
+                for c in CORNERS
             },
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainingSet":
-        by_corner = {
-            c: [TrainingVector.from_dict(c, vd) for vd in d["corners"][str(c)]]
-            for c in CORNERS
-        }
-        return cls(
-            by_corner=by_corner,
-            screen=ScreenGeometry.from_dict(d["screen"]),
-            metric=d.get("metric", "congruency"),
-        )
+    def from_dict(cls, d: dict, reading=contextlib.nullcontext) -> "TrainingSet":
+        """Parse ``to_dict`` output.  ``reading(section)`` is entered around
+        the parse of each section ("screen", "corners", "corners.3.0"), so a
+        caller can name the section in the errors raised inside it."""
+        screen_doc, corner_docs = d["screen"], d["corners"]
+        with reading("screen"):
+            screen = ScreenGeometry.from_dict(screen_doc)
+        by_corner, frame_ids = {}, {}
+        for c in CORNERS:
+            with reading("corners"):
+                vector_docs = corner_docs[str(c)]
+            rows, frames = [], []
+            for i, vd in enumerate(vector_docs):
+                with reading(f"corners.{c}.{i}"):
+                    rows.append([float(vd[k]) for k in COORD_KEYS])
+                    frames.append(str(vd.get("frame", "")))
+            by_corner[c] = np.array(rows, dtype=np.float64).reshape(-1, len(COORD_KEYS))
+            frame_ids[c] = tuple(frames)
+        return cls(by_corner=by_corner, frame_ids=frame_ids, screen=screen,
+                   metric=d.get("metric", "congruency"))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
@@ -227,77 +194,74 @@ def build_training_set(
 ) -> TrainingSet:
     """Group labeled observations by corner.  Every observation must carry
     both pupils and every corner must end up non-empty."""
-    by_corner: dict[int, list[TrainingVector]] = {c: [] for c in CORNERS}
+    rows: dict[int, list[tuple[float, ...]]] = {c: [] for c in CORNERS}
+    frame_ids: dict[int, list[str]] = {c: [] for c in CORNERS}
     for obs, corner in labeled:
         if corner not in CORNERS:
             raise ValueError(f"corner index must be 1..4, got {corner}")
-        by_corner[corner].append(TrainingVector.from_observation(obs, corner))
-    for c in CORNERS:
-        if not by_corner[c]:
-            raise EmptyCorner(c)
-    return TrainingSet(by_corner=by_corner, screen=screen, metric=metric)
-
-
-def _edges(t: MarkerTriple) -> tuple[float, float, float]:
-    """Triangle edge lengths paired by role: right-middle, middle-left,
-    left-right."""
-    return (
-        t.right.distance_to(t.middle),
-        t.middle.distance_to(t.left),
-        t.left.distance_to(t.right),
+        if obs.pupils.right is None or obs.pupils.left is None:
+            raise IncompleteObservation(
+                f"frame {obs.frame_id!r} is missing a pupil; training needs both"
+            )
+        m = obs.markers
+        rows[corner].append((*m.right, *m.middle, *m.left,
+                             *obs.pupils.right.point, *obs.pupils.left.point))
+        frame_ids[corner].append(obs.frame_id)
+    return TrainingSet(
+        by_corner={c: np.array(rows[c], dtype=np.float64) for c in CORNERS},
+        frame_ids={c: tuple(frame_ids[c]) for c in CORNERS},
+        screen=screen, metric=metric,
     )
+
+
+def _marker_row(t: MarkerTriple) -> np.ndarray:
+    return np.array([*t.right, *t.middle, *t.left], dtype=np.float64)
+
+
+def _edges(markers: np.ndarray) -> np.ndarray:
+    """Triangle edge lengths of (..., 6) marker rows, paired by role:
+    right-middle, middle-left, left-right."""
+    points = markers.reshape(*markers.shape[:-1], 3, 2)
+    d = points - points[..., [1, 2, 0], :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _congruency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3 - (A/A' + B/B' + C/C') for (..., 6) marker rows, with the edges of
+    ``a`` in the numerators.  Zero iff the triangles are congruent."""
+    ea = _edges(a)
+    eb = _edges(b)
+    for name, edges in (("a", ea), ("b", eb)):
+        if (edges < _EDGE_EPS).any():
+            raise DegenerateTriangle(f"triangle {name} has a near-zero edge")
+    r = ea / eb
+    return 3.0 - (r[..., 0] + r[..., 1] + r[..., 2])
 
 
 def congruency(a: MarkerTriple, b: MarkerTriple) -> float:
     """Triangle-congruency measure 3 - (A/A' + B/B' + C/C'), with edges of
     ``a`` in the numerators.  Zero iff the triangles are congruent."""
-    ea = _edges(a)
-    eb = _edges(b)
-    for name, length in zip(("a", "b"), (ea, eb)):
-        if min(length) < _EDGE_EPS:
-            raise DegenerateTriangle(f"triangle {name} has a near-zero edge")
-    return 3.0 - sum(x / y for x, y in zip(ea, eb))
+    return float(_congruency(_marker_row(a), _marker_row(b)))
 
 
-def select_closest(ts: TrainingSet, obs: FaceObservation) -> dict[int, TrainingVector]:
-    """Per corner, the training vector whose head orientation best matches
-    the input.  Congruency scores |M(vector, input)|; the euclidean metric
-    sums the three marker-to-marker distances.  Ties fall to the smaller
-    middle-marker distance, then the earlier vector."""
-    input_triple = obs.markers
-
-    def score(v: TrainingVector) -> float:
-        if ts.metric == "congruency":
-            return abs(congruency(v.marker_triple, input_triple))
-        return sum(
-            p.distance_to(q)
-            for p, q in zip(v.marker_triple.points(), input_triple.points())
-        )
-
+def select_closest(ts: TrainingSet, obs: FaceObservation) -> dict[int, int]:
+    """Per corner, the row index of the training vector whose head
+    orientation best matches the input.  Congruency scores |M(vector,
+    input)|; the euclidean metric sums the three marker-to-marker
+    distances.  Ties fall to the smaller middle-marker distance, then the
+    earlier row."""
+    target = _marker_row(obs.markers)
     chosen = {}
     for c in CORNERS:
-        ranked = [
-            (score(v), v.marker_middle.distance_to(input_triple.middle), i, v)
-            for i, v in enumerate(ts.by_corner[c])
-        ]
-        chosen[c] = min(ranked)[3]
+        markers = ts.by_corner[c][:, MARKER_COLS]
+        d = (markers - target).reshape(-1, 3, 2)
+        dist = np.hypot(d[..., 0], d[..., 1])
+        if ts.metric == "congruency":
+            score = np.abs(_congruency(markers, target))
+        else:
+            score = dist[:, 0] + dist[:, 1] + dist[:, 2]
+        chosen[c] = int(np.lexsort((dist[:, 1], score))[0])
     return chosen
-
-
-def translate_to_middle(v: TrainingVector, target_middle: Point) -> TrainingVector:
-    """Rigidly translate all five points so the middle marker lands on
-    ``target_middle`` exactly."""
-    dx = target_middle.x - v.marker_middle.x
-    dy = target_middle.y - v.marker_middle.y
-    return TrainingVector(
-        corner=v.corner,
-        marker_right=v.marker_right.shifted(dx, dy),
-        marker_middle=Point(target_middle.x, target_middle.y),
-        marker_left=v.marker_left.shifted(dx, dy),
-        pupil_right=v.pupil_right.shifted(dx, dy),
-        pupil_left=v.pupil_left.shifted(dx, dy),
-        frame_id=v.frame_id,
-    )
 
 
 @dataclass(frozen=True)
@@ -339,16 +303,16 @@ def _clamp01(x: float) -> float:
 
 def estimate_gaze_single_eye(
     pupil: Point,
-    vectors: Mapping[int, TrainingVector],
-    eye: str,
+    corner_pupils: Mapping[int, Point],
     screen: ScreenGeometry,
     weighting: str = "corrected",
 ) -> EyeEstimate:
-    """Interpolate the gaze point from one eye's pupil position against the
-    four (already translated) corner training vectors."""
+    """Interpolate the gaze point from one eye's pupil position against
+    that eye's pupil positions in the four (already translated) corner
+    training vectors."""
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-    p = {c: vectors[c].pupil(eye) for c in CORNERS}
+    p = corner_pupils
     g = {c: screen.corner(c) for c in CORNERS}
 
     alpha = _checked_div(pupil.x - p[1].x, p[2].x - p[1].x, "alpha")
@@ -387,21 +351,24 @@ def estimate_gaze(
     obs: FaceObservation, ts: TrainingSet, weighting: str = "corrected"
 ) -> GazeEstimate:
     """Full estimation for one observation: select the closest vectors,
-    normalize them to the input's middle marker, interpolate per available
-    eye, and average when both eyes succeed."""
+    translate their pupils by the input's middle marker minus the vector's,
+    interpolate per available eye, and average when both eyes succeed."""
     chosen = select_closest(ts, obs)
-    translated = {
-        c: translate_to_middle(v, obs.markers.middle) for c, v in chosen.items()
-    }
+    rows = np.stack([ts.by_corner[c][chosen[c]] for c in CORNERS])
+    # Only the pupils of the chosen vectors are ever read, so only they move;
+    # tolist() hands Python floats to Point, keeping est.csv's repr() values.
+    offset = np.array(obs.markers.middle, dtype=np.float64) - rows[:, MIDDLE_COLS]
+    pupils = (rows[:, PUPIL_COLS] + np.tile(offset, 2)).tolist()
 
     per_eye: dict[str, EyeEstimate | None] = {"right": None, "left": None}
-    for side in ("right", "left"):
+    for side, col in (("right", 0), ("left", 2)):
         detection = getattr(obs.pupils, side)
         if detection is None:
             continue
+        corner_pupils = {c: Point(*row[col:col + 2]) for c, row in zip(CORNERS, pupils)}
         try:
             per_eye[side] = estimate_gaze_single_eye(
-                detection.point, translated, side, ts.screen, weighting
+                detection.point, corner_pupils, ts.screen, weighting
             )
         except DegenerateTraining:
             per_eye[side] = None

@@ -2,8 +2,9 @@
 
 Nothing here may call into the implementation paths it is used to check:
 the painter builds rasters directly, the flood fill is a dense BFS, the
-moment oracle recomputes eccentricity from scratch, and the reference
-scene renderer paints and blurs the whole frame.
+moment oracle recomputes eccentricity from scratch, the reference
+scene renderer paints and blurs the whole frame, and the reference
+closest-vector selection scores one vector at a time on Points.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections import deque
 import numpy as np
 
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
+from irgaze.errors import DegenerateTriangle
 from irgaze.imaging import GrayImage, Point
 from irgaze.synth import (
     FaceLayout,
@@ -187,3 +189,43 @@ def reference_render(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
         canvas = canvas + rng.normal(0.0, cfg.noise_sigma, canvas.shape)
 
     return GrayImage(np.floor(np.clip(canvas, 0, 255) + 0.5).astype(np.uint8))
+
+
+def observation_from_row(row) -> FaceObservation:
+    """The observation whose markers and pupils are a training row's ten
+    coordinates (COORD_KEYS order), with both pupils detected."""
+    v = [float(x) for x in row]
+    return FaceObservation(
+        markers=MarkerTriple(right=Point(v[0], v[1]), middle=Point(v[2], v[3]),
+                             left=Point(v[4], v[5])),
+        pupils=PupilPair(right=PupilDetection(Point(v[6], v[7]), 80, 0.05),
+                         left=PupilDetection(Point(v[8], v[9]), 80, 0.05)),
+    )
+
+
+def select_closest_reference(ts, obs: FaceObservation) -> dict[int, int]:
+    """Per corner, the row index minimizing (score, middle-marker distance,
+    index), each vector scored alone: |3 - sum of role-paired edge ratios|
+    (vector edges over input edges) for congruency, the summed
+    marker-to-marker distances for euclidean.  Raises DegenerateTriangle
+    when congruency meets an edge under 1e-9 in any vector or the input."""
+    inp = (obs.markers.right, obs.markers.middle, obs.markers.left)
+
+    def edges(t):
+        return [t[0].distance_to(t[1]), t[1].distance_to(t[2]), t[2].distance_to(t[0])]
+
+    chosen = {}
+    for c in (1, 2, 3, 4):
+        ranked = []
+        for i, row in enumerate(ts.by_corner[c].tolist()):
+            tri = (Point(row[0], row[1]), Point(row[2], row[3]), Point(row[4], row[5]))
+            if ts.metric == "congruency":
+                ea, eb = edges(tri), edges(inp)
+                if min(ea) < 1e-9 or min(eb) < 1e-9:
+                    raise DegenerateTriangle("near-zero edge")
+                score = abs(3.0 - sum(x / y for x, y in zip(ea, eb)))
+            else:
+                score = sum(p.distance_to(q) for p, q in zip(tri, inp))
+            ranked.append((score, tri[1].distance_to(inp[1]), i))
+        chosen[c] = min(ranked)[2]
+    return chosen

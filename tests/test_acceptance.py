@@ -13,9 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import flood_fill_components, synthetic_observation, truth_from_manifest_entry
+from helpers import (
+    flood_fill_components,
+    observation_from_row,
+    synthetic_observation,
+    truth_from_manifest_entry,
+)
 from irgaze.cli import main as cli_main
-from irgaze.detection import DetectConfig, FaceObservation, PupilDetection, PupilPair, observe_face
+from irgaze.detection import DetectConfig, FaceObservation, observe_face
 from irgaze.errors import IrGazeError
 from irgaze.gaze import (
     GridSpec,
@@ -26,7 +31,6 @@ from irgaze.gaze import (
     estimate_gaze,
     estimate_gaze_single_eye,
     score_accuracy,
-    TrainingVector,
 )
 from irgaze.imaging import (
     BinaryImage,
@@ -191,12 +195,7 @@ def test_corner_reproduction_both_variants(capsys):
     worst = 0.0
     for weighting in ("corrected", "literal"):
         for c in (1, 2, 3, 4):
-            v = ts.by_corner[c][0]
-            obs = FaceObservation(
-                markers=v.marker_triple,
-                pupils=PupilPair(right=PupilDetection(v.pupil_right, 80, 0.05),
-                                 left=PupilDetection(v.pupil_left, 80, 0.05)),
-            )
+            obs = observation_from_row(ts.by_corner[c][0])
             est = estimate_gaze(obs, ts, weighting)
             expected = SCREEN.corner(c)
             worst = max(worst, abs(est.point.x - expected.x), abs(est.point.y - expected.y))
@@ -207,12 +206,7 @@ def test_corner_reproduction_both_variants(capsys):
 
 def test_exact_interpolation_identity(capsys):
     spots = {1: Point(100, 110), 2: Point(120, 110), 3: Point(100, 90), 4: Point(120, 90)}
-    vectors = {
-        c: TrainingVector(c, Point(180, 145), Point(100, 100), Point(20, 145),
-                          spots[c], Point(spots[c].x - 60, spots[c].y))
-        for c in (1, 2, 3, 4)
-    }
-    est = estimate_gaze_single_eye(Point(110, 100), vectors, "right", SCREEN)
+    est = estimate_gaze_single_eye(Point(110, 100), spots, SCREEN)
     err = max(abs(est.point.x - 30.0), abs(est.point.y - 30.0))
     ok = err < 1e-9
     announce(capsys, "interpolation-identity", ok,

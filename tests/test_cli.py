@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -330,6 +331,7 @@ def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
     ({"jobs": True}, "jobs"),
     ({"metric": "cosine"}, "metric"),
     ({"detect": {"expected_marker_area": float("inf")}}, "expected_marker_area"),
+    ({"jobs": 0}, "jobs"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
     cfg = tmp_path / "cfg.json"
@@ -338,6 +340,15 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
                  "--out", str(tmp_path / "o.jsonl")]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_detect_rejects_jobs_below_1_from_the_flag(pipeline, tmp_path, capsys, jobs):
+    frame = next((pipeline / "ds").glob("*.pgm"))
+    out = tmp_path / "o.jsonl"
+    assert main(["detect", str(frame), "--out", str(out), "--jobs", jobs]) == 2
+    assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_rejects_an_empty_grid_range(pipeline, tmp_path, capsys):
@@ -404,20 +415,43 @@ def test_estimate_bad_observation_names_line_and_field(pipeline, tmp_path, capsy
     assert f"{bad}:2" in err and named in err
 
 
-@pytest.mark.parametrize("doc, named", [
-    ({"screen": {}}, "corners"),
-    (None, "Lx"),  # the fixture's training set without screen.Lx
+def _keep_an_empty_screen(doc):
+    doc.clear()
+    doc["screen"] = {}
+
+
+@pytest.mark.parametrize("spoil, named", [
+    pytest.param(_keep_an_empty_screen, "missing field 'corners'", id="doc0-corners"),
+    pytest.param(lambda doc: doc["screen"].pop("Lx"), "screen: missing field 'Lx'",
+                 id="None-Lx"),
+    pytest.param(lambda doc: doc["corners"]["3"][0].pop("y_pl"),
+                 "corners.3.0: missing field 'y_pl'", id="vector-y_pl"),
+    pytest.param(lambda doc: doc["corners"].pop("2"), "corners: missing field '2'",
+                 id="corner-2"),
 ])
-def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, doc, named):
-    if doc is None:
-        doc = json.loads((pipeline / "train.json").read_text())
-        del doc["screen"]["Lx"]
+def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, spoil, named):
+    doc = json.loads((pipeline / "train.json").read_text())
+    spoil(doc)
     bad = tmp_path / "ts.json"
     bad.write_text(json.dumps(doc))
     assert main(["estimate", "--observations", str(pipeline / "obs.jsonl"),
                  "--training-set", str(bad), "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"{bad}: {named}" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_estimates_sharing_a_name(pipeline, tmp_path, capsys):
+    """Both files would be reported as dataset "est": two report columns of
+    one name, and one details_est.csv for both."""
+    first, second = pipeline / "est.csv", tmp_path / "b" / "est.csv"
+    second.parent.mkdir()
+    second.write_bytes(first.read_bytes())
+    man = str(pipeline / "ds" / "manifest.json")
+    out = tmp_path / "r"
+    assert main(["evaluate", "--estimates", str(first), "--manifest", man,
+                 "--estimates", str(second), "--manifest", man, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and repr(named) in err
+    assert str(first) in err and str(second) in err
+    assert not out.exists()
 
 
 def test_evaluate_manifest_missing_gaze_names_the_field(pipeline, tmp_path, capsys):
@@ -448,3 +482,45 @@ def test_artifacts_match_their_schemas(pipeline):
                         ("train.json", "training_set.schema.json")):
         jsonschema.validate(json.loads((pipeline / doc).read_text()),
                             json.loads((schemas / schema).read_text()))
+
+
+@pytest.fixture(scope="module")
+def observed(tmp_path_factory):
+    """A small dataset and its observations: 2 poses, 3 evaluation points,
+    3 training frames per pose and corner.  The two metrics pick different
+    vectors on it, so all four estimate files differ."""
+    root = tmp_path_factory.mktemp("observed")
+    ds = root / "ds"
+    assert main(["synth", "--out", str(ds), "--poses", "2", "--points", "3",
+                 "--training-repeats", "3", "--seed", "77"]) == 0
+    assert main(["detect", "--manifest", str(ds / "manifest.json"),
+                 "--out", str(root / "obs.jsonl")]) == 0
+    return root
+
+
+# Digests taken when each training vector was still an object of five
+# Points; ts.json and est.csv must keep these bytes.
+@pytest.mark.parametrize("metric, weighting, ts_digest, est_digest", [
+    ("congruency", "corrected",
+     "00a98b399880d535397faffbdb31e0edd459fb0d94f48d70767ba286f98b530a",
+     "59efc5dcd32fe9f6c061974266b05fadfcf9183d1fba29adcbaef82fa154ad23"),
+    ("congruency", "literal",
+     "00a98b399880d535397faffbdb31e0edd459fb0d94f48d70767ba286f98b530a",
+     "246fd9252f348c39227230fb121ed8f9a4368b645cf87e179e77e8f394ff9ae4"),
+    ("euclidean", "corrected",
+     "8e29e981158712056c3ce81d9eb0bf18ad0a349be1175e848959122820f3dde0",
+     "cec9da66fdd9fc72440f363eafce6a112474ef4973315d5cd2ec386f2b0f2be3"),
+    ("euclidean", "literal",
+     "8e29e981158712056c3ce81d9eb0bf18ad0a349be1175e848959122820f3dde0",
+     "0d961e2271834561e9d8fe40d589b7cd5d4abd7876bf03bb4b6b03e3c329ce62"),
+])
+def test_training_set_and_estimate_bytes_are_pinned(observed, tmp_path, metric, weighting,
+                                                    ts_digest, est_digest):
+    obs, ts, est = str(observed / "obs.jsonl"), tmp_path / "ts.json", tmp_path / "est.csv"
+    assert main(["train", "--metric", metric, "--observations", obs,
+                 "--manifest", str(observed / "ds" / "manifest.json"),
+                 "--out", str(ts)]) == 0
+    assert main(["estimate", "--eq10-variant", weighting, "--observations", obs,
+                 "--training-set", str(ts), "--out", str(est)]) == 0
+    assert hashlib.sha256(ts.read_bytes()).hexdigest() == ts_digest
+    assert hashlib.sha256(est.read_bytes()).hexdigest() == est_digest

@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import synthetic_observation
+from helpers import observation_from_row, select_closest_reference, synthetic_observation
+from irgaze import gaze
 from irgaze.detection import MarkerTriple, PupilDetection, PupilPair, FaceObservation
 from irgaze.errors import (
     DegenerateTraining,
@@ -16,10 +18,12 @@ from irgaze.errors import (
     NoUsableEye,
 )
 from irgaze.gaze import (
+    CORNERS,
+    MARKER_COLS,
+    METRICS,
     GridSpec,
     ScreenGeometry,
     TrainingSet,
-    TrainingVector,
     accuracy_table,
     build_training_set,
     congruency,
@@ -27,7 +31,6 @@ from irgaze.gaze import (
     estimate_gaze_single_eye,
     score_accuracy,
     select_closest,
-    translate_to_middle,
 )
 from irgaze.imaging import Point
 from irgaze.synth import HeadPose
@@ -52,26 +55,23 @@ def scaled(t: MarkerTriple, k: float) -> MarkerTriple:
     )
 
 
-def vector_at(corner, pupil_right, pupil_left=None, middle=Point(100.0, 50.0), frame=""):
+def vector_row(markers: MarkerTriple, pupil_right, pupil_left) -> tuple[float, ...]:
+    """One training vector as its ten coordinates, in COORD_KEYS order."""
+    return (*markers.right, *markers.middle, *markers.left, *pupil_right, *pupil_left)
+
+
+def vector_at(pupil_right, pupil_left=None, middle=Point(100.0, 50.0)):
     """Training vector with a simple fixed marker triangle."""
     if pupil_left is None:
         pupil_left = Point(pupil_right.x - 60.0, pupil_right.y)
-    return TrainingVector(
-        corner=corner,
-        marker_right=Point(middle.x + 80, middle.y + 45),
-        marker_middle=middle,
-        marker_left=Point(middle.x - 80, middle.y + 45),
-        pupil_right=pupil_right,
-        pupil_left=pupil_left,
-        frame_id=frame,
-    )
+    markers = MarkerTriple(right=Point(middle.x + 80, middle.y + 45), middle=middle,
+                           left=Point(middle.x - 80, middle.y + 45))
+    return vector_row(markers, pupil_right, pupil_left)
 
 
-def rectangle_vectors(dx=0.0, dy=0.0):
+def rectangle_pupils():
     """Axis-aligned pupil rectangle: p1..p4 at the canonical example spots."""
-    spots = {1: Point(100 + dx, 110 + dy), 2: Point(120 + dx, 110 + dy),
-             3: Point(100 + dx, 90 + dy), 4: Point(120 + dx, 90 + dy)}
-    return {c: vector_at(c, spots[c]) for c in (1, 2, 3, 4)}
+    return {1: Point(100, 110), 2: Point(120, 110), 3: Point(100, 90), 4: Point(120, 90)}
 
 
 # --- congruency ----------------------------------------------------------------
@@ -163,8 +163,10 @@ def test_training_set_round_trips_losslessly(tmp_path):
     assert loaded.metric == "euclidean"
     assert loaded.screen == ts.screen
     for c in (1, 2, 3, 4):
-        for a, b in zip(loaded.by_corner[c], ts.by_corner[c]):
-            assert a == b  # exact float equality: round trip is lossless
+        # exact float equality: round trip is lossless
+        assert np.array_equal(loaded.by_corner[c], ts.by_corner[c])
+        assert loaded.frame_ids[c] == ts.frame_ids[c] == (f"f{c}",)
+    assert loaded.to_dict() == ts.to_dict()
 
 
 def test_training_set_schema_field_names(tmp_path):
@@ -181,8 +183,19 @@ def test_training_set_schema_field_names(tmp_path):
 
 # --- select_closest -----------------------------------------------------------
 
-def make_ts(vectors_by_corner, metric="congruency"):
-    return TrainingSet(by_corner=vectors_by_corner, screen=SCREEN, metric=metric)
+def make_ts(rows_by_corner, metric="congruency", frame_ids=None):
+    """Training set from {corner: [ten-coordinate row, ...]}."""
+    if frame_ids is None:
+        frame_ids = {c: ("",) * len(rows) for c, rows in rows_by_corner.items()}
+    return TrainingSet(
+        by_corner={c: np.array(rows, dtype=np.float64) for c, rows in rows_by_corner.items()},
+        frame_ids={c: tuple(ids) for c, ids in frame_ids.items()},
+        screen=SCREEN, metric=metric,
+    )
+
+
+def marker_values(t: MarkerTriple) -> list[float]:
+    return [*t.right, *t.middle, *t.left]
 
 
 def test_select_exact_match_wins():
@@ -193,37 +206,40 @@ def test_select_exact_match_wins():
         SCREEN,
     )
     chosen = select_closest(ts, base)
-    assert chosen[1].marker_triple == base.markers
+    assert chosen[1] == 0
+    assert ts.by_corner[1][chosen[1], MARKER_COLS].tolist() == marker_values(base.markers)
 
 
 def test_select_smaller_scale_mismatch_wins():
     base = triple_with_edges_equilateral(40.0)
-    near = TrainingVector(1, *scaled(base, 1.1).points(), Point(0, 0), Point(-1, 0), "x1.1")
-    far = TrainingVector(1, *scaled(base, 2.0).points(), Point(0, 0), Point(-1, 0), "x2.0")
-    others = {c: [vector_at(c, Point(10 * c, 5))] for c in (2, 3, 4)}
-    ts = make_ts({1: [far, near], **others})
+    near = vector_row(scaled(base, 1.1), Point(0, 0), Point(-1, 0))
+    far = vector_row(scaled(base, 2.0), Point(0, 0), Point(-1, 0))
+    others = {c: [vector_at(Point(10 * c, 5))] for c in (2, 3, 4)}
+    ts = make_ts({1: [far, near], **others},
+                 frame_ids={1: ("x2.0", "x1.1"), 2: ("",), 3: ("",), 4: ("",)})
     obs = FaceObservation(
         markers=base,
         pupils=PupilPair(PupilDetection(Point(1, 1), 9, 0.1),
                          PupilDetection(Point(0, 1), 9, 0.1)),
     )
-    assert select_closest(ts, obs)[1].frame_id == "x1.1"
+    assert ts.frame_ids[1][select_closest(ts, obs)[1]] == "x1.1"
 
 
 def test_select_tie_breaks_on_middle_marker_distance():
     base = triple_with_edges_equilateral(40.0)
-    near = TrainingVector(1, *triple_with_edges_equilateral(40.0, offset=(5, 5)).points(),
-                          Point(0, 0), Point(-1, 0), "near")
-    far = TrainingVector(1, *triple_with_edges_equilateral(40.0, offset=(50, 50)).points(),
-                         Point(0, 0), Point(-1, 0), "far")
-    others = {c: [vector_at(c, Point(10 * c, 5))] for c in (2, 3, 4)}
-    ts = make_ts({1: [far, near], **others})
+    near = vector_row(triple_with_edges_equilateral(40.0, offset=(5, 5)),
+                      Point(0, 0), Point(-1, 0))
+    far = vector_row(triple_with_edges_equilateral(40.0, offset=(50, 50)),
+                     Point(0, 0), Point(-1, 0))
+    others = {c: [vector_at(Point(10 * c, 5))] for c in (2, 3, 4)}
+    ts = make_ts({1: [far, near], **others},
+                 frame_ids={1: ("far", "near"), 2: ("",), 3: ("",), 4: ("",)})
     obs = FaceObservation(
         markers=base,
         pupils=PupilPair(PupilDetection(Point(1, 1), 9, 0.1),
                          PupilDetection(Point(0, 1), 9, 0.1)),
     )
-    assert select_closest(ts, obs)[1].frame_id == "near"
+    assert ts.frame_ids[1][select_closest(ts, obs)[1]] == "near"
 
 
 def test_select_congruency_ignores_input_translation():
@@ -243,7 +259,7 @@ def test_select_congruency_ignores_input_translation():
     )
     a = select_closest(ts, obs)
     b = select_closest(ts, shifted)
-    assert {c: v.frame_id for c, v in a.items()} == {c: v.frame_id for c, v in b.items()}
+    assert a == b
 
 
 def test_select_euclidean_metric():
@@ -254,36 +270,110 @@ def test_select_euclidean_metric():
         SCREEN, metric="euclidean",
     )
     chosen = select_closest(ts, obs)
-    assert chosen[1].marker_triple == obs.markers
+    assert ts.by_corner[1][chosen[1], MARKER_COLS].tolist() == marker_values(obs.markers)
 
 
-# --- translate_to_middle -------------------------------------------------------
-
-def test_translate_identity():
-    v = vector_at(1, Point(90, 60))
-    assert translate_to_middle(v, v.marker_middle) == v
+COORD = st.one_of(st.integers(-6, 6).map(lambda v: 0.5 * v),
+                  st.floats(-100.0, 100.0, allow_nan=False))
 
 
-def test_translate_shifts_every_point():
-    v = vector_at(1, Point(90, 60))
-    out = translate_to_middle(v, v.marker_middle.shifted(10, -5))
-    for name in ("marker_right", "marker_middle", "marker_left", "pupil_right", "pupil_left"):
-        before = getattr(v, name)
-        after = getattr(out, name)
-        assert (after.x - before.x, after.y - before.y) == (10, -5)
+@st.composite
+def selection_cases(draw):
+    """A training set built from a few triangles, each reused exactly or
+    translated (exact ties and near-ties), plus an input triangle drawn the
+    same way.  Small half-integer coordinates also yield degenerate
+    triangles."""
+    point = st.tuples(COORD, COORD)
+    triangles = draw(st.lists(st.tuples(point, point, point), min_size=1, max_size=4))
+    shifts = draw(st.lists(point, min_size=1, max_size=3))
+
+    def placed():
+        tri = draw(st.sampled_from(triangles))
+        dx, dy = draw(st.sampled_from([(0.0, 0.0), *shifts]))
+        return [v for x, y in tri for v in (x + dx, y + dy)]
+
+    rows = {c: [placed() + [1.0, 2.0, 3.0, 4.0]
+                for _ in range(draw(st.integers(1, 5)))] for c in CORNERS}
+    m = placed()
+    markers = MarkerTriple(Point(m[0], m[1]), Point(m[2], m[3]), Point(m[4], m[5]))
+    return make_ts(rows, metric=draw(st.sampled_from(METRICS))), markers
 
 
-def test_translate_composes():
-    v = vector_at(2, Point(12, 34))
-    once = translate_to_middle(v, Point(7.5, -3.25))
-    twice = translate_to_middle(translate_to_middle(v, Point(400, 2)), Point(7.5, -3.25))
+def _chosen_or_error(select, ts, obs):
+    try:
+        return select(ts, obs)
+    except DegenerateTriangle:
+        return DegenerateTriangle
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_cases())
+def test_select_matches_the_reference(case):
+    ts, markers = case
+    obs = FaceObservation(markers=markers, pupils=PupilPair(None, None))
+    assert (_chosen_or_error(select_closest, ts, obs)
+            == _chosen_or_error(select_closest_reference, ts, obs))
+
+
+# --- translation to the input's middle marker ----------------------------------
+
+def interpolated_pupils(monkeypatch, ts, obs):
+    """The corner pupils that estimate_gaze hands to the interpolation, right
+    eye first."""
+    seen = []
+
+    def spy(pupil, corner_pupils, screen, weighting="corrected"):
+        seen.append(dict(corner_pupils))
+        return estimate_gaze_single_eye(pupil, corner_pupils, screen, weighting)
+
+    monkeypatch.setattr(gaze, "estimate_gaze_single_eye", spy)
+    estimate_gaze(obs, ts)
+    return seen
+
+
+def rectangle_ts(shift=(0.0, 0.0)):
+    """One vector per corner, every coordinate moved by ``shift``."""
+    dx, dy = shift
+    return make_ts({c: [[v + (dy if k % 2 else dx) for k, v in enumerate(vector_at(p))]]
+                    for c, p in rectangle_pupils().items()})
+
+
+def input_at(middle: Point) -> FaceObservation:
+    """An input whose marker triangle matches vector_at's, its middle marker
+    at ``middle``."""
+    return observation_from_row(vector_at(Point(110, 100), middle=middle))
+
+
+def test_translate_identity(monkeypatch):
+    ts = rectangle_ts()
+    right, left = interpolated_pupils(monkeypatch, ts, input_at(Point(100.0, 50.0)))
+    for c in CORNERS:
+        row = ts.by_corner[c][0].tolist()
+        assert right[c] == Point(row[6], row[7])
+        assert left[c] == Point(row[8], row[9])
+
+
+def test_translate_shifts_every_point(monkeypatch):
+    ts = rectangle_ts()
+    right, left = interpolated_pupils(monkeypatch, ts, input_at(Point(110.0, 45.0)))
+    for c in CORNERS:
+        row = ts.by_corner[c][0].tolist()
+        for moved, x, y in ((right[c], row[6], row[7]), (left[c], row[8], row[9])):
+            assert (moved.x - x, moved.y - y) == (10, -5)
+            assert type(moved.x) is float and type(moved.y) is float
+
+
+def test_translate_composes(monkeypatch):
+    obs = input_at(Point(7.5, -3.25))
+    once = interpolated_pupils(monkeypatch, rectangle_ts(), obs)
+    twice = interpolated_pupils(monkeypatch, rectangle_ts(shift=(300.0, -48.0)), obs)
     assert once == twice
 
 
 # --- single-eye interpolation ----------------------------------------------------
 
 def test_interpolation_center_of_rectangle():
-    est = estimate_gaze_single_eye(Point(110, 100), rectangle_vectors(), "right", SCREEN)
+    est = estimate_gaze_single_eye(Point(110, 100), rectangle_pupils(), SCREEN)
     assert est.point.x == pytest.approx(30.0, abs=1e-9)
     assert est.point.y == pytest.approx(30.0, abs=1e-9)
     w = est.weights
@@ -294,37 +384,35 @@ def test_interpolation_center_of_rectangle():
 @pytest.mark.parametrize("weighting", ["corrected", "literal"])
 @pytest.mark.parametrize("corner", [1, 2, 3, 4])
 def test_interpolation_reproduces_corners(weighting, corner):
-    vectors = rectangle_vectors()
-    pupil = vectors[corner].pupil_right
-    est = estimate_gaze_single_eye(pupil, vectors, "right", SCREEN, weighting)
+    pupils = rectangle_pupils()
+    est = estimate_gaze_single_eye(pupils[corner], pupils, SCREEN, weighting)
     expected = SCREEN.corner(corner)
     assert est.point.x == pytest.approx(expected.x, abs=1e-9)
     assert est.point.y == pytest.approx(expected.y, abs=1e-9)
 
 
 def test_interpolation_extrapolates_past_the_edge():
-    est = estimate_gaze_single_eye(Point(130, 100), rectangle_vectors(), "right", SCREEN)
+    est = estimate_gaze_single_eye(Point(130, 100), rectangle_pupils(), SCREEN)
     assert est.weights.alpha == pytest.approx(1.5)
     assert est.weights.beta == pytest.approx(1.5)
     assert est.point.x == pytest.approx(90.0, abs=1e-9)
 
 
 def test_interpolation_blend_weights_clamped():
-    est = estimate_gaze_single_eye(Point(110, 150), rectangle_vectors(), "right", SCREEN)
+    est = estimate_gaze_single_eye(Point(110, 150), rectangle_pupils(), SCREEN)
     assert est.weights.w == 1.0  # far above the rectangle clamps the blend
 
 
 def test_interpolation_degenerate_denominator():
-    vectors = rectangle_vectors()
-    collapsed = dict(vectors)
-    collapsed[2] = vector_at(2, vectors[1].pupil_right)  # x2 == x1
+    collapsed = rectangle_pupils()
+    collapsed[2] = collapsed[1]  # x2 == x1
     with pytest.raises(DegenerateTraining):
-        estimate_gaze_single_eye(Point(110, 100), collapsed, "right", SCREEN)
+        estimate_gaze_single_eye(Point(110, 100), collapsed, SCREEN)
 
 
 def test_interpolation_rejects_unknown_weighting():
     with pytest.raises(ValueError):
-        estimate_gaze_single_eye(Point(110, 100), rectangle_vectors(), "right",
+        estimate_gaze_single_eye(Point(110, 100), rectangle_pupils(),
                                  SCREEN, weighting="reversed")
 
 
@@ -370,14 +458,7 @@ def test_estimate_gaze_corner_reproduction_through_full_path():
     ts = full_ts()
     for weighting in ("corrected", "literal"):
         for c in (1, 2, 3, 4):
-            v = ts.by_corner[c][0]
-            obs = FaceObservation(
-                markers=v.marker_triple,
-                pupils=PupilPair(
-                    right=PupilDetection(v.pupil_right, 80, 0.05),
-                    left=PupilDetection(v.pupil_left, 80, 0.05),
-                ),
-            )
+            obs = observation_from_row(ts.by_corner[c][0])
             est = estimate_gaze(obs, ts, weighting)
             expected = SCREEN.corner(c)
             assert abs(est.point.x - expected.x) < 1e-9
@@ -397,21 +478,11 @@ def test_estimate_gaze_translation_invariance():
 def test_estimate_gaze_one_degenerate_eye_falls_back():
     # left-eye training pupils share one x coordinate -> left interpolation
     # degenerates; the right eye must carry the estimate alone
-    spots = {1: Point(100, 110), 2: Point(120, 110), 3: Point(100, 90), 4: Point(120, 90)}
-    vectors = []
-    for c in (1, 2, 3, 4):
-        vectors.append(TrainingVector(
-            corner=c,
-            marker_right=Point(180, 145), marker_middle=Point(100, 100),
-            marker_left=Point(20, 145),
-            pupil_right=spots[c],
-            pupil_left=Point(40.0, spots[c].y),  # collapsed in x
-            frame_id=f"c{c}",
-        ))
-    ts = TrainingSet(by_corner={c: [v] for c, v in zip((1, 2, 3, 4), vectors)},
-                     screen=SCREEN)
+    markers = MarkerTriple(Point(180, 145), Point(100, 100), Point(20, 145))
+    ts = make_ts({c: [vector_row(markers, p, Point(40.0, p.y))]  # left collapsed in x
+                  for c, p in rectangle_pupils().items()})
     obs = FaceObservation(
-        markers=vectors[0].marker_triple,
+        markers=markers,
         pupils=PupilPair(
             right=PupilDetection(Point(110, 100), 80, 0.05),
             left=PupilDetection(Point(40.0, 100), 80, 0.05),
