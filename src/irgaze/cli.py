@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,13 @@ from .detection import (
     PupilPair,
     observe_face,
 )
-from .errors import EmptyCorner, InputFileError, IrGazeError, NoUsableEye
+from .errors import (
+    DegenerateTriangle,
+    EmptyCorner,
+    InputFileError,
+    IrGazeError,
+    NoUsableEye,
+)
 from .gaze import (
     CORNERS,
     METRICS,
@@ -53,14 +60,7 @@ CONFIG_DEFAULTS: dict = {
         "height_cm": 60.0,
         "training_targets": "corners",
     },
-    "detect": {
-        "expected_marker_area": DetectConfig().expected_marker_area,
-        "pupil_diameter_fraction": 0.10,
-        "eccentricity_max": 0.9,
-        "high_mean_weight": 2.0,
-        "max_retries": 5,
-        "pair_tolerance_floor": 0.02,
-    },
+    "detect": dataclasses.asdict(DetectConfig()),
     "synth": {
         "width": 640,
         "height": 480,
@@ -178,7 +178,7 @@ def _reading(where: str):
         raise InputFileError(f"{where}: not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise InputFileError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError, EmptyCorner) as exc:
+    except (AttributeError, TypeError, ValueError, EmptyCorner, DegenerateTriangle) as exc:
         raise InputFileError(f"{where}: malformed field: {exc}") from exc
 
 

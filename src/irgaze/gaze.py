@@ -165,7 +165,9 @@ class TrainingSet:
     def from_dict(cls, d: dict, reading=contextlib.nullcontext) -> "TrainingSet":
         """Parse ``to_dict`` output.  ``reading(section)`` is entered around
         the parse of each section ("screen", "corners", "corners.3.0"), so a
-        caller can name the section in the errors raised inside it."""
+        caller can name the section in the errors raised inside it.  A row
+        whose marker triangle has a near-zero edge raises
+        DegenerateTriangle, since it would fail every congruency score."""
         screen_doc, corner_docs = d["screen"], d["corners"]
         with reading("screen"):
             screen = ScreenGeometry.from_dict(screen_doc)
@@ -176,7 +178,10 @@ class TrainingSet:
             rows, frames = [], []
             for i, vd in enumerate(vector_docs):
                 with reading(f"corners.{c}.{i}"):
-                    rows.append([float(vd[k]) for k in COORD_KEYS])
+                    row = [float(vd[k]) for k in COORD_KEYS]
+                    if (_edges(np.array(row[MARKER_COLS])) < _EDGE_EPS).any():
+                        raise DegenerateTriangle("marker triangle has an edge under 1e-9")
+                    rows.append(row)
                     frames.append(str(vd.get("frame", "")))
             by_corner[c] = np.array(rows, dtype=np.float64).reshape(-1, len(COORD_KEYS))
             frame_ids[c] = tuple(frames)

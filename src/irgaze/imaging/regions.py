@@ -1,9 +1,9 @@
 """Connected-component labeling and region properties.
 
-8-connectivity throughout.  Labeling is run-based: each scanline is
-decomposed into runs of foreground pixels, runs in adjacent rows are
-merged with union-find, so cost scales with the number of runs rather
-than the full raster.
+8-connectivity throughout.  Labeling is run-based and takes the whole
+mask in one pass: numpy finds every run of foreground pixels at once, and
+a vectorized union-find merges runs that touch across adjacent rows, so
+the Python-level cost scales with the number of regions, not the rows.
 
 Eccentricity comes from the second-order central moments of the pixel
 coordinates: with covariance eigenvalues l1 >= l2,
@@ -80,72 +80,62 @@ def _region_from_pixels(cols: np.ndarray, rows: np.ndarray, width: int, height: 
     )
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(first[i], first[i] + count[i])`` over i."""
+    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
 def connected_components(img: BinaryImage) -> list[Region]:
-    """All 8-connected foreground regions, sorted by bounding-box origin."""
+    """All 8-connected foreground regions, sorted by bounding-box origin.
+
+    One pass over the whole mask finds every run; each run is joined to the
+    runs it touches in the row above, and each set keeps its first run (in
+    raster order) as root.  A region's pixels come in raster order, and
+    regions with the same bbox origin and area keep first-run order.
+    """
     a = img.pixels
     h, w = a.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = a
+    # Value changes come in raster order and alternate within each row: a
+    # run starts at an even one and ends, exclusively, at the next.
+    rows, cols = np.nonzero(np.diff(padded, axis=1))
+    rows, starts, ends = rows[0::2], cols[0::2], cols[1::2]
+    n = rows.size
+    if n == 0:
+        return []
 
-    # runs[i] = (row, start_col, end_col_exclusive)
-    runs: list[tuple[int, int, int]] = []
-    row_runs: list[tuple[int, int]] = []  # (first_run_index, count) per row
-    padded = np.zeros(w + 2, dtype=np.int8)
-    for r in range(h):
-        padded[1:-1] = a[r]
-        d = np.diff(padded)
-        starts = np.flatnonzero(d == 1)
-        ends = np.flatnonzero(d == -1)
-        row_runs.append((len(runs), len(starts)))
-        for s, e in zip(starts, ends):
-            runs.append((r, int(s), int(e)))
+    # Row-major keys (row * (w + 1) + column) are sorted for both starts and
+    # ends.  The runs above run i that it touches, diagonally included, are
+    # those in row - 1 ending at or after its start and starting at or
+    # before its end: one contiguous slice [lo, hi).
+    above = (rows - 1) * (w + 1)
+    lo = np.searchsorted(rows * (w + 1) + ends, above + starts, side="left")
+    hi = np.searchsorted(rows * (w + 1) + starts, above + ends, side="right")
+    touching = np.maximum(hi - lo, 0)
+    upper = _ranges(lo, touching)
+    lower = np.repeat(np.arange(n), touching)
 
-    uf = _UnionFind(len(runs))
-    for r in range(1, h):
-        cur_first, cur_n = row_runs[r]
-        prev_first, prev_n = row_runs[r - 1]
-        if cur_n == 0 or prev_n == 0:
-            continue
-        j = prev_first
-        prev_last = prev_first + prev_n
-        for i in range(cur_first, cur_first + cur_n):
-            _, s1, e1 = runs[i]
-            # Runs in a row are disjoint and sorted, so ends are monotone:
-            # once a previous run ends left of s1 it can never touch a later
-            # current run either.  Diagonal contact counts (8-connectivity).
-            while j < prev_last and runs[j][2] < s1:
-                j += 1
-            k = j
-            while k < prev_last and runs[k][1] <= e1:
-                uf.union(i, k)
-                k += 1
+    # Union-find over the touching pairs: hook the larger root onto the
+    # smaller, then compress, until every pair shares a root.  The root of
+    # each set is its first run.
+    root = np.arange(n)
+    while True:
+        ru, rl = root[upper], root[lower]
+        if np.array_equal(ru, rl):
+            break
+        np.minimum.at(root, np.maximum(ru, rl), np.minimum(ru, rl))
+        while not np.array_equal(root[root], root):
+            root = root[root]
 
-    groups: dict[int, list[int]] = {}
-    for i in range(len(runs)):
-        groups.setdefault(uf.find(i), []).append(i)
-
-    regions = []
-    for members in groups.values():
-        cols = np.concatenate([np.arange(runs[i][1], runs[i][2]) for i in members])
-        rows = np.concatenate(
-            [np.full(runs[i][2] - runs[i][1], runs[i][0]) for i in members]
-        )
-        regions.append(_region_from_pixels(cols, rows, w, h))
-
+    order = np.argsort(root, kind="stable")
+    lengths = (ends - starts)[order]
+    pixel_cols = _ranges(starts[order], lengths)
+    pixel_rows = np.repeat(rows[order], lengths)
+    cuts = np.cumsum(lengths)[np.flatnonzero(np.diff(root[order]))]
+    regions = [
+        _region_from_pixels(c, r, w, h)
+        for c, r in zip(np.split(pixel_cols, cuts), np.split(pixel_rows, cuts))
+    ]
     regions.sort(key=lambda reg: (reg.bbox[1], reg.bbox[0], reg.area))
     return regions

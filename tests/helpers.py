@@ -4,7 +4,10 @@ Nothing here may call into the implementation paths it is used to check:
 the painter builds rasters directly, the flood fill is a dense BFS, the
 moment oracle recomputes eccentricity from scratch, the reference
 scene renderer paints and blurs the whole frame, and the reference
-closest-vector selection scores one vector at a time on Points.
+closest-vector selection scores one vector at a time on Points.  The
+reference labeler walks the mask row by row with a union-find over run
+indices; it shares only ``_region_from_pixels`` with the package, since
+the labeling, not the moments, is what it checks.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
 from irgaze.errors import DegenerateTriangle
-from irgaze.imaging import GrayImage, Point
+from irgaze.imaging import BinaryImage, GrayImage, Point, Region
+from irgaze.imaging.regions import _region_from_pixels
 from irgaze.synth import (
     FaceLayout,
     FeaturePoints,
@@ -229,3 +233,76 @@ def select_closest_reference(ts, obs: FaceObservation) -> dict[int, int]:
             ranked.append((score, tri[1].distance_to(inp[1]), i))
         chosen[c] = min(ranked)[2]
     return chosen
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def reference_components(img: BinaryImage) -> list[Region]:
+    """The row-loop labeler ``connected_components`` replaced: all
+    8-connected foreground regions, sorted by bounding-box origin, with the
+    same region order, pixel order and moments."""
+    a = img.pixels
+    h, w = a.shape
+
+    # runs[i] = (row, start_col, end_col_exclusive)
+    runs: list[tuple[int, int, int]] = []
+    row_runs: list[tuple[int, int]] = []  # (first_run_index, count) per row
+    padded = np.zeros(w + 2, dtype=np.int8)
+    for r in range(h):
+        padded[1:-1] = a[r]
+        d = np.diff(padded)
+        starts = np.flatnonzero(d == 1)
+        ends = np.flatnonzero(d == -1)
+        row_runs.append((len(runs), len(starts)))
+        for s, e in zip(starts, ends):
+            runs.append((r, int(s), int(e)))
+
+    uf = _UnionFind(len(runs))
+    for r in range(1, h):
+        cur_first, cur_n = row_runs[r]
+        prev_first, prev_n = row_runs[r - 1]
+        if cur_n == 0 or prev_n == 0:
+            continue
+        j = prev_first
+        prev_last = prev_first + prev_n
+        for i in range(cur_first, cur_first + cur_n):
+            _, s1, e1 = runs[i]
+            # Runs in a row are disjoint and sorted, so ends are monotone:
+            # once a previous run ends left of s1 it can never touch a later
+            # current run either.  Diagonal contact counts (8-connectivity).
+            while j < prev_last and runs[j][2] < s1:
+                j += 1
+            k = j
+            while k < prev_last and runs[k][1] <= e1:
+                uf.union(i, k)
+                k += 1
+
+    groups: dict[int, list[int]] = {}
+    for i in range(len(runs)):
+        groups.setdefault(uf.find(i), []).append(i)
+
+    regions = []
+    for members in groups.values():
+        cols = np.concatenate([np.arange(runs[i][1], runs[i][2]) for i in members])
+        rows = np.concatenate(
+            [np.full(runs[i][2] - runs[i][1], runs[i][0]) for i in members]
+        )
+        regions.append(_region_from_pixels(cols, rows, w, h))
+
+    regions.sort(key=lambda reg: (reg.bbox[1], reg.bbox[0], reg.area))
+    return regions

@@ -420,6 +420,13 @@ def _keep_an_empty_screen(doc):
     doc["screen"] = {}
 
 
+def _left_marker_onto_middle(doc):
+    """One corner-2 vector whose marker triangle has a zero edge: once read,
+    it made every congruency estimate fail with DegenerateTriangle."""
+    vector = doc["corners"]["2"][0]
+    vector["x_ml"], vector["y_ml"] = vector["x_mm"], vector["y_mm"]
+
+
 @pytest.mark.parametrize("spoil, named", [
     pytest.param(_keep_an_empty_screen, "missing field 'corners'", id="doc0-corners"),
     pytest.param(lambda doc: doc["screen"].pop("Lx"), "screen: missing field 'Lx'",
@@ -428,6 +435,9 @@ def _keep_an_empty_screen(doc):
                  "corners.3.0: missing field 'y_pl'", id="vector-y_pl"),
     pytest.param(lambda doc: doc["corners"].pop("2"), "corners: missing field '2'",
                  id="corner-2"),
+    pytest.param(_left_marker_onto_middle,
+                 "corners.2.0: malformed field: marker triangle has an edge under 1e-9",
+                 id="degenerate-2.0"),
 ])
 def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, spoil, named):
     doc = json.loads((pipeline / "train.json").read_text())
@@ -524,3 +534,20 @@ def test_training_set_and_estimate_bytes_are_pinned(observed, tmp_path, metric, 
                  "--training-set", str(ts), "--out", str(est)]) == 0
     assert hashlib.sha256(ts.read_bytes()).hexdigest() == ts_digest
     assert hashlib.sha256(est.read_bytes()).hexdigest() == est_digest
+
+
+# Digests taken with the row-by-row labeler; detect must keep these bytes.
+def test_observation_bytes_are_pinned(observed):
+    digest = hashlib.sha256((observed / "obs.jsonl").read_bytes()).hexdigest()
+    assert digest == "e44538893a0ab4e89188c2b3cf0837cbbcc3ac039e45f64d41208c0dcb1bbf17"
+
+
+def test_hires_observation_bytes_are_pinned(tmp_path):
+    """At 1280x1024 the marker mask saturates: about 2.5k regions a frame."""
+    cfg, ds, obs = tmp_path / "cfg.json", tmp_path / "ds", tmp_path / "obs.jsonl"
+    cfg.write_text(json.dumps({"synth": {"width": 1280, "height": 1024}}))
+    assert main(["synth", "--config", str(cfg), "--out", str(ds), "--poses", "1",
+                 "--points", "3", "--training-repeats", "1", "--seed", "5"]) == 0
+    assert main(["detect", "--manifest", str(ds / "manifest.json"), "--out", str(obs)]) == 0
+    digest = hashlib.sha256(obs.read_bytes()).hexdigest()
+    assert digest == "7a21f72d4dd2c3f5e97e21a5d4a35fc32ecb9b2f50cf539c4b05018d785b821d"

@@ -1,8 +1,9 @@
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import flood_fill_components, moment_eccentricity
+from helpers import flood_fill_components, moment_eccentricity, reference_components
 from irgaze.imaging import BinaryImage, connected_components
 
 
@@ -105,3 +106,54 @@ def test_regions_partition_the_foreground(w, h, seed):
         assert (h - 1) - max_row <= region.centroid.y <= (h - 1) - min_row
         assert 0.0 <= region.eccentricity <= 1.0
     assert seen == {(c, r) for r, c in zip(*np.nonzero(mask))}
+
+
+def _mask(kind: str, h: int, w: int, density: float, seed: int) -> np.ndarray:
+    rows, cols = np.indices((h, w))
+    if kind == "empty":
+        return np.zeros((h, w), dtype=bool)
+    if kind == "full":
+        return np.ones((h, w), dtype=bool)
+    if kind == "checker":
+        return (rows + cols) % 2 == 0
+    if kind == "diagonal":  # one staircase chain, joined only at corners
+        return cols == rows + seed % 3
+    return np.random.default_rng(seed).random((h, w)) < density
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["random", "empty", "full", "checker", "diagonal"]),
+    w=st.integers(1, 40),
+    h=st.integers(1, 40),
+    density=st.sampled_from([0.1, 0.3, 0.5, 0.6, 0.8, 0.95]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="random", w=17, h=1, density=0.5, seed=3)
+@example(kind="random", w=1, h=17, density=0.5, seed=3)
+@example(kind="full", w=9, h=1, density=0.5, seed=0)
+@example(kind="full", w=1, h=9, density=0.5, seed=0)
+@example(kind="checker", w=9, h=8, density=0.5, seed=0)
+@example(kind="diagonal", w=12, h=9, density=0.5, seed=1)
+def test_matches_reference_labeler(kind, w, h, density, seed):
+    """Region order, pixel order, centroid and eccentricity bits all equal
+    the row-loop labeler's (Region.__eq__ compares pixels in order)."""
+    img = BinaryImage(_mask(kind, h, w, density, seed))
+    assert connected_components(img) == reference_components(img)
+
+
+@pytest.mark.parametrize("bar_rows, ell_rows, bar_first", [(5, 7, True), (6, 8, False)])
+def test_same_bbox_origin_orders_by_area_then_first_run(bar_rows, ell_rows, bar_first):
+    """A 2-wide bar at cols 0-1 beside an L down col 3 and back along its
+    last row to col 0: both have bbox origin (0, 0).  With areas 10 and 10
+    the bar, whose run comes first in row 0, comes first; with areas 12 and
+    11 the L does.  detect_markers breaks area ties by this order."""
+    mask = np.zeros((ell_rows, 5), dtype=bool)
+    mask[0:bar_rows, 0:2] = True
+    mask[:, 3] = True
+    mask[-1, 0:3] = True
+    img = BinaryImage(mask)
+    regions = connected_components(img)
+    assert regions == reference_components(img)
+    bar, ell = (0, 0, 1, bar_rows - 1), (0, 0, 3, ell_rows - 1)
+    assert [r.bbox for r in regions] == ([bar, ell] if bar_first else [ell, bar])
