@@ -290,19 +290,28 @@ def observation_to_row(obs: FaceObservation) -> dict:
 
 
 def row_to_observation(row: dict) -> FaceObservation:
-    def pupil(d):
+    """The observation an ok row of an observations file records; a
+    non-finite coordinate raises ValueError naming its field."""
+
+    def point(xy, field: str) -> Point:
+        x, y = xy
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{field} must be finite, got {[x, y]}")
+        return Point(x, y)
+
+    def pupil(side):
+        d = row["pupils"][side]
         if d is None:
             return None
-        return PupilDetection(point=Point(*d["point"]), area=d["area"],
-                              eccentricity=d["eccentricity"])
+        return PupilDetection(point=point(d["point"], f"pupils.{side}.point"),
+                              area=d["area"], eccentricity=d["eccentricity"])
 
     m = row["markers"]
     return FaceObservation(
-        markers=MarkerTriple(
-            right=Point(*m["right"]), middle=Point(*m["middle"]), left=Point(*m["left"])
-        ),
-        pupils=PupilPair(right=pupil(row["pupils"]["right"]),
-                         left=pupil(row["pupils"]["left"])),
+        markers=MarkerTriple(right=point(m["right"], "markers.right"),
+                             middle=point(m["middle"], "markers.middle"),
+                             left=point(m["left"], "markers.left")),
+        pupils=PupilPair(right=pupil("right"), left=pupil("left")),
         frame_id=row["frame"],
         pair_consistent=row.get("pair_consistent"),
     )

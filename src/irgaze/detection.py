@@ -3,9 +3,11 @@ two bright pupils.
 
 Markers are found globally: equalize, keep the N brightest pixels, threshold
 at the dimmest of them, label, and pick the three largest plausibly-sized
-blobs.  Pupils are found per eye inside the rectangle spanned by the outer
-marker and the middle marker; a weighted-average threshold is raised
-geometrically toward the maximum until exactly one clean candidate remains.
+blobs.  The equalized frame is never built: its 256-entry remap, read off
+the raw histogram, gives the raw level at which to cut the same mask.
+Pupils are found per eye inside the rectangle spanned by the outer marker
+and the middle marker; a weighted-average threshold is raised geometrically
+toward the maximum until exactly one clean candidate remains.
 
 A detected pupil pair must also be vertically consistent: the squared
 vertical pupil gap may not exceed a quarter of |(y_mr - y_ml) * (y_mm -
@@ -37,6 +39,7 @@ from .imaging import (
     Region,
     binarize,
     connected_components,
+    equalize_lut,
     histogram_equalize,
     morphology,
     row_to_y,
@@ -142,20 +145,34 @@ class EyeRoi:
     frame_height: int
 
 
+def marker_mask(img: GrayImage, top_n: int) -> BinaryImage:
+    """The pixels at or above the ``top_n``-th brightest level of the
+    equalized frame (all of them when the frame has fewer pixels).
+
+    Equalization never lowers a level's rank, so that level is ``lut[nth]``
+    for the ``top_n``-th brightest raw level ``nth``, and ``lut[raw] >=
+    lut[nth]`` holds exactly where ``raw`` reaches the lowest level that
+    the remap sends to ``lut[nth]`` or above: the raw frame is cut there.
+    """
+    counts = np.bincount(img.pixels.ravel(), minlength=256)
+    lut = equalize_lut(counts)
+    n = min(top_n, img.pixels.size)
+    at_least = np.cumsum(counts[::-1])[::-1]  # pixels at or above each level
+    nth = np.flatnonzero(at_least >= n)[-1]
+    return binarize(img, int(np.argmax(lut >= lut[nth])))
+
+
 def detect_markers(img: GrayImage, cfg: DetectConfig) -> MarkerTriple:
     """Locate the three retro-reflective markers.
 
     Equalizes, takes the lowest intensity among the top-N brightest pixels
-    as the threshold, labels the binary image, keeps blobs whose area is
-    within MARKER_AREA_BAND of the expected marker area, and picks the
-    three largest.  Right/left are assigned by descending centroid x; the
-    remaining blob must sit below the outer pair.
+    as the threshold (see :func:`marker_mask`), labels the binary image,
+    keeps blobs whose area is within MARKER_AREA_BAND of the expected
+    marker area, and picks the three largest.  Right/left are assigned by
+    descending centroid x; the remaining blob must sit below the outer
+    pair.
     """
-    eq = histogram_equalize(img)
-    flat = eq.pixels.ravel()
-    n = min(cfg.top_n, flat.size)
-    threshold = float(np.partition(flat, flat.size - n)[flat.size - n])
-    regions = connected_components(binarize(eq, threshold))
+    regions = connected_components(marker_mask(img, cfg.top_n))
 
     lo = MARKER_AREA_BAND[0] * cfg.expected_marker_area
     hi = MARKER_AREA_BAND[1] * cfg.expected_marker_area

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -166,8 +167,9 @@ class TrainingSet:
         """Parse ``to_dict`` output.  ``reading(section)`` is entered around
         the parse of each section ("screen", "corners", "corners.3.0"), so a
         caller can name the section in the errors raised inside it.  A row
-        whose marker triangle has a near-zero edge raises
-        DegenerateTriangle, since it would fail every congruency score."""
+        with a non-finite coordinate raises ValueError, and one whose marker
+        triangle has a near-zero edge raises DegenerateTriangle, since it
+        would fail every congruency score."""
         screen_doc, corner_docs = d["screen"], d["corners"]
         with reading("screen"):
             screen = ScreenGeometry.from_dict(screen_doc)
@@ -179,6 +181,9 @@ class TrainingSet:
             for i, vd in enumerate(vector_docs):
                 with reading(f"corners.{c}.{i}"):
                     row = [float(vd[k]) for k in COORD_KEYS]
+                    for k, v in zip(COORD_KEYS, row):
+                        if not math.isfinite(v):
+                            raise ValueError(f"{k} must be finite, got {v}")
                     if (_edges(np.array(row[MARKER_COLS])) < _EDGE_EPS).any():
                         raise DegenerateTriangle("marker triangle has an edge under 1e-9")
                     rows.append(row)

@@ -2,7 +2,8 @@
 thresholding, binary morphology, and connected-component analysis."""
 
 from .image import BinaryImage, GrayImage, Point, row_to_y, y_to_row
-from .ops import MORPHOLOGY_OPS, binarize, disk_offsets, histogram_equalize, morphology
+from .ops import (MORPHOLOGY_OPS, binarize, disk_offsets, equalize_lut, histogram_equalize,
+                  morphology)
 from .pgm import decode_pgm, encode_pgm
 from .regions import Region, connected_components
 
@@ -17,6 +18,7 @@ __all__ = [
     "decode_pgm",
     "disk_offsets",
     "encode_pgm",
+    "equalize_lut",
     "histogram_equalize",
     "morphology",
     "row_to_y",

@@ -1,6 +1,6 @@
 """Pointwise and neighborhood raster operations.
 
-histogram_equalize uses the classic CDF remap
+equalize_lut gives the classic CDF remap that histogram_equalize applies
 
     out(v) = round((cdf(v) - cdf_min) / (W*H - cdf_min) * 255)
 
@@ -24,17 +24,21 @@ from .image import BinaryImage, GrayImage
 MORPHOLOGY_OPS = ("erode", "dilate", "open", "close")
 
 
+def equalize_lut(counts: np.ndarray) -> np.ndarray:
+    """The 256-entry uint8 remap that equalizes an image whose histogram is
+    ``counts``.  It never decreases with the input level."""
+    cdf = np.cumsum(counts)
+    cdf_min = int(cdf[np.flatnonzero(counts)[0]])
+    denom = int(cdf[-1]) - cdf_min
+    if denom == 0:
+        return np.zeros(256, dtype=np.uint8)
+    lut = np.floor((cdf - cdf_min) / denom * 255.0 + 0.5)
+    return np.clip(lut, 0, 255).astype(np.uint8)
+
+
 def histogram_equalize(img: GrayImage) -> GrayImage:
     counts = np.bincount(img.pixels.ravel(), minlength=256)
-    cdf = np.cumsum(counts)
-    total = img.width * img.height
-    cdf_min = int(cdf[np.flatnonzero(counts)[0]])
-    denom = total - cdf_min
-    if denom == 0:
-        return GrayImage(np.zeros_like(img.pixels))
-    lut = np.floor((cdf - cdf_min) / denom * 255.0 + 0.5)
-    lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return GrayImage(lut[img.pixels])
+    return GrayImage(equalize_lut(counts)[img.pixels])
 
 
 def binarize(img: GrayImage, threshold: float) -> BinaryImage:

@@ -4,16 +4,23 @@
 mask in one pass: numpy finds every run of foreground pixels at once, and
 a vectorized union-find merges runs that touch across adjacent rows, so
 the Python-level cost scales with the number of regions, not the rows.
+Area, bounding box and the border flag of every region are integer
+reductions over its runs; all regions' pixels share one read-only buffer.
 
+Centroid and eccentricity are computed on first access, from the region's
+own pixels, so a caller that only filters by area pays nothing for them.
 Eccentricity comes from the second-order central moments of the pixel
 coordinates: with covariance eigenvalues l1 >= l2,
 ecc = sqrt(1 - l2/l1), and 0 when l1 = 0 (single pixel).  A filled disk
-gives ~0, a 1-pixel-wide line gives exactly 1.
+gives ~0, a 1-pixel-wide line gives exactly 1.  The moments are summed
+over per-pixel deviations from the centroid, not derived from raw run
+sums, whose cancellation would change the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,17 +33,45 @@ _EIG_EPS = 1e-12
 class Region:
     """One 8-connected foreground component.
 
-    ``pixels`` is an (area, 2) int array of (col, row) pairs;
-    ``bbox`` is (min_col, min_row, max_col, max_row) in raster coordinates;
-    ``centroid`` is the mean pixel position in Cartesian coordinates.
+    ``pixels`` is a read-only (area, 2) int32 array of (col, row) pairs in
+    raster order; ``bbox`` is (min_col, min_row, max_col, max_row) in
+    raster coordinates; ``height`` is the frame's, which maps rows to
+    Cartesian y.  ``centroid`` is the mean pixel position in Cartesian
+    coordinates.
     """
 
     pixels: np.ndarray
     area: int
-    centroid: Point
-    eccentricity: float
     bbox: tuple[int, int, int, int]
     touches_border: bool
+    height: int
+
+    @cached_property
+    def _moments(self) -> tuple[Point, float]:
+        xs = self.pixels[:, 0].astype(np.float64)
+        ys = row_to_y(self.pixels[:, 1].astype(np.float64), self.height)
+        n = xs.size
+        cx = float(xs.mean())
+        cy = float(ys.mean())
+        dx = xs - cx
+        dy = ys - cy
+        mu20 = float((dx * dx).sum()) / n
+        mu02 = float((dy * dy).sum()) / n
+        mu11 = float((dx * dy).sum()) / n
+        mid = 0.5 * (mu20 + mu02)
+        spread = np.hypot(0.5 * (mu20 - mu02), mu11)
+        l1 = mid + spread
+        l2 = max(mid - spread, 0.0)
+        ecc = 0.0 if l1 < _EIG_EPS else float(np.sqrt(max(0.0, 1.0 - l2 / l1)))
+        return Point(cx, cy), ecc
+
+    @property
+    def centroid(self) -> Point:
+        return self._moments[0]
+
+    @property
+    def eccentricity(self) -> float:
+        return self._moments[1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -48,36 +83,6 @@ class Region:
             and self.touches_border == other.touches_border
             and np.array_equal(self.pixels, other.pixels)
         )
-
-
-def _region_from_pixels(cols: np.ndarray, rows: np.ndarray, width: int, height: int) -> Region:
-    xs = cols.astype(np.float64)
-    ys = row_to_y(rows.astype(np.float64), height)
-    n = xs.size
-    cx = float(xs.mean())
-    cy = float(ys.mean())
-    dx = xs - cx
-    dy = ys - cy
-    mu20 = float((dx * dx).sum()) / n
-    mu02 = float((dy * dy).sum()) / n
-    mu11 = float((dx * dy).sum()) / n
-    mid = 0.5 * (mu20 + mu02)
-    spread = np.hypot(0.5 * (mu20 - mu02), mu11)
-    l1 = mid + spread
-    l2 = max(mid - spread, 0.0)
-    ecc = 0.0 if l1 < _EIG_EPS else float(np.sqrt(max(0.0, 1.0 - l2 / l1)))
-    min_col, max_col = int(cols.min()), int(cols.max())
-    min_row, max_row = int(rows.min()), int(rows.max())
-    return Region(
-        pixels=np.column_stack((cols, rows)).astype(np.int32),
-        area=int(n),
-        centroid=Point(cx, cy),
-        eccentricity=ecc,
-        bbox=(min_col, min_row, max_col, max_row),
-        touches_border=(
-            min_row == 0 or max_row == height - 1 or min_col == 0 or max_col == width - 1
-        ),
-    )
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -128,14 +133,33 @@ def connected_components(img: BinaryImage) -> list[Region]:
         while not np.array_equal(root[root], root):
             root = root[root]
 
+    # Group the runs by root, keeping raster order within each group, and
+    # reduce each group's runs to its region's area and bbox.
     order = np.argsort(root, kind="stable")
-    lengths = (ends - starts)[order]
-    pixel_cols = _ranges(starts[order], lengths)
-    pixel_rows = np.repeat(rows[order], lengths)
-    cuts = np.cumsum(lengths)[np.flatnonzero(np.diff(root[order]))]
-    regions = [
-        _region_from_pixels(c, r, w, h)
-        for c, r in zip(np.split(pixel_cols, cuts), np.split(pixel_rows, cuts))
+    rows, starts, ends = rows[order], starts[order], ends[order]
+    lengths = ends - starts
+    heads = np.flatnonzero(np.diff(root[order], prepend=-1))
+    area = np.add.reduceat(lengths, heads)
+    min_col = np.minimum.reduceat(starts, heads)
+    max_col = np.maximum.reduceat(ends, heads) - 1
+    min_row = np.minimum.reduceat(rows, heads)
+    max_row = np.maximum.reduceat(rows, heads)
+    border = (min_row == 0) | (max_row == h - 1) | (min_col == 0) | (max_col == w - 1)
+
+    pixels = np.empty((int(area.sum()), 2), dtype=np.int32)
+    pixels[:, 0] = _ranges(starts, lengths)
+    pixels[:, 1] = np.repeat(rows, lengths)
+    pixels.setflags(write=False)
+    offsets = np.cumsum(area) - area
+
+    # A stable sort by (bbox origin, area) keeps first-run order for ties.
+    ranked = np.lexsort((area, min_col, min_row))
+    fields = zip(offsets[ranked].tolist(), area[ranked].tolist(),
+                 min_col[ranked].tolist(), min_row[ranked].tolist(),
+                 max_col[ranked].tolist(), max_row[ranked].tolist(),
+                 border[ranked].tolist())
+    return [
+        Region(pixels=pixels[off : off + n_px], area=n_px, bbox=(c0, r0, c1, r1),
+               touches_border=t, height=h)
+        for off, n_px, c0, r0, c1, r1, t in fields
     ]
-    regions.sort(key=lambda reg: (reg.bbox[1], reg.bbox[0], reg.area))
-    return regions

@@ -6,8 +6,11 @@ moment oracle recomputes eccentricity from scratch, the reference
 scene renderer paints and blurs the whole frame, and the reference
 closest-vector selection scores one vector at a time on Points.  The
 reference labeler walks the mask row by row with a union-find over run
-indices; it shares only ``_region_from_pixels`` with the package, since
-the labeling, not the moments, is what it checks.
+indices and builds each region from its own pixel arrays; it shares only
+``Region``'s lazy centroid and eccentricity with the package, since the
+labeling, not the moments, is what it checks (the moment oracle checks
+those).  The reference marker mask equalizes the whole frame and
+partitions it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
 from irgaze.errors import DegenerateTriangle
 from irgaze.imaging import BinaryImage, GrayImage, Point, Region
-from irgaze.imaging.regions import _region_from_pixels
 from irgaze.synth import (
     FaceLayout,
     FeaturePoints,
@@ -252,6 +254,44 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _reference_equalize(img: GrayImage) -> GrayImage:
+    counts = np.bincount(img.pixels.ravel(), minlength=256)
+    cdf = np.cumsum(counts)
+    total = img.width * img.height
+    cdf_min = int(cdf[np.flatnonzero(counts)[0]])
+    denom = total - cdf_min
+    if denom == 0:
+        return GrayImage(np.zeros_like(img.pixels))
+    lut = np.floor((cdf - cdf_min) / denom * 255.0 + 0.5)
+    lut = np.clip(lut, 0, 255).astype(np.uint8)
+    return GrayImage(lut[img.pixels])
+
+
+def reference_marker_mask(img: GrayImage, top_n: int) -> np.ndarray:
+    """The marker mask as detect_markers cut it before ``marker_mask``:
+    equalize the whole frame, take its ``top_n``-th brightest value with
+    ``np.partition`` and keep every pixel at or above it."""
+    eq = _reference_equalize(img)
+    flat = eq.pixels.ravel()
+    n = min(top_n, flat.size)
+    threshold = float(np.partition(flat, flat.size - n)[flat.size - n])
+    return eq.pixels >= threshold
+
+
+def _reference_region(cols: np.ndarray, rows: np.ndarray, width: int, height: int) -> Region:
+    min_col, max_col = int(cols.min()), int(cols.max())
+    min_row, max_row = int(rows.min()), int(rows.max())
+    return Region(
+        pixels=np.column_stack((cols, rows)).astype(np.int32),
+        area=int(cols.size),
+        bbox=(min_col, min_row, max_col, max_row),
+        touches_border=(
+            min_row == 0 or max_row == height - 1 or min_col == 0 or max_col == width - 1
+        ),
+        height=height,
+    )
+
+
 def reference_components(img: BinaryImage) -> list[Region]:
     """The row-loop labeler ``connected_components`` replaced: all
     8-connected foreground regions, sorted by bounding-box origin, with the
@@ -302,7 +342,7 @@ def reference_components(img: BinaryImage) -> list[Region]:
         rows = np.concatenate(
             [np.full(runs[i][2] - runs[i][1], runs[i][0]) for i in members]
         )
-        regions.append(_region_from_pixels(cols, rows, w, h))
+        regions.append(_reference_region(cols, rows, w, h))
 
     regions.sort(key=lambda reg: (reg.bbox[1], reg.bbox[0], reg.area))
     return regions

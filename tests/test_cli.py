@@ -398,9 +398,19 @@ def _number_the_frame(row):
     row["frame"] = 5
 
 
+def _nan_middle_marker(row):
+    row["markers"]["middle"][0] = float("nan")
+
+
+def _infinite_left_pupil(row):
+    row["pupils"]["left"]["point"][1] = float("-inf")
+
+
 @pytest.mark.parametrize("spoil, named", [
     (_drop_middle_marker, "missing field 'middle'"),
     (_number_the_frame, "frame must be a string"),
+    (_nan_middle_marker, "malformed field: markers.middle must be finite"),
+    (_infinite_left_pupil, "malformed field: pupils.left.point must be finite"),
 ])
 def test_estimate_bad_observation_names_line_and_field(pipeline, tmp_path, capsys,
                                                         spoil, named):
@@ -418,6 +428,13 @@ def test_estimate_bad_observation_names_line_and_field(pipeline, tmp_path, capsy
 def _keep_an_empty_screen(doc):
     doc.clear()
     doc["screen"] = {}
+
+
+def _nan_into_corner_1(doc):
+    """json.dumps writes the bare NaN that train wrote for a NaN
+    observation; once read, every estimate came out as nan."""
+    for vector in doc["corners"]["1"]:
+        vector["x_mm"] = float("nan")
 
 
 def _left_marker_onto_middle(doc):
@@ -438,6 +455,8 @@ def _left_marker_onto_middle(doc):
     pytest.param(_left_marker_onto_middle,
                  "corners.2.0: malformed field: marker triangle has an edge under 1e-9",
                  id="degenerate-2.0"),
+    pytest.param(_nan_into_corner_1, "corners.1.0: malformed field: x_mm must be finite",
+                 id="nan-1.0"),
 ])
 def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, spoil, named):
     doc = json.loads((pipeline / "train.json").read_text())

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import as_image, blank, paint_disk, paint_ellipse
+from helpers import as_image, blank, paint_disk, paint_ellipse, reference_marker_mask
 from irgaze.detection import (
     DetectConfig,
     EyeRoi,
@@ -13,6 +15,7 @@ from irgaze.detection import (
     detect_markers,
     detect_pupil,
     extract_eye_roi,
+    marker_mask,
     observe_face,
     pupil_threshold,
     validate_pupil_pair,
@@ -26,7 +29,15 @@ from irgaze.errors import (
     TooFewComponents,
 )
 from irgaze.imaging import GrayImage, Point, binarize
-from irgaze.synth import FaceLayout, GroundTruth, HeadPose, RenderConfig, feature_model, render_scene
+from irgaze.synth import (
+    FaceLayout,
+    GroundTruth,
+    HeadPose,
+    RenderConfig,
+    default_poses,
+    feature_model,
+    render_scene,
+)
 
 LAYOUT = FaceLayout()
 QUIET = RenderConfig(noise_sigma=0.0)
@@ -111,6 +122,51 @@ def test_pair_check_needs_both_pupils():
 
 
 # --- detect_markers -----------------------------------------------------------
+
+def _frame(kind: str, h: int, w: int, rng) -> GrayImage:
+    if kind == "constant":
+        return GrayImage(np.full((h, w), rng.integers(0, 256), dtype=np.uint8))
+    if kind == "levels":  # 2-4 distinct levels
+        levels = rng.choice(256, size=rng.integers(2, 5), replace=False)
+        return GrayImage(rng.choice(levels, size=(h, w)).astype(np.uint8))
+    # Gaussian noise clipped at 0 and 255, so the extremes pile up.
+    noise = rng.normal(rng.uniform(0, 255), rng.uniform(1, 120), (h, w))
+    return GrayImage(np.clip(np.round(noise), 0, 255).astype(np.uint8))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["noise", "levels", "constant"]),
+    w=st.integers(1, 40),
+    h=st.integers(1, 40),
+    top_n=st.one_of(st.integers(1, 30), st.integers(1, 2000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="noise", w=37, h=1, top_n=4, seed=1)
+@example(kind="noise", w=1, h=37, top_n=4, seed=1)
+@example(kind="levels", w=6, h=5, top_n=30, seed=2)
+@example(kind="levels", w=6, h=5, top_n=31, seed=2)
+@example(kind="constant", w=5, h=4, top_n=3, seed=0)
+def test_marker_mask_matches_the_equalized_frame_cut(kind, w, h, top_n, seed):
+    """Cutting the raw frame at a level read off the histogram keeps the
+    same pixels as equalizing the frame and partitioning it, including
+    ties at the cut and top_n at or beyond the pixel count."""
+    img = _frame(kind, h, w, np.random.default_rng(seed))
+    assert np.array_equal(marker_mask(img, top_n).pixels, reference_marker_mask(img, top_n))
+
+
+@pytest.mark.parametrize("width, height", [(640, 480), (1280, 1024)])
+def test_marker_mask_matches_on_rendered_frames(width, height):
+    """At 1280x1024 the equalized top-N cut saturates at 255 and keeps
+    about ten times top_n pixels; the raw cut must keep exactly those."""
+    cfg = RenderConfig(width=width, height=height)
+    img, _ = rendered_frame(pose=default_poses(width, height)[0], cfg=cfg)
+    top_n = DetectConfig().top_n
+    expected = reference_marker_mask(img, top_n)
+    assert np.array_equal(marker_mask(img, top_n).pixels, expected)
+    if width == 1280:
+        assert expected.sum() > 5 * top_n
+
 
 def test_detect_markers_on_rendered_frame():
     img, feats = rendered_frame()

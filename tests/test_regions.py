@@ -157,3 +157,37 @@ def test_same_bbox_origin_orders_by_area_then_first_run(bar_rows, ell_rows, bar_
     assert regions == reference_components(img)
     bar, ell = (0, 0, 1, bar_rows - 1), (0, 0, 3, ell_rows - 1)
     assert [r.bbox for r in regions] == ([bar, ell] if bar_first else [ell, bar])
+
+
+def test_region_pixels_are_read_only():
+    """All regions of a mask are views of one pixel buffer, so a write
+    through one region would corrupt its neighbours."""
+    mask = np.zeros((4, 6), dtype=bool)
+    mask[0, 0:2] = mask[2:4, 3:6] = True
+    first, second = connected_components(binary(mask))
+    assert first.pixels.base is not None and first.pixels.base is second.pixels.base
+    with pytest.raises(ValueError):
+        first.pixels[0, 0] = 5
+    assert second.pixels.tolist() == [[3, 2], [4, 2], [5, 2], [3, 3], [4, 3], [5, 3]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    w=st.integers(1, 40),
+    h=st.integers(1, 40),
+    density=st.sampled_from([0.2, 0.5, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_regions_moments_match_the_oracle(w, h, density, seed):
+    """Centroid and eccentricity, computed on first access from a region's
+    slice of the shared buffer, against a from-scratch eigen solve on that
+    region alone."""
+    mask = np.random.default_rng(seed).random((h, w)) < density
+    for region in connected_components(BinaryImage(mask)):
+        alone = np.zeros_like(mask)
+        alone[region.pixels[:, 1], region.pixels[:, 0]] = True
+        rows, cols = np.nonzero(alone)
+        assert abs(region.centroid.x - cols.mean()) < 1e-9
+        assert abs(region.centroid.y - ((h - 1) - rows).mean()) < 1e-9
+        # Squared, since sqrt(1 - l2/l1) amplifies rounding as l2 nears l1.
+        assert abs(region.eccentricity ** 2 - moment_eccentricity(alone) ** 2) < 1e-9
