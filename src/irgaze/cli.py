@@ -199,6 +199,8 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
                 label = entry["corner"]
             else:
                 label = Point(*map(float, entry["gaze"]))
+                if not all(map(math.isfinite, label)):
+                    raise ValueError(f"gaze must be finite, got {list(label)}")
             if role != "evaluation" and label not in CORNERS:
                 raise ValueError(
                     f"need role 'evaluation', or 'training' with a corner in {CORNERS}")

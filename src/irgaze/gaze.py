@@ -74,6 +74,10 @@ class ScreenGeometry:
     corners: tuple[Point, Point, Point, Point]
 
     def __post_init__(self):
+        values = (self.width_cm, self.height_cm, *(v for p in self.corners for v in p))
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"screen extents and corner targets must be finite, "
+                             f"got {self.to_dict()}")
         if self.width_cm <= 0 or self.height_cm <= 0:
             raise ValueError("screen extents must be positive")
         c1, c2, c3, c4 = self.corners

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -203,17 +204,36 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def draw_noise(seed: int, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` in place with ``default_rng(seed).normal(0.0, sigma,
+    out.shape)``, bit for bit: numpy draws ``normal(loc, scale)`` as
+    ``loc + scale * z``, and ``0.0 + sigma * z`` equals ``sigma * z`` (up
+    to the sign of a zero, which no sum with the scene can see).
+    Allocates no frame-sized array."""
+    np.random.default_rng(seed).standard_normal(out=out)
+    out *= sigma
+    return out
+
+
 def render_scene(
     truth: GroundTruth,
     layout: FaceLayout = FaceLayout(),
     cfg: RenderConfig = RenderConfig(),
     seed: int | None = None,
+    *,
+    noise: np.ndarray | None = None,
 ) -> GrayImage:
     """Paint the frame for a ground-truth record.
 
     Every feature center must keep RENDER_MARGIN pixels to the border.
     Deterministic: the same (truth, layout, cfg, seed) give byte-identical
     images.
+
+    ``noise``, if given, is a float64 (height, width) buffer holding the
+    frame's ``draw_noise`` draws; it becomes the canvas and is overwritten.
+    Without it the buffer is drawn here from the seed (or is zero when
+    ``cfg.noise_sigma`` is 0).  The scene is added onto the noise, which
+    gives the same bits as adding the noise onto the scene.
 
     Painting and blurring run only on the face box: the face's bounding
     circle and every feature disk, padded by more than the blur radius and
@@ -268,16 +288,24 @@ def render_scene(
     for center, radius, level in disks:
         box[(gx - center.x) ** 2 + (gy - center.y) ** 2 <= radius * radius] = float(level)
 
-    outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)
-    canvas = np.full((cfg.height, cfg.width), outside[0, 0])
-    canvas[row_lo : row_hi + 1, col_lo : col_hi + 1] = _gaussian_blur(box, cfg.blur_sigma)
+    shape = (cfg.height, cfg.width)
+    if noise is None:
+        noise = np.zeros(shape)
+        if cfg.noise_sigma > 0:
+            effective_seed = seed if seed is not None else truth.seed
+            if effective_seed is None:
+                raise ValueError("noisy rendering needs a seed")
+            draw_noise(effective_seed, cfg.noise_sigma, noise)
+    elif noise.shape != shape:
+        raise ValueError(f"noise must have shape {shape}, got {noise.shape}")
 
-    if cfg.noise_sigma > 0:
-        effective_seed = seed if seed is not None else truth.seed
-        if effective_seed is None:
-            raise ValueError("noisy rendering needs a seed")
-        rng = np.random.default_rng(effective_seed)
-        canvas += rng.normal(0.0, cfg.noise_sigma, canvas.shape)
+    canvas = noise
+    rows, cols = slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)
+    canvas[rows, cols] += _gaussian_blur(box, cfg.blur_sigma)
+    outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)
+    for strip in ((slice(None, row_lo),), (slice(row_hi + 1, None),),
+                  (rows, slice(None, col_lo)), (rows, slice(col_hi + 1, None))):
+        canvas[strip] += outside[0, 0]
 
     np.clip(canvas, 0, 255, out=canvas)
     canvas += 0.5
@@ -330,7 +358,13 @@ def _frame_seeds(master_seed: int, index: int) -> tuple[int, int]:
 def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     """Render the dataset into ``out_dir`` and return the manifest (also
     written as manifest.json).  Frames whose features would leave the frame
-    are skipped and logged under "skipped"."""
+    are skipped and logged under "skipped".
+
+    While the main thread paints, encodes and writes frame i, one worker
+    thread draws frame i+1's noise (numpy releases the GIL while it fills
+    the array) into the other of two frame buffers, which ``render_scene``
+    then uses as its canvas.  The worker calls only ``draw_noise``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -353,9 +387,8 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
                 "evaluation", None, grid.cell_center(label), pose, False,
             ))
 
-    frames = []
-    skipped = []
-    for index, (frame_id, role, corner, gaze, base_pose, jitter) in enumerate(plan):
+    truths = []
+    for index, (_, _, _, gaze, base_pose, jitter) in enumerate(plan):
         noise_seed, jitter_seed = _frame_seeds(spec.master_seed, index)
         pose = base_pose
         if jitter:
@@ -364,30 +397,50 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
                             base_pose.ty + float(drift[1]),
                             base_pose.theta, base_pose.scale)
         gaze_norm = (gaze.x / spec.screen.width_cm, gaze.y / spec.screen.height_cm)
-        truth = GroundTruth(
+        truths.append(GroundTruth(
             features=feature_model(pose, gaze_norm, spec.layout),
             gaze_cm=gaze,
             pose=pose,
             seed=noise_seed,
-        )
-        file_name = frame_id + ".pgm"
-        try:
-            img = render_scene(truth, spec.layout, spec.render)
-        except FeatureOutOfFrame as exc:
-            skipped.append({"file": file_name, "role": role, "error": str(exc)})
-            continue
-        (out / file_name).write_bytes(encode_pgm(img))
-        entry = {
-            "file": file_name,
-            "role": role,
-            "gaze": [gaze.x, gaze.y],
-            "pose": pose.to_dict(),
-            "truth": truth.coords_dict(),
-            "seed": noise_seed,
-        }
-        if corner is not None:
-            entry["corner"] = corner
-        frames.append(entry)
+        ))
+
+    sigma = spec.render.noise_sigma
+    shape = (spec.render.height, spec.render.width)
+    buffers = (np.empty(shape), np.empty(shape)) if sigma > 0 else ()
+
+    def draw_ahead(index: int) -> Future | None:
+        if not buffers or index == len(truths):
+            return None
+        return pool.submit(draw_noise, truths[index].seed, sigma, buffers[index % 2])
+
+    frames = []
+    skipped = []
+    # The pool starts its thread on the first submit, so none starts when
+    # sigma is 0; leaving the block joins it.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = draw_ahead(0)
+        for index, (frame_id, role, corner, gaze, _, _) in enumerate(plan):
+            truth = truths[index]
+            noise = ahead.result() if ahead else None
+            ahead = draw_ahead(index + 1)
+            file_name = frame_id + ".pgm"
+            try:
+                img = render_scene(truth, spec.layout, spec.render, noise=noise)
+            except FeatureOutOfFrame as exc:
+                skipped.append({"file": file_name, "role": role, "error": str(exc)})
+                continue
+            (out / file_name).write_bytes(encode_pgm(img))
+            entry = {
+                "file": file_name,
+                "role": role,
+                "gaze": [gaze.x, gaze.y],
+                "pose": truth.pose.to_dict(),
+                "truth": truth.coords_dict(),
+                "seed": truth.seed,
+            }
+            if corner is not None:
+                entry["corner"] = corner
+            frames.append(entry)
 
     manifest = {
         "screen": spec.screen.to_dict(),

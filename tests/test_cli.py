@@ -457,6 +457,9 @@ def _left_marker_onto_middle(doc):
                  id="degenerate-2.0"),
     pytest.param(_nan_into_corner_1, "corners.1.0: malformed field: x_mm must be finite",
                  id="nan-1.0"),
+    pytest.param(lambda doc: doc["screen"].update(Lx=float("inf")),
+                 "screen: malformed field: screen extents and corner targets must be finite",
+                 id="infinite-Lx"),
 ])
 def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, spoil, named):
     doc = json.loads((pipeline / "train.json").read_text())
@@ -492,6 +495,44 @@ def test_evaluate_manifest_missing_gaze_names_the_field(pipeline, tmp_path, caps
     assert main(["evaluate", "--estimates", str(pipeline / "est.csv"),
                  "--manifest", str(bad), "--out", str(tmp_path / "r")]) == 2
     assert f"frames.{i}: missing field 'gaze'" in capsys.readouterr().err
+
+
+def _spoiled_manifest(pipeline, tmp_path, spoil):
+    manifest = json.loads((pipeline / "ds" / "manifest.json").read_text())
+    spoil(manifest)
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    return bad
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+def test_manifest_with_an_infinite_screen_names_the_field(pipeline, tmp_path, capsys, stage):
+    """An infinite Lx once let evaluate score every estimate correct."""
+    bad = _spoiled_manifest(pipeline, tmp_path,
+                            lambda doc: doc["screen"].update(Lx=float("inf")))
+    out = str(tmp_path / "out")
+    argv = (["train", "--observations", str(pipeline / "obs.jsonl"), "--manifest", str(bad),
+             "--out", out] if stage == "train" else
+            ["evaluate", "--estimates", str(pipeline / "est.csv"), "--manifest", str(bad),
+             "--out", out])
+    assert main(argv) == 2
+    assert (f"{bad}: screen: malformed field: screen extents and corner targets "
+            "must be finite") in capsys.readouterr().err
+
+
+def test_evaluate_manifest_nan_gaze_names_the_frame(pipeline, tmp_path, capsys):
+    """A NaN gaze point once scored its frame wrong at every N, exit 0."""
+    manifest = json.loads((pipeline / "ds" / "manifest.json").read_text())
+    i = next(i for i, f in enumerate(manifest["frames"]) if f["role"] == "evaluation")
+
+    def spoil(doc):
+        doc["frames"][i]["gaze"] = [float("nan"), 30.0]
+
+    bad = _spoiled_manifest(pipeline, tmp_path, spoil)
+    assert main(["evaluate", "--estimates", str(pipeline / "est.csv"),
+                 "--manifest", str(bad), "--out", str(tmp_path / "r")]) == 2
+    assert (f"{bad}: frames.{i}: malformed field: gaze must be finite, got [nan, 30.0]"
+            in capsys.readouterr().err)
 
 
 def test_evaluate_estimates_without_columns_names_the_file(pipeline, tmp_path, capsys):

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from irgaze.cli import main
 from irgaze.detection import DetectConfig, observe_face
 from irgaze.errors import FeatureOutOfFrame
 from irgaze.gaze import congruency
@@ -20,6 +22,7 @@ from irgaze.synth import (
     HeadPose,
     RenderConfig,
     default_poses,
+    draw_noise,
     feature_model,
     generate_dataset,
     render_scene,
@@ -186,6 +189,26 @@ def test_render_feeds_back_through_detection():
     assert obs.pupils.left.point.distance_to(f.pupil_left) < 1.5
 
 
+@pytest.mark.parametrize("sigma", [0.7, 2.0, 3.3])
+@pytest.mark.parametrize("shape", [(1, 517), (517, 1), (480, 640)])
+def test_draw_noise_equals_rng_normal_bit_for_bit(sigma, shape):
+    """Sigma 2.0 multiplies exactly; 0.7 and 3.3 would show a draw that
+    rounds differently from numpy's ``0.0 + sigma * z``."""
+    for seed in (0, 77, 2**63 + 5):
+        want = np.random.default_rng(seed).normal(0.0, sigma, shape)
+        got = draw_noise(seed, sigma, np.empty(shape))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_render_on_given_noise_equals_render_drawing_it():
+    cfg = RenderConfig(noise_sigma=0.7)
+    truth = truth_for(HeadPose(300, 250, 0.03, 0.95), (0.2, 0.6), seed=31)
+    noise = draw_noise(31, cfg.noise_sigma, np.empty((cfg.height, cfg.width)))
+    assert render_scene(truth, LAYOUT, cfg, noise=noise) == render_scene(truth, LAYOUT, cfg)
+    with pytest.raises(ValueError):
+        render_scene(truth, LAYOUT, cfg, noise=np.zeros((cfg.width, cfg.height)))
+
+
 # Largest distance of any feature center from the face center in the default
 # layout at scale 1 (the outer markers, sqrt(90^2 + 55^2) = 105.5).
 _FEATURE_REACH = 106.0
@@ -198,7 +221,7 @@ _FEATURE_REACH = 106.0
     shrink=st.floats(0.05, 1.0), face=st.floats(0.1, 1.5),
     ux=st.floats(0, 1), uy=st.floats(0, 1),
     s=st.tuples(st.floats(0, 1), st.floats(0, 1)),
-    blur=st.sampled_from([0.0, 0.3, 0.8, 2.5]), noise=st.sampled_from([0.0, 2.0]),
+    blur=st.sampled_from([0.0, 0.3, 0.8, 2.5]), noise=st.sampled_from([0.0, 0.7, 2.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(width=60, height=50, theta=0.0, k=2.0, shrink=1.0, face=1.0, ux=0.5, uy=0.5,
@@ -293,6 +316,47 @@ def test_dataset_out_of_frame_pose_is_skipped_and_logged(tmp_path):
     assert manifest["frames"] == []
     assert len(manifest["skipped"]) == 1
     assert "margin" in manifest["skipped"][0]["error"]
+
+
+def test_dataset_skip_between_good_poses_keeps_plan_order(tmp_path):
+    """The noise drawn ahead for a skipped frame is not handed to the next
+    one: every written frame matches the full-frame reference."""
+    good = default_poses()
+    spec = DatasetSpec(poses=(good[1], HeadPose(60.0, 240.0), good[4]), eval_points=2,
+                       training_repeats=1, render=RenderConfig(noise_sigma=0.7),
+                       master_seed=3)
+    manifest = generate_dataset(spec, tmp_path / "ds")
+    plan = ([f"train_p{p}_c{c}_r0.pgm" for p in range(3) for c in (1, 2, 3, 4)]
+            + [f"eval_p{p}_k{k:02d}.pgm" for p in range(3) for k in (1, 2)])
+    assert [f["file"] for f in manifest["frames"]] == [f for f in plan if "_p1_" not in f]
+    assert [f["file"] for f in manifest["skipped"]] == [f for f in plan if "_p1_" in f]
+    for entry in manifest["frames"]:
+        stored = decode_pgm((tmp_path / "ds" / entry["file"]).read_bytes())
+        want = reference_render(truth_from_manifest_entry(entry), spec.layout, spec.render,
+                                entry["seed"])
+        assert stored == want, entry["file"]
+
+
+def test_dataset_without_noise_starts_no_thread(tmp_path, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"started {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    spec = DatasetSpec(poses=default_poses()[:1], eval_points=1, training_repeats=0,
+                       render=RenderConfig(noise_sigma=0.0), master_seed=4)
+    entry = generate_dataset(spec, tmp_path / "ds")["frames"][0]
+    stored = decode_pgm((tmp_path / "ds" / entry["file"]).read_bytes())
+    assert stored == reference_render(truth_from_manifest_entry(entry), spec.layout,
+                                      spec.render, entry["seed"])
+
+
+def test_synth_write_failure_exits_1_and_joins_the_worker(tmp_path, capsys):
+    out = tmp_path / "ds"
+    (out / "train_p0_c1_r0.pgm").mkdir(parents=True)
+    before = set(threading.enumerate())
+    assert main(["synth", "--out", str(out), "--poses", "1", "--points", "1"]) == 1
+    assert f"cannot write dataset to {out}" in capsys.readouterr().err
+    assert set(threading.enumerate()) <= before
 
 
 def test_manifest_schema_fields(tmp_path):
