@@ -35,7 +35,6 @@ from .gaze import (
     select_closest,
 )
 from .imaging import (
-    BinaryImage,
     GrayImage,
     Point,
     Region,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "BinaryImage", "GrayImage", "Point", "Region",
+    "GrayImage", "Point", "Region",
     "binarize", "connected_components", "decode_pgm", "encode_pgm",
     "histogram_equalize", "morphology",
     "DetectConfig", "EyeRoi", "FaceObservation", "MarkerTriple",

@@ -182,6 +182,14 @@ def _reading(where: str):
         raise InputFileError(f"{where}: malformed field: {exc}") from exc
 
 
+def _claim(seen: dict[str, str], frame_id: str, entry: str) -> None:
+    """Record that ``entry`` holds ``frame_id``, which no entry in ``seen``
+    may hold already."""
+    if frame_id in seen:
+        raise InputFileError(f"frame id {frame_id!r} names both {seen[frame_id]} and {entry}")
+    seen[frame_id] = entry
+
+
 def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str, object]]]:
     """The screen and the frames of a dataset manifest.  Each frame is
     (frame id, file, role, label): the label is the corner of a training
@@ -192,11 +200,14 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
     with _reading(f"{path}: screen"):
         screen = ScreenGeometry.from_dict(screen_doc)
     frames = []
+    seen: dict[str, str] = {}
     for i, entry in enumerate(frame_docs):
         with _reading(f"{path}: frames.{i}"):
             role = entry["role"]
             if role == "training":
                 label = entry["corner"]
+                if type(label) is not int:
+                    raise TypeError(f"corner must be an integer, got {label!r}")
             else:
                 label = Point(*map(float, entry["gaze"]))
                 if not all(map(math.isfinite, label)):
@@ -204,7 +215,9 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
             if role != "evaluation" and label not in CORNERS:
                 raise ValueError(
                     f"need role 'evaluation', or 'training' with a corner in {CORNERS}")
-            frames.append((Path(entry["file"]).stem, entry["file"], role, label))
+            frame_id = Path(entry["file"]).stem
+            _claim(seen, frame_id, f"{path}: frames.{i} ({entry['file']})")
+            frames.append((frame_id, entry["file"], role, label))
     return screen, frames
 
 
@@ -214,12 +227,16 @@ def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
     with _reading(path):
         lines = Path(path).read_text().splitlines()
     rows = []
+    seen: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
         if line.strip():
             with _reading(f"{path}:{lineno}"):
                 row = json.loads(line)
                 if not isinstance(row["frame"], str):
                     raise TypeError("frame must be a string")
+                if not (row["ok"] or isinstance(row["error"], str)):
+                    raise TypeError("error of a failed frame must be a string")
+                _claim(seen, row["frame"], f"{path}:{lineno}")
                 rows.append((row["frame"],
                              row_to_observation(row) if row["ok"] else row["error"]))
     return rows
@@ -342,10 +359,7 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
         inputs[:0] = [(frame_id, str(base / file)) for frame_id, file, _, _ in frames]
     paths: dict[str, str] = {}
     for frame_id, path in inputs:
-        if frame_id in paths:
-            raise InputFileError(
-                f"frame id {frame_id!r} names both {paths[frame_id]} and {path}")
-        paths[frame_id] = path
+        _claim(paths, frame_id, path)
     jobs_list = [(frame_id, path, det) for frame_id, path in paths.items()]
     if not jobs_list:
         print("error: no input frames (give --manifest or PGM paths)", file=sys.stderr)
@@ -446,8 +460,11 @@ def cmd_estimate(args: argparse.Namespace, cfg: dict) -> int:
 
 def _load_estimates(path: str | Path) -> dict[str, Point]:
     points = {}
+    seen: dict[str, str] = {}
     with _reading(path), open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
+            _claim(seen, row["frame"], f"{path}:{reader.line_num}")
             if row["error"] or not row["x_g"]:
                 continue
             points[row["frame"]] = Point(float(row["x_g"]), float(row["y_g"]))

@@ -33,7 +33,6 @@ from .errors import (
     TooFewComponents,
 )
 from .imaging import (
-    BinaryImage,
     GrayImage,
     Point,
     Region,
@@ -145,7 +144,7 @@ class EyeRoi:
     frame_height: int
 
 
-def marker_mask(img: GrayImage, top_n: int) -> BinaryImage:
+def marker_mask(img: GrayImage, top_n: int) -> np.ndarray:
     """The pixels at or above the ``top_n``-th brightest level of the
     equalized frame (all of them when the frame has fewer pixels).
 
@@ -270,9 +269,9 @@ def pupil_threshold(roi: GrayImage, weight: float) -> float:
 
 
 def _pupil_candidates(
-    binary: BinaryImage, cfg: DetectConfig, cleanup_radius: int
+    mask: np.ndarray, cfg: DetectConfig, cleanup_radius: int
 ) -> list[Region]:
-    cleaned = morphology(binary, "open", cleanup_radius)
+    cleaned = morphology(mask, "open", cleanup_radius)
     return [
         r
         for r in connected_components(cleaned)

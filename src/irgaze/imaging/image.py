@@ -1,7 +1,8 @@
 """Core raster types.
 
 Images are stored as 2-D numpy arrays in raster order (row 0 is the top
-scanline).  All geometry elsewhere in the package uses mathematical
+scanline); a binary mask is a plain read-only 2-D bool array in the same
+layout.  All geometry elsewhere in the package uses mathematical
 Cartesian coordinates: x is the column index and y grows upward, so
 ``y = (height - 1) - row``.  The converters at the bottom of this module
 are the only place that mapping is written out.
@@ -75,47 +76,13 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
-class BinaryImage:
-    """Raster of {0, 1}, same layout conventions as :class:`GrayImage`."""
-
-    __slots__ = ("pixels",)
-
-    def __init__(self, pixels: np.ndarray):
-        arr = np.asarray(pixels)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("expected a non-empty 2-D pixel array")
-        if arr.dtype != np.bool_:
-            if not np.isin(arr, (0, 1)).all():
-                raise ValueError("binary image values must be 0 or 1")
-            arr = arr.astype(bool)
-        else:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryImage is immutable")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def count(self) -> int:
-        """Number of foreground (1) pixels."""
-        return int(self.pixels.sum())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BinaryImage) and np.array_equal(self.pixels, other.pixels)
-
-    def __hash__(self):
-        return hash((self.width, self.height, self.pixels.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BinaryImage({self.width}x{self.height}, on={self.count()})"
+def check_mask(mask) -> np.ndarray:
+    """``mask`` itself, if it is a non-empty 2-D bool array (a binary mask:
+    True is foreground); ValueError otherwise."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
+            and mask.ndim == 2 and mask.size):
+        raise ValueError("expected a non-empty 2-D bool mask")
+    return mask
 
 
 def row_to_y(row, height: int):

@@ -10,7 +10,9 @@ vanishes).  Rounding is half-up so the mapping is bit-reproducible.
 
 Morphology uses a discrete disk structuring element: all offsets whose
 center distance is <= radius.  Pixels beyond the image border count as
-background, which is the usual infinite-plane embedding.
+background, which is the usual infinite-plane embedding: the mask is
+padded with zeros once, and each erosion or dilation combines the disk's
+offset slices of that plane, AND for erosion and OR for dilation.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ import math
 
 import numpy as np
 
-from .image import BinaryImage, GrayImage
+from .image import GrayImage, check_mask
 
-MORPHOLOGY_OPS = ("erode", "dilate", "open", "close")
+_STEPS = {
+    "erode": (np.logical_and,),
+    "dilate": (np.logical_or,),
+    "open": (np.logical_and, np.logical_or),
+    "close": (np.logical_or, np.logical_and),
+}
+MORPHOLOGY_OPS = tuple(_STEPS)
 
 
 def equalize_lut(counts: np.ndarray) -> np.ndarray:
@@ -41,11 +49,13 @@ def histogram_equalize(img: GrayImage) -> GrayImage:
     return GrayImage(equalize_lut(counts)[img.pixels])
 
 
-def binarize(img: GrayImage, threshold: float) -> BinaryImage:
-    """Foreground = intensity >= threshold."""
+def binarize(img: GrayImage, threshold: float) -> np.ndarray:
+    """The read-only mask of foreground = intensity >= threshold."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    return BinaryImage(img.pixels >= threshold)
+    mask = img.pixels >= threshold
+    mask.setflags(write=False)
+    return mask
 
 
 def disk_offsets(radius: float) -> list[tuple[int, int]]:
@@ -61,49 +71,28 @@ def disk_offsets(radius: float) -> list[tuple[int, int]]:
     ]
 
 
-def _shifted(a: np.ndarray, dr: int, dc: int) -> np.ndarray:
-    """a translated by (dr, dc), zero-filled at the borders."""
-    out = np.zeros_like(a)
-    h, w = a.shape
-    r0, r1 = max(dr, 0), h + min(dr, 0)
-    c0, c1 = max(dc, 0), w + min(dc, 0)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = a[r0 - dr : r1 - dr, c0 - dc : c1 - dc]
-    return out
-
-
-def _dilate(a: np.ndarray, offsets) -> np.ndarray:
-    out = np.zeros_like(a)
-    for dr, dc in offsets:
-        out |= _shifted(a, dr, dc)
-    return out
-
-
-def _erode(a: np.ndarray, offsets) -> np.ndarray:
-    out = np.ones_like(a)
-    for dr, dc in offsets:
-        out &= _shifted(a, -dr, -dc)
-    return out
-
-
-def morphology(img: BinaryImage, op: str, radius: float) -> BinaryImage:
+def morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray:
+    """The read-only result of eroding, dilating, opening or closing
+    ``mask`` with the disk of ``radius``."""
     if op not in MORPHOLOGY_OPS:
         raise ValueError(f"unknown morphology op {op!r}")
+    steps = _STEPS[op]
     offsets = disk_offsets(radius)
-    a = img.pixels
-    if op == "erode":
-        out = _erode(a, offsets)
-    elif op == "dilate":
-        out = _dilate(a, offsets)
-    elif op == "open":
-        out = _dilate(_erode(a, offsets), offsets)
-    else:
-        # Closing must run on the padded plane: clipping the intermediate
-        # dilation at the raster edge would let the erosion eat foreground
-        # that touches the border, breaking X <= close(X).
-        pad = int(math.floor(radius))
-        padded = np.pad(a, pad) if pad else a
-        out = _erode(_dilate(padded, offsets), offsets)
-        if pad:
-            out = out[pad:-pad, pad:-pad]
-    return BinaryImage(out)
+    r = int(math.floor(radius))
+    # Each step combines the plane's slices at every offset for the pixels
+    # at least r from its edge, so the plane starts padded with r zeros per
+    # step.  Closing must run on the padded plane: clipping the intermediate
+    # dilation at the raster edge would let the erosion eat foreground that
+    # touches the border, breaking X <= close(X).
+    h, w = check_mask(mask).shape
+    pad = r * len(steps)
+    plane = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
+    plane[pad : pad + h, pad : pad + w] = mask
+    for combine in steps:
+        rows, cols = plane.shape[0] - 2 * r, plane.shape[1] - 2 * r
+        out = plane[r : r + rows, r : r + cols].copy()
+        for dr, dc in offsets:
+            combine(out, plane[r + dr : r + dr + rows, r + dc : r + dc + cols], out=out)
+        plane = out
+    plane.setflags(write=False)
+    return plane

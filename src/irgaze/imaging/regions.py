@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .image import BinaryImage, Point, row_to_y
+from .image import Point, check_mask, row_to_y
 
 _EIG_EPS = 1e-12
 
@@ -90,18 +90,17 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
-def connected_components(img: BinaryImage) -> list[Region]:
-    """All 8-connected foreground regions, sorted by bounding-box origin.
+def connected_components(mask: np.ndarray) -> list[Region]:
+    """All 8-connected foreground regions of a bool mask, sorted by bounding-box origin.
 
     One pass over the whole mask finds every run; each run is joined to the
     runs it touches in the row above, and each set keeps its first run (in
     raster order) as root.  A region's pixels come in raster order, and
     regions with the same bbox origin and area keep first-run order.
     """
-    a = img.pixels
-    h, w = a.shape
+    h, w = check_mask(mask).shape
     padded = np.zeros((h, w + 2), dtype=bool)
-    padded[:, 1:-1] = a
+    padded[:, 1:-1] = mask
     # Value changes come in raster order and alternate within each row: a
     # run starts at an even one and ends, exclusively, at the next.
     rows, cols = np.nonzero(np.diff(padded, axis=1))

@@ -2,6 +2,7 @@
 
 Nothing here may call into the implementation paths it is used to check:
 the painter builds rasters directly, the flood fill is a dense BFS, the
+morphology oracle tests every offset of every pixel one by one, the
 moment oracle recomputes eccentricity from scratch, the reference
 scene renderer paints and blurs the whole frame, and the reference
 closest-vector selection scores one vector at a time on Points.  The
@@ -22,7 +23,7 @@ import numpy as np
 
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
 from irgaze.errors import DegenerateTriangle
-from irgaze.imaging import BinaryImage, GrayImage, Point, Region
+from irgaze.imaging import GrayImage, Point, Region
 from irgaze.synth import (
     FaceLayout,
     FeaturePoints,
@@ -115,6 +116,36 @@ def moment_eccentricity(mask: np.ndarray) -> float:
     if eig[1] <= 0:
         return 0.0
     return float(np.sqrt(max(0.0, 1.0 - eig[0] / eig[1])))
+
+
+def reference_morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray:
+    """Brute-force binary morphology, one pixel at a time, with a disk
+    element: every offset within ``radius`` of the center.  The mask is
+    embedded in an empty plane, so pixels beyond its border are background
+    and a dilation may spill past the border before a closing's erosion."""
+    r = math.floor(radius)
+    disk = [(dr, dc) for dr in range(-r, r + 1) for dc in range(-r, r + 1)
+            if dr * dr + dc * dc <= radius * radius]
+    h, w = mask.shape
+    plane = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
+    plane[r : r + h, r : r + w] = mask
+
+    def on(a, row, col):
+        return 0 <= row < a.shape[0] and 0 <= col < a.shape[1] and bool(a[row, col])
+
+    def erode(a):
+        return np.array([[all(on(a, row + dr, col + dc) for dr, dc in disk)
+                          for col in range(a.shape[1])] for row in range(a.shape[0])])
+
+    def dilate(a):
+        return np.array([[any(on(a, row - dr, col - dc) for dr, dc in disk)
+                          for col in range(a.shape[1])] for row in range(a.shape[0])])
+
+    steps = {"erode": (erode,), "dilate": (dilate,), "open": (erode, dilate),
+             "close": (dilate, erode)}[op]
+    for step in steps:
+        plane = step(plane)
+    return plane[r : r + h, r : r + w]
 
 
 def synthetic_observation(
@@ -292,11 +323,10 @@ def _reference_region(cols: np.ndarray, rows: np.ndarray, width: int, height: in
     )
 
 
-def reference_components(img: BinaryImage) -> list[Region]:
+def reference_components(a: np.ndarray) -> list[Region]:
     """The row-loop labeler ``connected_components`` replaced: all
     8-connected foreground regions, sorted by bounding-box origin, with the
     same region order, pixel order and moments."""
-    a = img.pixels
     h, w = a.shape
 
     # runs[i] = (row, start_col, end_col_exclusive)

@@ -406,11 +406,17 @@ def _infinite_left_pupil(row):
     row["pupils"]["left"]["point"][1] = float("-inf")
 
 
+def _fail_without_an_error(row):
+    """Once read, estimate and train stopped on an AttributeError traceback."""
+    row.update(ok=False, error=None)
+
+
 @pytest.mark.parametrize("spoil, named", [
     (_drop_middle_marker, "missing field 'middle'"),
     (_number_the_frame, "frame must be a string"),
     (_nan_middle_marker, "malformed field: markers.middle must be finite"),
     (_infinite_left_pupil, "malformed field: pupils.left.point must be finite"),
+    (_fail_without_an_error, "malformed field: error of a failed frame must be a string"),
 ])
 def test_estimate_bad_observation_names_line_and_field(pipeline, tmp_path, capsys,
                                                         spoil, named):
@@ -532,6 +538,80 @@ def test_evaluate_manifest_nan_gaze_names_the_frame(pipeline, tmp_path, capsys):
     assert main(["evaluate", "--estimates", str(pipeline / "est.csv"),
                  "--manifest", str(bad), "--out", str(tmp_path / "r")]) == 2
     assert (f"{bad}: frames.{i}: malformed field: gaze must be finite, got [nan, 30.0]"
+            in capsys.readouterr().err)
+
+
+def _repeat_first_evaluation_frame(doc):
+    """The same frame id under another file, with another gaze point."""
+    first = next(f for f in doc["frames"] if f["role"] == "evaluation")
+    doc["frames"].append(dict(first, file="sub/" + first["file"],
+                              gaze=[first["gaze"][0] + 7.0, first["gaze"][1]]))
+    return doc["frames"].index(first), len(doc["frames"]) - 1, first["file"]
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+def test_manifest_repeating_a_frame_id_names_both_entries(pipeline, tmp_path, capsys,
+                                                           stage):
+    """Two entries for one frame once made evaluate score the joined
+    estimate against either gaze point, 75.0% where 100% is right, exit 0."""
+    found = []
+    bad = _spoiled_manifest(pipeline, tmp_path,
+                            lambda doc: found.extend(_repeat_first_evaluation_frame(doc)))
+    i, j, file = found
+    out = str(tmp_path / "out")
+    argv = (["train", "--observations", str(pipeline / "obs.jsonl"), "--manifest", str(bad),
+             "--out", out] if stage == "train" else
+            ["evaluate", "--estimates", str(pipeline / "est.csv"), "--manifest", str(bad),
+             "--out", out])
+    assert main(argv) == 2
+    assert (f"frame id {Path(file).stem!r} names both {bad}: frames.{i} ({file}) and "
+            f"{bad}: frames.{j} (sub/{file})") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corner", [True, 1.0, "1"])
+def test_train_manifest_corner_must_be_an_integer(pipeline, tmp_path, capsys, corner):
+    """A JSON true (or 1.0) equals 1 in Python and once trained as corner 1."""
+    manifest = json.loads((pipeline / "ds" / "manifest.json").read_text())
+    i = next(i for i, f in enumerate(manifest["frames"]) if f["role"] == "training")
+
+    def spoil(doc):
+        doc["frames"][i]["corner"] = corner
+
+    bad = _spoiled_manifest(pipeline, tmp_path, spoil)
+    assert main(["train", "--observations", str(pipeline / "obs.jsonl"),
+                 "--manifest", str(bad), "--out", str(tmp_path / "t.json")]) == 2
+    assert (f"{bad}: frames.{i}: malformed field: corner must be an integer, got {corner!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("stage", ["train", "estimate"])
+def test_observations_repeating_a_frame_name_both_lines(pipeline, tmp_path, capsys, stage):
+    """A repeated line once gave estimate a duplicated row and counted a
+    training frame twice."""
+    lines = (pipeline / "obs.jsonl").read_text().splitlines()
+    bad = tmp_path / "obs.jsonl"
+    bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+    out = str(tmp_path / "out")
+    argv = (["train", "--observations", str(bad),
+             "--manifest", str(pipeline / "ds" / "manifest.json"), "--out", out]
+            if stage == "train" else
+            ["estimate", "--observations", str(bad),
+             "--training-set", str(pipeline / "train.json"), "--out", out])
+    assert main(argv) == 2
+    frame = json.loads(lines[1])["frame"]
+    assert (f"frame id {frame!r} names both {bad}:2 and {bad}:{len(lines) + 1}"
+            in capsys.readouterr().err)
+
+
+def test_evaluate_estimates_repeating_a_frame_name_both_rows(pipeline, tmp_path, capsys):
+    lines = (pipeline / "est.csv").read_text().splitlines()
+    bad = tmp_path / "est.csv"
+    bad.write_text("\n".join(lines + [lines[2]]) + "\n")
+    assert main(["evaluate", "--estimates", str(bad),
+                 "--manifest", str(pipeline / "ds" / "manifest.json"),
+                 "--out", str(tmp_path / "r")]) == 2
+    frame = lines[2].split(",")[0]
+    assert (f"frame id {frame!r} names both {bad}:3 and {bad}:{len(lines) + 1}"
             in capsys.readouterr().err)
 
 

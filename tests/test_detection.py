@@ -152,7 +152,7 @@ def test_marker_mask_matches_the_equalized_frame_cut(kind, w, h, top_n, seed):
     same pixels as equalizing the frame and partitioning it, including
     ties at the cut and top_n at or beyond the pixel count."""
     img = _frame(kind, h, w, np.random.default_rng(seed))
-    assert np.array_equal(marker_mask(img, top_n).pixels, reference_marker_mask(img, top_n))
+    assert np.array_equal(marker_mask(img, top_n), reference_marker_mask(img, top_n))
 
 
 @pytest.mark.parametrize("width, height", [(640, 480), (1280, 1024)])
@@ -163,7 +163,7 @@ def test_marker_mask_matches_on_rendered_frames(width, height):
     img, _ = rendered_frame(pose=default_poses(width, height)[0], cfg=cfg)
     top_n = DetectConfig().top_n
     expected = reference_marker_mask(img, top_n)
-    assert np.array_equal(marker_mask(img, top_n).pixels, expected)
+    assert np.array_equal(marker_mask(img, top_n), expected)
     if width == 1280:
         assert expected.sum() > 5 * top_n
 
@@ -303,7 +303,7 @@ def test_threshold_raising_shrinks_foreground():
     img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
     lo = binarize(img, 90.0)
     hi = binarize(img, 90.0 + 0.5 * (255 - 90.0))
-    assert (hi.pixels <= lo.pixels).all()
+    assert (hi <= lo).all()
 
 
 # --- observe_face ------------------------------------------------------------

@@ -4,11 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import flood_fill_components, moment_eccentricity, reference_components
-from irgaze.imaging import BinaryImage, connected_components
+from irgaze.imaging import connected_components
 
 
-def binary(mask) -> BinaryImage:
-    return BinaryImage(np.array(mask, dtype=bool))
+def binary(mask) -> np.ndarray:
+    return np.array(mask, dtype=bool)
 
 
 def test_empty_image_yields_no_regions():
@@ -84,7 +84,7 @@ def test_matches_flood_fill_oracle(w, h, density, seed):
     mask = np.random.default_rng(seed).random((h, w)) < density
     ours = {
         frozenset(map(tuple, region.pixels.tolist()))
-        for region in connected_components(BinaryImage(mask))
+        for region in connected_components(mask)
     }
     oracle = set(flood_fill_components(mask))
     assert ours == oracle
@@ -94,7 +94,7 @@ def test_matches_flood_fill_oracle(w, h, density, seed):
 @given(w=st.integers(1, 24), h=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_regions_partition_the_foreground(w, h, seed):
     mask = np.random.default_rng(seed).random((h, w)) < 0.5
-    regions = connected_components(BinaryImage(mask))
+    regions = connected_components(mask)
     seen: set[tuple[int, int]] = set()
     for region in regions:
         pix = set(map(tuple, region.pixels.tolist()))
@@ -138,8 +138,8 @@ def _mask(kind: str, h: int, w: int, density: float, seed: int) -> np.ndarray:
 def test_matches_reference_labeler(kind, w, h, density, seed):
     """Region order, pixel order, centroid and eccentricity bits all equal
     the row-loop labeler's (Region.__eq__ compares pixels in order)."""
-    img = BinaryImage(_mask(kind, h, w, density, seed))
-    assert connected_components(img) == reference_components(img)
+    mask = _mask(kind, h, w, density, seed)
+    assert connected_components(mask) == reference_components(mask)
 
 
 @pytest.mark.parametrize("bar_rows, ell_rows, bar_first", [(5, 7, True), (6, 8, False)])
@@ -152,9 +152,8 @@ def test_same_bbox_origin_orders_by_area_then_first_run(bar_rows, ell_rows, bar_
     mask[0:bar_rows, 0:2] = True
     mask[:, 3] = True
     mask[-1, 0:3] = True
-    img = BinaryImage(mask)
-    regions = connected_components(img)
-    assert regions == reference_components(img)
+    regions = connected_components(mask)
+    assert regions == reference_components(mask)
     bar, ell = (0, 0, 1, bar_rows - 1), (0, 0, 3, ell_rows - 1)
     assert [r.bbox for r in regions] == ([bar, ell] if bar_first else [ell, bar])
 
@@ -183,7 +182,7 @@ def test_each_regions_moments_match_the_oracle(w, h, density, seed):
     slice of the shared buffer, against a from-scratch eigen solve on that
     region alone."""
     mask = np.random.default_rng(seed).random((h, w)) < density
-    for region in connected_components(BinaryImage(mask)):
+    for region in connected_components(mask):
         alone = np.zeros_like(mask)
         alone[region.pixels[:, 1], region.pixels[:, 0]] = True
         rows, cols = np.nonzero(alone)
