@@ -464,10 +464,16 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
     with _reading(path), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            _claim(seen, row["frame"], f"{path}:{reader.line_num}")
+            where = f"{path}:{reader.line_num}"
+            _claim(seen, row["frame"], where)
             if row["error"] or not row["x_g"]:
                 continue
-            points[row["frame"]] = Point(float(row["x_g"]), float(row["y_g"]))
+            with _reading(where):
+                point = Point(float(row["x_g"]), float(row["y_g"]))
+                for field, value in zip(("x_g", "y_g"), point):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{field} must be finite, got {value}")
+            points[row["frame"]] = point
     return points
 
 

@@ -3,15 +3,15 @@
 Nothing here may call into the implementation paths it is used to check:
 the painter builds rasters directly, the flood fill is a dense BFS, the
 morphology oracle tests every offset of every pixel one by one, the
-moment oracle recomputes eccentricity from scratch, the reference
-scene renderer paints and blurs the whole frame, and the reference
-closest-vector selection scores one vector at a time on Points.  The
-reference labeler walks the mask row by row with a union-find over run
-indices and builds each region from its own pixel arrays; it shares only
-``Region``'s lazy centroid and eccentricity with the package, since the
-labeling, not the moments, is what it checks (the moment oracle checks
-those).  The reference marker mask equalizes the whole frame and
-partitions it.
+moment oracle recomputes eccentricity from scratch with an eigen solve,
+the reference scene renderer paints and blurs the whole frame, and the
+reference closest-vector selection scores one vector at a time on Points.
+The reference labeler walks the whole mask row by row with a union-find
+over run indices and builds each region from its own pixel arrays, with
+centroid and eccentricity summed over that region alone
+(``reference_moments``), so its regions must equal the package's bit for
+bit.  The reference marker mask equalizes the whole frame and partitions
+it.
 """
 
 from __future__ import annotations
@@ -309,17 +309,42 @@ def reference_marker_mask(img: GrayImage, top_n: int) -> np.ndarray:
     return eq.pixels >= threshold
 
 
+def reference_moments(pixels: np.ndarray, height: int) -> tuple[Point, float]:
+    """Centroid and eccentricity of one region from its own (col, row)
+    pixels in raster order, summed one region at a time: the bits
+    ``connected_components`` must reproduce."""
+    xs = pixels[:, 0].astype(np.float64)
+    ys = (height - 1) - pixels[:, 1].astype(np.float64)
+    n = xs.size
+    cx = float(xs.mean())
+    cy = float(ys.mean())
+    dx = xs - cx
+    dy = ys - cy
+    mu20 = float((dx * dx).sum()) / n
+    mu02 = float((dy * dy).sum()) / n
+    mu11 = float((dx * dy).sum()) / n
+    mid = 0.5 * (mu20 + mu02)
+    spread = np.hypot(0.5 * (mu20 - mu02), mu11)
+    l1 = mid + spread
+    l2 = max(mid - spread, 0.0)
+    ecc = 0.0 if l1 < 1e-12 else float(np.sqrt(max(0.0, 1.0 - l2 / l1)))
+    return Point(cx, cy), ecc
+
+
 def _reference_region(cols: np.ndarray, rows: np.ndarray, width: int, height: int) -> Region:
     min_col, max_col = int(cols.min()), int(cols.max())
     min_row, max_row = int(rows.min()), int(rows.max())
+    pixels = np.column_stack((cols, rows)).astype(np.int32)
+    centroid, eccentricity = reference_moments(pixels, height)
     return Region(
-        pixels=np.column_stack((cols, rows)).astype(np.int32),
+        pixels=pixels,
         area=int(cols.size),
         bbox=(min_col, min_row, max_col, max_row),
         touches_border=(
             min_row == 0 or max_row == height - 1 or min_col == 0 or max_col == width - 1
         ),
-        height=height,
+        centroid=centroid,
+        eccentricity=eccentricity,
     )
 
 

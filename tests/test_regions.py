@@ -178,9 +178,8 @@ def test_region_pixels_are_read_only():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_each_regions_moments_match_the_oracle(w, h, density, seed):
-    """Centroid and eccentricity, computed on first access from a region's
-    slice of the shared buffer, against a from-scratch eigen solve on that
-    region alone."""
+    """Centroid and eccentricity, computed for all regions of the mask in one
+    pass, against a from-scratch eigen solve on each region alone."""
     mask = np.random.default_rng(seed).random((h, w)) < density
     for region in connected_components(mask):
         alone = np.zeros_like(mask)
@@ -190,3 +189,122 @@ def test_each_regions_moments_match_the_oracle(w, h, density, seed):
         assert abs(region.centroid.y - ((h - 1) - rows).mean()) < 1e-9
         # Squared, since sqrt(1 - l2/l1) amplifies rounding as l2 nears l1.
         assert abs(region.eccentricity ** 2 - moment_eccentricity(alone) ** 2) < 1e-9
+
+
+def _stamp(rng: np.random.Generator) -> np.ndarray:
+    """A speck of up to 3x3 px (a few tiny regions), or a rectangle of up to
+    24x24 px with about a tenth of its inner pixels cleared: mostly one
+    region of up to 576 px, at times over 128 and over 256 px, where numpy's
+    pairwise summation changes blocks."""
+    if rng.random() < 0.3:
+        speck = rng.random(tuple(rng.integers(1, 4, size=2))) < 0.6
+        speck[0, 0] = True
+        return speck
+    h, w = rng.integers(1, 25, size=2)
+    stamp = np.ones((h, w), dtype=bool)
+    stamp[1:-1, 1:-1] = rng.random((max(h - 2, 0), max(w - 2, 0))) >= 0.1
+    return stamp
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_stamps=st.integers(1, 4), copies=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_tiled_stamps_match_the_reference_moments_exactly(n_stamps, copies, seed):
+    """Copies of a few stamps in shuffled grid cells: many regions share an
+    area, and those of one area are reduced as one block, which must give
+    each region the bits of its own sum (Region.__eq__ compares centroid
+    and eccentricity with ==)."""
+    rng = np.random.default_rng(seed)
+    stamps = [_stamp(rng) for _ in range(n_stamps)]
+    tiles = [s for s in stamps for _ in range(copies)]
+    rng.shuffle(tiles)
+    cell = 1 + max(max(s.shape) for s in stamps)
+    per_row = int(rng.integers(1, 6))
+    top, left = rng.integers(0, 4, size=2)
+    mask = np.zeros((top + cell * -(-len(tiles) // per_row), left + cell * per_row),
+                    dtype=bool)
+    for k, s in enumerate(tiles):
+        r, c = top + cell * (k // per_row), left + cell * (k % per_row)
+        mask[r : r + s.shape[0], c : c + s.shape[1]] = s
+    regions = connected_components(mask)
+    assert regions == reference_components(mask)
+    if copies > 1:
+        assert len({r.area for r in regions}) < len(regions)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 6), (120, 90)])
+def test_all_false_mask_has_no_regions(shape):
+    mask = np.zeros(shape, dtype=bool)
+    assert connected_components(mask) == reference_components(mask) == []
+
+
+@pytest.mark.parametrize("row, col, border", [
+    (0, 0, True), (0, 8, True), (6, 0, True), (6, 8, True), (3, 4, False)])
+def test_single_pixel_at_a_corner_or_the_centre(row, col, border):
+    mask = np.zeros((7, 9), dtype=bool)
+    mask[row, col] = True
+    (region,) = connected_components(mask)
+    assert [region] == reference_components(mask)
+    assert region.bbox == (col, row, col, row)
+    assert region.touches_border is border
+    assert region.centroid == (col, 6 - row)
+
+
+@pytest.mark.parametrize("last", ["row", "col"])
+def test_foreground_only_on_the_last_row_or_column_touches_the_border(last):
+    """The foreground box is a single row or column at the far edge: the
+    border is taken against the frame, not the box."""
+    rng = np.random.default_rng(5)
+    mask = np.zeros((30, 40), dtype=bool)
+    if last == "row":
+        mask[-1, 3:37] = rng.random(34) < 0.5
+    else:
+        mask[4:26, -1] = rng.random(22) < 0.5
+    regions = connected_components(mask)
+    assert regions == reference_components(mask)
+    assert regions and all(r.touches_border for r in regions)
+
+
+@pytest.mark.parametrize("vertical", [False, True])
+def test_thin_foreground_box_inside_a_large_frame(vertical):
+    mask = np.zeros((200, 300), dtype=bool)
+    if vertical:
+        mask[37:150:2, 211] = True
+        mask[151:160, 211] = True
+    else:
+        mask[123, 45:250:3] = True
+        mask[123, 251:270] = True
+    regions = connected_components(mask)
+    assert regions == reference_components(mask)
+    assert not any(r.touches_border for r in regions)
+    assert regions[-1].eccentricity == 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    w=st.integers(1, 200),
+    h=st.integers(1, 200),
+    density=st.sampled_from([0.002, 0.005, 0.01]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_masks_match_the_reference_labeler(w, h, density, seed):
+    """A few specks in a large frame: the foreground box sits anywhere,
+    mostly away from the origin."""
+    mask = np.random.default_rng(seed).random((h, w)) < density
+    assert connected_components(mask) == reference_components(mask)
+
+
+def test_numpy_sums_each_row_of_a_block_as_it_sums_the_row_alone():
+    """connected_components sums the moments of all regions of one area as
+    rows of one (3, k, area) block; its bits equal per-region sums only
+    while numpy reduces each contiguous row with the pairwise summation a
+    1-D ``sum()`` uses.  A numpy that changes that fails here by name."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 601):
+        k = 1 + n % 5
+        a = rng.standard_normal(k * n)
+        rows = a.reshape(k, n).sum(axis=1)
+        assert all(rows[i] == a[i * n : (i + 1) * n].sum() for i in range(k)), n
+        three = rng.standard_normal((3, 2 + k * n))
+        block = three[:, 1 : 1 + k * n].reshape(3, k, n).sum(axis=-1)
+        assert all(block[j, i] == three[j, 1 + i * n : 1 + (i + 1) * n].sum()
+                   for j in range(3) for i in range(k)), n
