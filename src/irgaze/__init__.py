@@ -35,10 +35,10 @@ from .gaze import (
     select_closest,
 )
 from .imaging import (
-    GrayImage,
     Point,
     Region,
     binarize,
+    check_image,
     connected_components,
     decode_pgm,
     encode_pgm,
@@ -62,8 +62,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "GrayImage", "Point", "Region",
-    "binarize", "connected_components", "decode_pgm", "encode_pgm",
+    "Point", "Region",
+    "binarize", "check_image", "connected_components", "decode_pgm", "encode_pgm",
     "histogram_equalize", "morphology",
     "DetectConfig", "EyeRoi", "FaceObservation", "MarkerTriple",
     "PupilDetection", "PupilPair",

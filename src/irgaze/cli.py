@@ -483,8 +483,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
         raise ConfigError(f"need 2 <= grid_n_min <= grid_n_max, got {n_min} and {n_max}")
 
     if len(args.estimates) != len(args.manifest):
-        print("error: give one --manifest per --estimates", file=sys.stderr)
-        return 1
+        raise InputFileError(f"give one --manifest per --estimates, got "
+                             f"{len(args.estimates)} and {len(args.manifest)}")
     # Each dataset is named by its estimates file's stem, which labels its
     # report column and its details file.
     stems: dict[str, str] = {}

@@ -33,10 +33,10 @@ from .errors import (
     TooFewComponents,
 )
 from .imaging import (
-    GrayImage,
     Point,
     Region,
     binarize,
+    check_image,
     connected_components,
     equalize_lut,
     histogram_equalize,
@@ -136,15 +136,15 @@ class FaceObservation:
 @dataclass(frozen=True)
 class EyeRoi:
     """Eye-region crop plus enough bookkeeping to map detections back to
-    full-frame coordinates."""
+    full-frame coordinates.  ``image`` is the read-only crop."""
 
-    image: GrayImage
+    image: np.ndarray
     col_origin: int
     row_origin: int
     frame_height: int
 
 
-def marker_mask(img: GrayImage, top_n: int) -> np.ndarray:
+def marker_mask(img: np.ndarray, top_n: int) -> np.ndarray:
     """The pixels at or above the ``top_n``-th brightest level of the
     equalized frame (all of them when the frame has fewer pixels).
 
@@ -153,15 +153,15 @@ def marker_mask(img: GrayImage, top_n: int) -> np.ndarray:
     lut[nth]`` holds exactly where ``raw`` reaches the lowest level that
     the remap sends to ``lut[nth]`` or above: the raw frame is cut there.
     """
-    counts = np.bincount(img.pixels.ravel(), minlength=256)
+    counts = np.bincount(check_image(img).ravel(), minlength=256)
     lut = equalize_lut(counts)
-    n = min(top_n, img.pixels.size)
+    n = min(top_n, img.size)
     at_least = np.cumsum(counts[::-1])[::-1]  # pixels at or above each level
     nth = np.flatnonzero(at_least >= n)[-1]
     return binarize(img, int(np.argmax(lut >= lut[nth])))
 
 
-def detect_markers(img: GrayImage, cfg: DetectConfig) -> MarkerTriple:
+def detect_markers(img: np.ndarray, cfg: DetectConfig) -> MarkerTriple:
     """Locate the three retro-reflective markers.
 
     Equalizes, takes the lowest intensity among the top-N brightest pixels
@@ -205,7 +205,7 @@ def detect_markers(img: GrayImage, cfg: DetectConfig) -> MarkerTriple:
     )
 
 
-def extract_eye_roi(img: GrayImage, markers: MarkerTriple, side: str) -> EyeRoi:
+def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi:
     """Crop the rectangle spanned by the chosen outer marker and the middle
     marker as diagonal corners.
 
@@ -217,6 +217,7 @@ def extract_eye_roi(img: GrayImage, markers: MarkerTriple, side: str) -> EyeRoi:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     outer = markers.right if side == "right" else markers.left
+    height, width = check_image(img).shape
 
     col_lo = int(math.floor(min(outer.x, markers.middle.x)))
     col_hi = int(math.ceil(max(outer.x, markers.middle.x)))
@@ -224,8 +225,8 @@ def extract_eye_roi(img: GrayImage, markers: MarkerTriple, side: str) -> EyeRoi:
     y_hi = int(math.ceil(max(outer.y, markers.middle.y)))
     col_lo = max(col_lo, 0)
     y_lo = max(y_lo, 0)
-    col_hi = min(col_hi, img.width - 1)
-    y_hi = min(y_hi, img.height - 1)
+    col_hi = min(col_hi, width - 1)
+    y_hi = min(y_hi, height - 1)
 
     if col_hi - col_lo + 1 < MIN_ROI_SIDE or y_hi - y_lo + 1 < MIN_ROI_SIDE:
         raise DegenerateRoi(
@@ -233,9 +234,9 @@ def extract_eye_roi(img: GrayImage, markers: MarkerTriple, side: str) -> EyeRoi:
             f"need at least {MIN_ROI_SIDE} on each side"
         )
 
-    row_lo = y_to_row(y_hi, img.height)
-    row_hi = y_to_row(y_lo, img.height)
-    crop = img.pixels[row_lo : row_hi + 1, col_lo : col_hi + 1].astype(np.float64)
+    row_lo = y_to_row(y_hi, height)
+    row_hi = y_to_row(y_lo, height)
+    crop = img[row_lo : row_hi + 1, col_lo : col_hi + 1].astype(np.float64)
 
     mask = np.zeros(crop.shape, dtype=bool)
     if markers.regions is not None:
@@ -251,18 +252,15 @@ def extract_eye_roi(img: GrayImage, markers: MarkerTriple, side: str) -> EyeRoi:
         fill = crop[~mask].mean() if (~mask).any() else 0.0
         crop[mask] = fill
 
-    return EyeRoi(
-        image=GrayImage(np.floor(crop + 0.5).astype(np.uint8)),
-        col_origin=col_lo,
-        row_origin=row_lo,
-        frame_height=img.height,
-    )
+    image = np.floor(crop + 0.5).astype(np.uint8)
+    image.setflags(write=False)
+    return EyeRoi(image=image, col_origin=col_lo, row_origin=row_lo, frame_height=height)
 
 
-def pupil_threshold(roi: GrayImage, weight: float) -> float:
+def pupil_threshold(roi: np.ndarray, weight: float) -> float:
     """Weighted average intensity: pixels above the plain mean count
     ``weight`` times.  Always >= the plain mean for weight >= 1."""
-    vals = roi.pixels.astype(np.float64).ravel()
+    vals = check_image(roi).astype(np.float64).ravel()
     mean = vals.mean()
     w = np.where(vals > mean, weight, 1.0)
     return float((w * vals).sum() / w.sum())
@@ -293,14 +291,14 @@ def detect_pupil(roi: EyeRoi, cfg: DetectConfig, pupil_diameter: float) -> Pupil
     cleanup_radius = element_diameter // 2
 
     threshold = pupil_threshold(eq, cfg.high_mean_weight)
-    i_max = float(eq.pixels.max())
+    i_max = float(eq.max())
 
     for attempt in range(cfg.max_retries + 1):
         candidates = _pupil_candidates(binarize(eq, threshold), cfg, cleanup_radius)
         if len(candidates) == 1:
             blob = candidates[0]
             col = blob.centroid.x + roi.col_origin
-            roi_row = y_to_row(blob.centroid.y, roi.image.height)
+            roi_row = y_to_row(blob.centroid.y, roi.image.shape[0])
             y = row_to_y(roi_row + roi.row_origin, roi.frame_height)
             return PupilDetection(
                 point=Point(col, y), area=blob.area, eccentricity=blob.eccentricity
@@ -331,7 +329,7 @@ def validate_pupil_pair(
     return bool(gap_sq <= max(bound, floor))
 
 
-def observe_face(img: GrayImage, cfg: DetectConfig, frame_id: str = "") -> FaceObservation:
+def observe_face(img: np.ndarray, cfg: DetectConfig, frame_id: str = "") -> FaceObservation:
     """Run the full per-frame detection: markers, both eye regions, pupils.
 
     A failed eye just downgrades that pupil to absent; if both pupils are

@@ -1,11 +1,13 @@
 """Core raster types.
 
-Images are stored as 2-D numpy arrays in raster order (row 0 is the top
-scanline); a binary mask is a plain read-only 2-D bool array in the same
-layout.  All geometry elsewhere in the package uses mathematical
-Cartesian coordinates: x is the column index and y grows upward, so
-``y = (height - 1) - row``.  The converters at the bottom of this module
-are the only place that mapping is written out.
+An image is a plain 2-D uint8 numpy array in raster order (row 0 is the
+top scanline); a binary mask is a plain 2-D bool array in the same
+layout.  Every function that returns either hands back a fresh read-only
+array, so values can be shared freely across threads; other dtypes are
+rejected, never converted.  All geometry elsewhere in the package uses
+mathematical Cartesian coordinates: x is the column index and y grows
+upward, so ``y = (height - 1) - row``.  The converters at the bottom of
+this module are the only place that mapping is written out.
 """
 
 from __future__ import annotations
@@ -28,52 +30,13 @@ class Point(NamedTuple):
         return float(np.hypot(self.x - other.x, self.y - other.y))
 
 
-class GrayImage:
-    """8-bit grayscale raster.
-
-    ``pixels`` is a read-only (height, width) uint8 array.  Instances are
-    immutable; operations return new images, so values can be shared
-    freely across threads.
-    """
-
-    __slots__ = ("pixels",)
-
-    def __init__(self, pixels: np.ndarray):
-        arr = np.asarray(pixels)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("expected a non-empty 2-D pixel array")
-        if arr.dtype != np.uint8:
-            if arr.min() < 0 or arr.max() > 255:
-                raise ValueError("intensities must lie in [0, 255]")
-            arr = arr.astype(np.uint8)
-        else:
-            arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrayImage is immutable")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def flat(self) -> bytes:
-        """Row-major samples as raw bytes."""
-        return self.pixels.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
-
-    def __hash__(self):
-        return hash((self.width, self.height, self.flat()))
-
-    def __repr__(self) -> str:
-        return f"GrayImage({self.width}x{self.height})"
+def check_image(img) -> np.ndarray:
+    """``img`` itself, if it is a non-empty 2-D uint8 array (an 8-bit
+    grayscale image); ValueError otherwise."""
+    if not (isinstance(img, np.ndarray) and img.dtype == np.uint8
+            and img.ndim == 2 and img.size):
+        raise ValueError("expected a non-empty 2-D uint8 image")
+    return img
 
 
 def check_mask(mask) -> np.ndarray:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .image import GrayImage, check_mask
+from .image import check_image, check_mask
 
 _STEPS = {
     "erode": (np.logical_and,),
@@ -44,16 +44,18 @@ def equalize_lut(counts: np.ndarray) -> np.ndarray:
     return np.clip(lut, 0, 255).astype(np.uint8)
 
 
-def histogram_equalize(img: GrayImage) -> GrayImage:
-    counts = np.bincount(img.pixels.ravel(), minlength=256)
-    return GrayImage(equalize_lut(counts)[img.pixels])
+def histogram_equalize(img: np.ndarray) -> np.ndarray:
+    """The read-only equalized copy of ``img``."""
+    out = equalize_lut(np.bincount(check_image(img).ravel(), minlength=256))[img]
+    out.setflags(write=False)
+    return out
 
 
-def binarize(img: GrayImage, threshold: float) -> np.ndarray:
+def binarize(img: np.ndarray, threshold: float) -> np.ndarray:
     """The read-only mask of foreground = intensity >= threshold."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    mask = img.pixels >= threshold
+    mask = check_image(img) >= threshold
     mask.setflags(write=False)
     return mask
 

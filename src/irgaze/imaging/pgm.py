@@ -1,8 +1,8 @@
 """Binary PGM (P5) codec, 8-bit only.
 
 Header comments (``#`` to end of line) are tolerated anywhere whitespace
-is allowed.  ``decode_pgm(encode_pgm(img)) == img`` holds byte-exactly for
-every valid image; trailing bytes after the sample plane are ignored on
+is allowed.  ``decode_pgm(encode_pgm(img))`` equals ``img`` byte-exactly
+for every valid image; trailing bytes after the sample plane are ignored on
 decode.
 """
 
@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BadMagic, PgmError, TruncatedData, UnsupportedMaxval
-from .image import GrayImage
+from .image import check_image
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
-def decode_pgm(data: bytes) -> GrayImage:
-    """Parse a binary PGM stream into a :class:`GrayImage`."""
+def decode_pgm(data: bytes) -> np.ndarray:
+    """Parse a binary PGM stream into a read-only image over its own copy
+    of the samples."""
     pos = 0
 
     def next_token() -> bytes:
@@ -62,10 +63,12 @@ def decode_pgm(data: bytes) -> GrayImage:
     raw = data[pos : pos + need]
     if len(raw) < need:
         raise TruncatedData(f"expected {need} samples, got {len(raw)}")
-    return GrayImage(np.frombuffer(raw, dtype=np.uint8).reshape(height, width))
+    img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    img.setflags(write=False)
+    return img
 
 
-def encode_pgm(img: GrayImage) -> bytes:
+def encode_pgm(img: np.ndarray) -> bytes:
     """Serialize to a canonical binary PGM stream."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.flat()
+    height, width = check_image(img).shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + img.tobytes()

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import FeatureOutOfFrame
 from .gaze import COORD_KEYS, GridSpec, ScreenGeometry
-from .imaging import GrayImage, Point, encode_pgm
+from .imaging import Point, encode_pgm
 
 SCALE_RANGE = (0.5, 2.0)
 MAX_ROTATION = 0.35  # radians
@@ -219,19 +219,18 @@ def render_scene(
     truth: GroundTruth,
     layout: FaceLayout = FaceLayout(),
     cfg: RenderConfig = RenderConfig(),
-    seed: int | None = None,
     *,
     noise: np.ndarray | None = None,
-) -> GrayImage:
-    """Paint the frame for a ground-truth record.
+) -> np.ndarray:
+    """Paint the read-only frame for a ground-truth record.
 
     Every feature center must keep RENDER_MARGIN pixels to the border.
-    Deterministic: the same (truth, layout, cfg, seed) give byte-identical
+    Deterministic: the same (truth, layout, cfg) give byte-identical
     images.
 
     ``noise``, if given, is a float64 (height, width) buffer holding the
     frame's ``draw_noise`` draws; it becomes the canvas and is overwritten.
-    Without it the buffer is drawn here from the seed (or is zero when
+    Without it the buffer is drawn here from ``truth.seed`` (or is zero when
     ``cfg.noise_sigma`` is 0).  The scene is added onto the noise, which
     gives the same bits as adding the noise onto the scene.
 
@@ -292,10 +291,9 @@ def render_scene(
     if noise is None:
         noise = np.zeros(shape)
         if cfg.noise_sigma > 0:
-            effective_seed = seed if seed is not None else truth.seed
-            if effective_seed is None:
+            if truth.seed is None:
                 raise ValueError("noisy rendering needs a seed")
-            draw_noise(effective_seed, cfg.noise_sigma, noise)
+            draw_noise(truth.seed, cfg.noise_sigma, noise)
     elif noise.shape != shape:
         raise ValueError(f"noise must have shape {shape}, got {noise.shape}")
 
@@ -309,7 +307,9 @@ def render_scene(
 
     np.clip(canvas, 0, 255, out=canvas)
     canvas += 0.5
-    return GrayImage(np.floor(canvas, out=canvas).astype(np.uint8))
+    img = np.floor(canvas, out=canvas).astype(np.uint8)
+    img.setflags(write=False)
+    return img
 
 
 def default_poses(width: int = 640, height: int = 480) -> tuple[HeadPose, ...]:

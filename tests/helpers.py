@@ -23,7 +23,7 @@ import numpy as np
 
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
 from irgaze.errors import DegenerateTriangle
-from irgaze.imaging import GrayImage, Point, Region
+from irgaze.imaging import Point, Region
 from irgaze.synth import (
     FaceLayout,
     FeaturePoints,
@@ -71,8 +71,17 @@ def paint_disk(canvas: np.ndarray, cx: float, cy: float, r: float, level: int) -
     paint_ellipse(canvas, cx, cy, r, r, level)
 
 
-def as_image(canvas: np.ndarray) -> GrayImage:
-    return GrayImage(np.clip(canvas, 0, 255).astype(np.uint8))
+def as_image(canvas: np.ndarray) -> np.ndarray:
+    return np.clip(canvas, 0, 255).astype(np.uint8)
+
+
+def assert_same_image(a, b, what: str = "") -> None:
+    """Both are uint8 arrays of one shape with equal samples: the image
+    equality a bare ``np.array_equal``, which ignores dtype, does not give."""
+    assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), what
+    assert a.dtype == np.uint8 and b.dtype == np.uint8, (what, a.dtype, b.dtype)
+    assert a.shape == b.shape, (what, a.shape, b.shape)
+    assert np.array_equal(a, b), what
 
 
 def flood_fill_components(mask: np.ndarray) -> list[frozenset[tuple[int, int]]]:
@@ -190,7 +199,7 @@ def _reference_blur(a: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def reference_render(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
-                     seed: int) -> GrayImage:
+                     seed: int) -> np.ndarray:
     """Full-frame scene painter: tests the face ellipse and every disk at
     every pixel and blurs the whole canvas.  ``render_scene`` must match
     it byte for byte.  Skips the feature-margin check."""
@@ -225,7 +234,7 @@ def reference_render(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
         rng = np.random.default_rng(seed)
         canvas = canvas + rng.normal(0.0, cfg.noise_sigma, canvas.shape)
 
-    return GrayImage(np.floor(np.clip(canvas, 0, 255) + 0.5).astype(np.uint8))
+    return np.floor(np.clip(canvas, 0, 255) + 0.5).astype(np.uint8)
 
 
 def observation_from_row(row) -> FaceObservation:
@@ -285,28 +294,28 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _reference_equalize(img: GrayImage) -> GrayImage:
-    counts = np.bincount(img.pixels.ravel(), minlength=256)
+def _reference_equalize(img: np.ndarray) -> np.ndarray:
+    counts = np.bincount(img.ravel(), minlength=256)
     cdf = np.cumsum(counts)
-    total = img.width * img.height
+    total = img.shape[1] * img.shape[0]
     cdf_min = int(cdf[np.flatnonzero(counts)[0]])
     denom = total - cdf_min
     if denom == 0:
-        return GrayImage(np.zeros_like(img.pixels))
+        return np.zeros_like(img)
     lut = np.floor((cdf - cdf_min) / denom * 255.0 + 0.5)
     lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return GrayImage(lut[img.pixels])
+    return lut[img]
 
 
-def reference_marker_mask(img: GrayImage, top_n: int) -> np.ndarray:
+def reference_marker_mask(img: np.ndarray, top_n: int) -> np.ndarray:
     """The marker mask as detect_markers cut it before ``marker_mask``:
     equalize the whole frame, take its ``top_n``-th brightest value with
     ``np.partition`` and keep every pixel at or above it."""
     eq = _reference_equalize(img)
-    flat = eq.pixels.ravel()
+    flat = eq.ravel()
     n = min(top_n, flat.size)
     threshold = float(np.partition(flat, flat.size - n)[flat.size - n])
-    return eq.pixels >= threshold
+    return eq >= threshold
 
 
 def reference_moments(pixels: np.ndarray, height: int) -> tuple[Point, float]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_same_image,
     flood_fill_components,
     observation_from_row,
     synthetic_observation,
@@ -35,7 +36,6 @@ from irgaze.gaze import (
     score_accuracy,
 )
 from irgaze.imaging import (
-    GrayImage,
     Point,
     connected_components,
     decode_pgm,
@@ -332,10 +332,11 @@ def test_imaging_oracles(capsys):
     pgm_checked = 0
     for _ in range(200):
         h, w = rng.integers(1, 40, 2)
-        img = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
+        img = rng.integers(0, 256, (h, w), dtype=np.uint8)
         data = encode_pgm(img)
         back = decode_pgm(data)
-        assert back == img and back.flat() == img.flat()
+        assert_same_image(back, img)
+        assert back.tobytes() == img.tobytes()
         assert encode_pgm(back) == data
         pgm_checked += 1
 

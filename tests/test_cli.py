@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from irgaze.cli import main
-from irgaze.imaging import GrayImage, encode_pgm
+from irgaze.imaging import encode_pgm
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_detect_output_accounts_for_every_frame(pipeline):
 
 def test_detect_records_failures_as_rows(pipeline, tmp_path):
     black = tmp_path / "black.pgm"
-    black.write_bytes(encode_pgm(GrayImage(np.zeros((120, 160), dtype=np.uint8))))
+    black.write_bytes(encode_pgm(np.zeros((120, 160), dtype=np.uint8)))
     out = tmp_path / "obs.jsonl"
     code = main(["detect", str(black),
                  "--manifest", str(pipeline / "ds" / "manifest.json"),
@@ -89,7 +89,7 @@ def test_detect_missing_frame_is_an_error_row(pipeline, tmp_path, jobs):
 
 def test_detect_all_failures_exit_code(tmp_path):
     black = tmp_path / "black.pgm"
-    black.write_bytes(encode_pgm(GrayImage(np.zeros((40, 40), dtype=np.uint8))))
+    black.write_bytes(encode_pgm(np.zeros((40, 40), dtype=np.uint8)))
     assert main(["detect", str(black), "--out", str(tmp_path / "o.jsonl")]) == 1
 
 
@@ -372,7 +372,7 @@ def test_detect_rejects_duplicate_frame_ids(tmp_path, capsys):
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
         paths.append(tmp_path / sub / "x.pgm")
-        paths[-1].write_bytes(encode_pgm(GrayImage(np.zeros((40, 40), dtype=np.uint8))))
+        paths[-1].write_bytes(encode_pgm(np.zeros((40, 40), dtype=np.uint8)))
     out = tmp_path / "o.jsonl"
     assert main(["detect", *map(str, paths), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -489,6 +489,15 @@ def test_evaluate_rejects_estimates_sharing_a_name(pipeline, tmp_path, capsys):
                  "--estimates", str(second), "--manifest", man, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(first) in err and str(second) in err
+    assert not out.exists()
+
+
+def test_evaluate_needs_one_manifest_per_estimates_file(pipeline, tmp_path, capsys):
+    est, man = str(pipeline / "est.csv"), str(pipeline / "ds" / "manifest.json")
+    out = tmp_path / "r"
+    assert main(["evaluate", "--estimates", est, "--manifest", man, "--manifest", man,
+                 "--out", str(out)]) == 2
+    assert "give one --manifest per --estimates, got 1 and 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -28,7 +28,7 @@ from irgaze.errors import (
     NoPupilFound,
     TooFewComponents,
 )
-from irgaze.imaging import GrayImage, Point, binarize
+from irgaze.imaging import Point, binarize
 from irgaze.synth import (
     FaceLayout,
     GroundTruth,
@@ -53,26 +53,26 @@ def rendered_frame(pose=HeadPose(320, 240), gaze=(0.5, 0.5), cfg=RenderConfig(),
 # --- pupil_threshold --------------------------------------------------------
 
 def test_pupil_threshold_constant_region():
-    roi = GrayImage(np.full((4, 4), 100, dtype=np.uint8))
+    roi = np.full((4, 4), 100, dtype=np.uint8)
     assert pupil_threshold(roi, 2.0) == 100.0
 
 
 def test_pupil_threshold_weighted_example():
-    roi = GrayImage(np.array([[10, 10, 100]], dtype=np.uint8))
+    roi = np.array([[10, 10, 100]], dtype=np.uint8)
     assert pupil_threshold(roi, 2.0) == pytest.approx(55.0)
 
 
 def test_pupil_threshold_weight_one_is_plain_mean():
     rng = np.random.default_rng(3)
-    roi = GrayImage(rng.integers(0, 256, (9, 7), dtype=np.uint8))
-    assert pupil_threshold(roi, 1.0) == pytest.approx(float(roi.pixels.mean()))
+    roi = rng.integers(0, 256, (9, 7), dtype=np.uint8)
+    assert pupil_threshold(roi, 1.0) == pytest.approx(float(roi.mean()))
 
 
 def test_pupil_threshold_never_below_mean():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        roi = GrayImage(rng.integers(0, 256, (6, 6), dtype=np.uint8))
-        assert pupil_threshold(roi, 2.0) >= float(roi.pixels.mean()) - 1e-9
+        roi = rng.integers(0, 256, (6, 6), dtype=np.uint8)
+        assert pupil_threshold(roi, 2.0) >= float(roi.mean()) - 1e-9
 
 
 # --- validate_pupil_pair -----------------------------------------------------
@@ -123,15 +123,15 @@ def test_pair_check_needs_both_pupils():
 
 # --- detect_markers -----------------------------------------------------------
 
-def _frame(kind: str, h: int, w: int, rng) -> GrayImage:
+def _frame(kind: str, h: int, w: int, rng) -> np.ndarray:
     if kind == "constant":
-        return GrayImage(np.full((h, w), rng.integers(0, 256), dtype=np.uint8))
+        return np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
     if kind == "levels":  # 2-4 distinct levels
         levels = rng.choice(256, size=rng.integers(2, 5), replace=False)
-        return GrayImage(rng.choice(levels, size=(h, w)).astype(np.uint8))
+        return rng.choice(levels, size=(h, w)).astype(np.uint8)
     # Gaussian noise clipped at 0 and 255, so the extremes pile up.
     noise = rng.normal(rng.uniform(0, 255), rng.uniform(1, 120), (h, w))
-    return GrayImage(np.clip(np.round(noise), 0, 255).astype(np.uint8))
+    return np.clip(np.round(noise), 0, 255).astype(np.uint8)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -206,12 +206,12 @@ def test_detect_markers_outer_pair_too_close():
 # --- extract_eye_roi -----------------------------------------------------------
 
 def test_roi_rectangle_from_diagonal_corners():
-    img = GrayImage(np.zeros((300, 300), dtype=np.uint8))
+    img = np.zeros((300, 300), dtype=np.uint8)
     markers = MarkerTriple(right=Point(200, 150), middle=Point(150, 100), left=Point(40, 150))
     roi = extract_eye_roi(img, markers, "right")
     assert roi.col_origin == 150
-    assert roi.image.width == 51  # columns 150..200
-    assert roi.image.height == 51  # Cartesian rows 100..150
+    assert roi.image.shape[1] == 51  # columns 150..200
+    assert roi.image.shape[0] == 51  # Cartesian rows 100..150
     assert roi.row_origin == (300 - 1) - 150
 
 
@@ -220,28 +220,28 @@ def test_roi_masks_outer_marker_pixels():
     cfg = DetectConfig()
     markers = detect_markers(img, cfg)
     roi = extract_eye_roi(img, markers, "right")
-    mask = np.zeros((roi.image.height, roi.image.width), dtype=bool)
+    mask = np.zeros(roi.image.shape, dtype=bool)
     for col, row in markers.regions[0].pixels:  # the right marker's blob
         r, c = row - roi.row_origin, col - roi.col_origin
         if 0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]:
             mask[r, c] = True
     assert mask.any(), "outer marker blob should overlap the ROI corner"
-    masked_values = roi.image.pixels[mask]
-    unmasked_mean = roi.image.pixels[~mask].mean()
+    masked_values = roi.image[mask]
+    unmasked_mean = roi.image[~mask].mean()
     assert np.all(np.abs(masked_values.astype(float) - unmasked_mean) <= 1.0)
     # middle-marker pixels are retained: the opposite corner keeps bright pixels
-    assert roi.image.pixels.max() >= 200
+    assert roi.image.max() >= 200
 
 
 def test_roi_degenerate_when_corners_coincide():
-    img = GrayImage(np.zeros((100, 100), dtype=np.uint8))
+    img = np.zeros((100, 100), dtype=np.uint8)
     markers = MarkerTriple(right=Point(50, 50), middle=Point(50, 50), left=Point(10, 50))
     with pytest.raises(DegenerateRoi):
         extract_eye_roi(img, markers, "right")
 
 
 def test_roi_rejects_unknown_side():
-    img = GrayImage(np.zeros((50, 50), dtype=np.uint8))
+    img = np.zeros((50, 50), dtype=np.uint8)
     markers = MarkerTriple(right=Point(40, 40), middle=Point(20, 10), left=Point(0, 40))
     with pytest.raises(ValueError):
         extract_eye_roi(img, markers, "up")
@@ -252,7 +252,7 @@ def test_roi_rejects_unknown_side():
 def whole_roi(canvas, col_origin=0, row_origin=0, frame_height=None):
     img = as_image(canvas)
     return EyeRoi(image=img, col_origin=col_origin, row_origin=row_origin,
-                  frame_height=img.height if frame_height is None else frame_height)
+                  frame_height=img.shape[0] if frame_height is None else frame_height)
 
 
 def test_detect_pupil_single_round_blob():
@@ -300,7 +300,7 @@ def test_detect_pupil_retry_raises_threshold_until_unique():
 
 def test_threshold_raising_shrinks_foreground():
     rng = np.random.default_rng(11)
-    img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
+    img = rng.integers(0, 256, (30, 30), dtype=np.uint8)
     lo = binarize(img, 90.0)
     hi = binarize(img, 90.0 + 0.5 * (255 - 90.0))
     assert (hi <= lo).all()
@@ -323,7 +323,7 @@ def test_observe_face_recovers_all_features():
 
 def test_observe_face_occluded_left_eye_degrades_to_right_only():
     img, feats = rendered_frame(cfg=QUIET)
-    canvas = img.pixels.astype(np.float64).copy()
+    canvas = img.astype(np.float64).copy()
     paint_disk(canvas, feats.pupil_left.x, feats.pupil_left.y, 9, 80)
     obs = observe_face(as_image(canvas), DetectConfig())
     assert obs.pupils.left is None
@@ -349,7 +349,7 @@ def test_observe_face_drops_more_eccentric_pupil_on_pair_mismatch():
 
 def test_observe_face_fails_when_no_eye_usable():
     img, feats = rendered_frame(cfg=QUIET)
-    canvas = img.pixels.astype(np.float64).copy()
+    canvas = img.astype(np.float64).copy()
     paint_disk(canvas, feats.pupil_left.x, feats.pupil_left.y, 9, 80)
     paint_disk(canvas, feats.pupil_right.x, feats.pupil_right.y, 9, 80)
     with pytest.raises(NoPupilFound):

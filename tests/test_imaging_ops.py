@@ -3,18 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_morphology
+from helpers import assert_same_image, reference_morphology
+from irgaze.detection import (
+    DetectConfig,
+    MarkerTriple,
+    detect_markers,
+    extract_eye_roi,
+    marker_mask,
+    observe_face,
+    pupil_threshold,
+)
 from irgaze.imaging import (
-    GrayImage,
+    Point,
     binarize,
     connected_components,
+    decode_pgm,
+    encode_pgm,
     histogram_equalize,
     morphology,
 )
+from irgaze.synth import GroundTruth, HeadPose, feature_model, render_scene
 
 
-def gray(rows) -> GrayImage:
-    return GrayImage(np.array(rows, dtype=np.uint8))
+def gray(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.uint8)
 
 
 def binary(rows) -> np.ndarray:
@@ -26,7 +38,7 @@ def random_gray(draw, max_side=16):
     w = draw(st.integers(1, max_side))
     h = draw(st.integers(1, max_side))
     seed = draw(st.integers(0, 2**32 - 1))
-    return GrayImage(np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8))
+    return np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
 
 
 @st.composite
@@ -43,25 +55,25 @@ def random_binary(draw, max_side=16):
 
 def test_equalize_constant_image_maps_to_zero():
     out = histogram_equalize(gray([[77, 77], [77, 77]]))
-    assert out.pixels.tolist() == [[0, 0], [0, 0]]
+    assert_same_image(out, gray([[0, 0], [0, 0]]))
 
 
 def test_equalize_two_level_half_half():
     out = histogram_equalize(gray([[10, 10], [20, 20]]))
-    assert out.pixels.tolist() == [[0, 0], [255, 255]]
+    assert_same_image(out, gray([[0, 0], [255, 255]]))
 
 
 def test_equalize_full_range_levels_are_fixed_points():
     out = histogram_equalize(gray([[0, 0], [255, 255]]))
-    assert out.pixels.tolist() == [[0, 0], [255, 255]]
+    assert_same_image(out, gray([[0, 0], [255, 255]]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(img=random_gray())
 def test_equalize_preserves_intensity_ordering(img):
     out = histogram_equalize(img)
-    src = img.pixels.ravel().astype(int)
-    dst = out.pixels.ravel().astype(int)
+    src = img.ravel().astype(int)
+    dst = out.ravel().astype(int)
     order = np.argsort(src, kind="stable")
     assert (np.diff(dst[order]) >= 0).all()
 
@@ -109,6 +121,52 @@ def test_masks_come_back_read_only():
         assert out.dtype == bool and out.ndim == 2
         assert not out.flags.writeable
     assert mask.flags.writeable  # the input is not frozen in place
+
+
+_MARKERS = MarkerTriple(right=Point(14.0, 14.0), middle=Point(9.0, 4.0), left=Point(3.0, 14.0))
+_IMAGE_ENTRY_POINTS = {
+    "binarize": lambda img: binarize(img, 1),
+    "histogram_equalize": histogram_equalize,
+    "encode_pgm": encode_pgm,
+    "marker_mask": lambda img: marker_mask(img, 3),
+    "detect_markers": lambda img: detect_markers(img, DetectConfig()),
+    "observe_face": lambda img: observe_face(img, DetectConfig()),
+    "extract_eye_roi": lambda img: extract_eye_roi(img, _MARKERS, "right"),
+    "pupil_threshold": lambda img: pupil_threshold(img, 2.0),
+}
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((3, 3)),
+    np.zeros((3, 3), dtype=np.int64),
+    np.zeros((3, 3), dtype=bool),
+    np.zeros(4, dtype=np.uint8),
+    np.zeros((3, 3, 3), dtype=np.uint8),
+    np.zeros((0, 3), dtype=np.uint8),
+    [[1, 2], [3, 4]],
+], ids=["float64", "int64", "bool", "1-D", "3-D", "empty", "list"])
+@pytest.mark.parametrize("entry", sorted(_IMAGE_ENTRY_POINTS))
+def test_images_must_be_non_empty_2d_uint8_arrays(entry, bad):
+    """In-range arrays of another dtype are rejected, not converted."""
+    with pytest.raises(ValueError, match="non-empty 2-D uint8 image"):
+        _IMAGE_ENTRY_POINTS[entry](bad)
+
+
+def test_images_come_back_read_only():
+    frame = np.arange(18 * 20, dtype=np.uint8).reshape(18, 20)
+    data = bytearray(encode_pgm(frame))
+    decoded = decode_pgm(data)
+    data[-frame.size :] = bytes(frame.size)  # the image keeps its own samples
+    assert_same_image(decoded, frame)
+    pose = HeadPose(320, 240)
+    truth = GroundTruth(feature_model(pose, (0.5, 0.5)), Point(0.0, 0.0), pose, seed=5)
+    outputs = [decoded, render_scene(truth), histogram_equalize(frame),
+               extract_eye_roi(frame, _MARKERS, "left").image]
+    for out in outputs:
+        assert out.dtype == np.uint8 and out.ndim == 2
+        assert not out.flags.writeable
+    assert frame.flags.writeable  # the input is not frozen in place
+
 
 def test_open_removes_isolated_pixel():
     img = binary([[0, 0, 0], [0, 1, 0], [0, 0, 0]])

@@ -3,20 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_same_image
 from irgaze.errors import BadMagic, PgmError, TruncatedData, UnsupportedMaxval
-from irgaze.imaging import GrayImage, decode_pgm, encode_pgm
+from irgaze.imaging import decode_pgm, encode_pgm
 
 
 def test_decode_basic_2x2():
     img = decode_pgm(b"P5 2 2 255 " + bytes([0, 64, 128, 255]))
-    assert (img.width, img.height) == (2, 2)
-    assert img.pixels.tolist() == [[0, 64], [128, 255]]
+    assert_same_image(img, np.array([[0, 64], [128, 255]], dtype=np.uint8))
 
 
 def test_decode_newline_separators_and_comment():
     data = b"P5\n# a comment line\n2 2\n# another\n255\n" + bytes([1, 2, 3, 4])
     img = decode_pgm(data)
-    assert img.pixels.tolist() == [[1, 2], [3, 4]]
+    assert_same_image(img, np.array([[1, 2], [3, 4]], dtype=np.uint8))
 
 
 def test_decode_bad_magic():
@@ -46,11 +46,11 @@ def test_decode_garbage_header():
 
 def test_decode_ignores_trailing_bytes():
     img = decode_pgm(b"P5 1 1 255 \x2a extra")
-    assert img.pixels.tolist() == [[42]]
+    assert_same_image(img, np.array([[42]], dtype=np.uint8))
 
 
 def test_encode_1x1():
-    data = encode_pgm(GrayImage(np.array([[42]], dtype=np.uint8)))
+    data = encode_pgm(np.array([[42]], dtype=np.uint8))
     assert data == b"P5\n1 1\n255\n\x2a"
 
 
@@ -68,5 +68,5 @@ def test_reencode_decoded_stream_is_stable():
 )
 def test_round_trip_is_lossless(w, h, seed):
     rng = np.random.default_rng(seed)
-    img = GrayImage(rng.integers(0, 256, size=(h, w), dtype=np.uint8))
-    assert decode_pgm(encode_pgm(img)) == img
+    img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+    assert_same_image(decode_pgm(encode_pgm(img)), img)
