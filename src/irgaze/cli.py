@@ -33,12 +33,12 @@ from .errors import (
     EmptyCorner,
     InputFileError,
     IrGazeError,
-    NoUsableEye,
 )
 from .gaze import (
     CORNERS,
     METRICS,
     WEIGHTINGS,
+    EyeWeights,
     ScreenGeometry,
     accuracy_table,
     build_training_set,
@@ -96,14 +96,10 @@ STAGE_FLAGS: dict[str, tuple[tuple[str, str, dict], ...]] = {
                  ("--n-max", "grid_n_max", dict(type=int))),
 }
 
-ESTIMATE_COLUMNS = (
-    "frame", "x_g", "y_g", "eyes_used",
-    "right_alpha", "right_beta", "right_gamma", "right_delta",
-    "right_w", "right_w_prime",
-    "left_alpha", "left_beta", "left_gamma", "left_delta",
-    "left_w", "left_w_prime",
-    "error",
-)
+_WEIGHT_NAMES = tuple(f.name for f in dataclasses.fields(EyeWeights))
+ESTIMATE_COLUMNS = ("frame", "x_g", "y_g", "eyes_used",
+                    *(f"{side}_{name}" for side in ("right", "left") for name in _WEIGHT_NAMES),
+                    "error")
 
 
 class ConfigError(IrGazeError):
@@ -427,7 +423,7 @@ def cmd_estimate(args: argparse.Namespace, cfg: dict) -> int:
             continue
         try:
             est = estimate_gaze(obs, ts, weighting=cfg["eq10_variant"])
-        except (NoUsableEye, IrGazeError) as exc:
+        except IrGazeError as exc:
             record["error"] = type(exc).__name__
             out_rows.append(record)
             continue
@@ -436,15 +432,9 @@ def cmd_estimate(args: argparse.Namespace, cfg: dict) -> int:
         record["eyes_used"] = est.eyes_used
         for side in ("right", "left"):
             eye = getattr(est, side)
-            if eye is None:
-                continue
-            w = eye.weights
-            record[f"{side}_alpha"] = repr(w.alpha)
-            record[f"{side}_beta"] = repr(w.beta)
-            record[f"{side}_gamma"] = repr(w.gamma)
-            record[f"{side}_delta"] = repr(w.delta)
-            record[f"{side}_w"] = repr(w.w)
-            record[f"{side}_w_prime"] = repr(w.w_prime)
+            if eye is not None:
+                for name, value in zip(_WEIGHT_NAMES, dataclasses.astuple(eye.weights)):
+                    record[f"{side}_{name}"] = repr(value)
         out_rows.append(record)
 
     with open(args.out, "w", newline="") as fh:
@@ -495,30 +485,30 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
                 f"estimates {stems[name]} and {est_path} share the dataset name {name!r}")
         stems[name] = est_path
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    columns = []
+    # Read and join every input first, so that a bad one leaves no report.
+    datasets = []
     for (name, est_path), man_path in zip(stems.items(), args.manifest):
         screen, frames = _read_manifest(man_path)
         truths = {fid: label for fid, _, role, label in frames if role == "evaluation"}
         estimates = _load_estimates(est_path)
         joined = sorted(set(truths) & set(estimates))
         if not joined:
-            print(f"error: no evaluation frames joined for {est_path}", file=sys.stderr)
-            return 1
-        pairs = [(estimates[f], truths[f]) for f in joined]
+            raise InputFileError(f"{est_path} shares no evaluation frame with {man_path}")
+        datasets.append((name, screen, [(f, estimates[f], truths[f]) for f in joined]))
 
-        table = accuracy_table(pairs, screen.width_cm, screen.height_cm,
-                               range(n_min, n_max + 1))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    columns = []
+    for name, screen, rows in datasets:
+        table = accuracy_table([(est, truth) for _, est, truth in rows],
+                               screen.width_cm, screen.height_cm, range(n_min, n_max + 1))
         columns.append([acc for _, acc in table])
 
-        detail_path = out_dir / f"details_{name}.csv"
-        with open(detail_path, "w", newline="") as fh:
+        with open(out_dir / f"details_{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["frame", "dx", "dy"])
-            for f in joined:
-                est, truth = estimates[f], truths[f]
+            for f, est, truth in rows:
                 writer.writerow([f, repr(est.x - truth.x), repr(est.y - truth.y)])
 
     report_path = out_dir / "report.csv"

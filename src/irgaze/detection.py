@@ -12,7 +12,7 @@ toward the maximum until exactly one clean candidate remains.
 A detected pupil pair must also be vertically consistent: the squared
 vertical pupil gap may not exceed a quarter of |(y_mr - y_ml) * (y_mm -
 (y_mr + y_ml)/2)|.  That bound is exactly zero for perfectly level markers,
-so it is floored at (pair_tolerance_floor * outer-marker distance)^2 to keep
+so it is floored at (PAIR_TOLERANCE_FLOOR * outer-marker distance)^2 to keep
 level-headed frames from being rejected wholesale.
 """
 
@@ -51,24 +51,26 @@ MARKER_AREA_BAND = (0.2, 5.0)
 # Minimum eye-region side length, in pixels.
 MIN_ROI_SIDE = 4
 
+# Pupil search: the expected pupil diameter as a fraction of the per-frame
+# outer-marker distance (so it tracks head depth), the eccentricity from which
+# a blob counts as elongated, the weight of above-mean pixels in the
+# threshold, and how often an ambiguous threshold is raised before giving up.
+PUPIL_DIAMETER_FRACTION = 0.10
+ECCENTRICITY_MAX = 0.9
+HIGH_MEAN_WEIGHT = 2.0
+MAX_RETRIES = 5
+
+# Pair-check floor, as a fraction of the outer-marker distance.
+PAIR_TOLERANCE_FLOOR = 0.02
+
 
 @dataclass(frozen=True)
 class DetectConfig:
-    """Detection tuning knobs.
-
-    The marker threshold keeps the ``top_n`` = 3x ``expected_marker_area``
-    brightest pixels (enough for all three markers).  The expected pupil
-    diameter is ``pupil_diameter_fraction`` of the detected outer-marker
-    distance, computed per frame so it tracks head depth; it sizes the
-    opening that removes bright specks from each eye region.
-    """
+    """The one detection setting that depends on the camera setup.  The
+    marker threshold keeps the ``top_n`` = 3x ``expected_marker_area``
+    brightest pixels (enough for all three markers)."""
 
     expected_marker_area: float = math.pi * 7.0 * 7.0
-    pupil_diameter_fraction: float = 0.10
-    eccentricity_max: float = 0.9
-    high_mean_weight: float = 2.0
-    max_retries: int = 5
-    pair_tolerance_floor: float = 0.02
 
     def __post_init__(self):
         if self.top_n < 3:
@@ -76,10 +78,6 @@ class DetectConfig:
                 f"expected_marker_area must give top_n = round(3 x area) >= 3, "
                 f"got {self.expected_marker_area}"
             )
-        if not 0.0 < self.eccentricity_max <= 1.0:
-            raise ValueError("eccentricity_max must lie in (0, 1]")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
     @property
     def top_n(self) -> int:
@@ -266,18 +264,16 @@ def pupil_threshold(roi: np.ndarray, weight: float) -> float:
     return float((w * vals).sum() / w.sum())
 
 
-def _pupil_candidates(
-    mask: np.ndarray, cfg: DetectConfig, cleanup_radius: int
-) -> list[Region]:
+def _pupil_candidates(mask: np.ndarray, cleanup_radius: int) -> list[Region]:
     cleaned = morphology(mask, "open", cleanup_radius)
     return [
         r
         for r in connected_components(cleaned)
-        if not r.touches_border and r.eccentricity < cfg.eccentricity_max
+        if not r.touches_border and r.eccentricity < ECCENTRICITY_MAX
     ]
 
 
-def detect_pupil(roi: EyeRoi, cfg: DetectConfig, pupil_diameter: float) -> PupilDetection:
+def detect_pupil(roi: EyeRoi, pupil_diameter: float) -> PupilDetection:
     """Find the single bright-pupil blob inside an eye region.
 
     The region is equalized, thresholded at the weighted average, opened
@@ -290,11 +286,11 @@ def detect_pupil(roi: EyeRoi, cfg: DetectConfig, pupil_diameter: float) -> Pupil
     element_diameter = max(1, round(0.10 * pupil_diameter))
     cleanup_radius = element_diameter // 2
 
-    threshold = pupil_threshold(eq, cfg.high_mean_weight)
+    threshold = pupil_threshold(eq, HIGH_MEAN_WEIGHT)
     i_max = float(eq.max())
 
-    for attempt in range(cfg.max_retries + 1):
-        candidates = _pupil_candidates(binarize(eq, threshold), cfg, cleanup_radius)
+    for attempt in range(MAX_RETRIES + 1):
+        candidates = _pupil_candidates(binarize(eq, threshold), cleanup_radius)
         if len(candidates) == 1:
             blob = candidates[0]
             col = blob.centroid.x + roi.col_origin
@@ -308,23 +304,21 @@ def detect_pupil(roi: EyeRoi, cfg: DetectConfig, pupil_diameter: float) -> Pupil
                 f"no pupil candidate at threshold {threshold:.1f} "
                 f"(attempt {attempt + 1})"
             )
-        if attempt == cfg.max_retries:
+        if attempt == MAX_RETRIES:
             raise AmbiguousPupil(
-                f"{len(candidates)} candidates left after {cfg.max_retries} retries"
+                f"{len(candidates)} candidates left after {MAX_RETRIES} retries"
             )
         threshold = threshold + 0.5 * (i_max - threshold)
     raise AssertionError("unreachable")
 
 
-def validate_pupil_pair(
-    pupils: PupilPair, markers: MarkerTriple, cfg: DetectConfig
-) -> bool:
+def validate_pupil_pair(pupils: PupilPair, markers: MarkerTriple) -> bool:
     """Vertical-consistency check on a detected pupil pair."""
     if pupils.right is None or pupils.left is None:
         raise MissingPupil("both pupils are required for the pair check")
     y_mr, y_ml, y_mm = markers.right.y, markers.left.y, markers.middle.y
     bound = 0.25 * abs((y_mr - y_ml) * (y_mm - 0.5 * (y_mr + y_ml)))
-    floor = (cfg.pair_tolerance_floor * markers.outer_distance()) ** 2
+    floor = (PAIR_TOLERANCE_FLOOR * markers.outer_distance()) ** 2
     gap_sq = (pupils.right.point.y - pupils.left.point.y) ** 2
     return bool(gap_sq <= max(bound, floor))
 
@@ -338,20 +332,20 @@ def observe_face(img: np.ndarray, cfg: DetectConfig, frame_id: str = "") -> Face
     pupil.
     """
     markers = detect_markers(img, cfg)
-    pupil_diameter = cfg.pupil_diameter_fraction * markers.outer_distance()
+    pupil_diameter = PUPIL_DIAMETER_FRACTION * markers.outer_distance()
 
     found: dict[str, PupilDetection | None] = {}
     for side in ("right", "left"):
         try:
             roi = extract_eye_roi(img, markers, side)
-            found[side] = detect_pupil(roi, cfg, pupil_diameter)
+            found[side] = detect_pupil(roi, pupil_diameter)
         except DetectionError:
             found[side] = None
 
     pair_consistent = None
     if found["right"] is not None and found["left"] is not None:
         pair = PupilPair(right=found["right"], left=found["left"])
-        pair_consistent = validate_pupil_pair(pair, markers, cfg)
+        pair_consistent = validate_pupil_pair(pair, markers)
         if not pair_consistent:
             worse = max(("right", "left"), key=lambda s: found[s].eccentricity)
             found[worse] = None

@@ -152,14 +152,7 @@ class GroundTruth:
     seed: int | None = None
 
     def coords_dict(self) -> dict[str, float]:
-        row = (
-            self.features.marker_right.x, self.features.marker_right.y,
-            self.features.marker_middle.x, self.features.marker_middle.y,
-            self.features.marker_left.x, self.features.marker_left.y,
-            self.features.pupil_right.x, self.features.pupil_right.y,
-            self.features.pupil_left.x, self.features.pupil_left.y,
-        )
-        return dict(zip(COORD_KEYS, row))
+        return dict(zip(COORD_KEYS, (c for p in self.features for c in p)))
 
 
 def feature_model(pose: HeadPose, gaze_norm: tuple[float, float],
@@ -371,47 +364,40 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     grid = GridSpec(n=spec.eval_grid_n, width_cm=spec.screen.width_cm,
                     height_cm=spec.screen.height_cm)
 
-    # (frame_id, role, corner_or_None, gaze_cm, base_pose, jitter?)
-    plan: list[tuple[str, str, int | None, Point, HeadPose, bool]] = []
+    # (frame_id, role, corner or None, truth); a frame's seeds come from its
+    # plan index, and repeats of a training target drift a little.
+    plan: list[tuple[str, str, int | None, GroundTruth]] = []
+
+    def add(frame_id: str, role: str, corner: int | None, gaze: Point,
+            pose: HeadPose, jitter: bool) -> None:
+        noise_seed, jitter_seed = _frame_seeds(spec.master_seed, len(plan))
+        if jitter:
+            drift = np.random.default_rng(jitter_seed).uniform(-_JITTER_PX, _JITTER_PX, 2)
+            pose = HeadPose(pose.tx + float(drift[0]), pose.ty + float(drift[1]),
+                            pose.theta, pose.scale)
+        gaze_norm = (gaze.x / spec.screen.width_cm, gaze.y / spec.screen.height_cm)
+        truth = GroundTruth(features=feature_model(pose, gaze_norm, spec.layout),
+                            gaze_cm=gaze, pose=pose, seed=noise_seed)
+        plan.append((frame_id, role, corner, truth))
+
     for pi, pose in enumerate(spec.poses):
         for corner in (1, 2, 3, 4):
             for rep in range(spec.training_repeats):
-                plan.append((
-                    f"train_p{pi}_c{corner}_r{rep}",
-                    "training", corner, spec.screen.corner(corner), pose, rep > 0,
-                ))
+                add(f"train_p{pi}_c{corner}_r{rep}", "training", corner,
+                    spec.screen.corner(corner), pose, rep > 0)
     for pi, pose in enumerate(spec.poses):
         for label in range(1, spec.eval_points + 1):
-            plan.append((
-                f"eval_p{pi}_k{label:02d}",
-                "evaluation", None, grid.cell_center(label), pose, False,
-            ))
-
-    truths = []
-    for index, (_, _, _, gaze, base_pose, jitter) in enumerate(plan):
-        noise_seed, jitter_seed = _frame_seeds(spec.master_seed, index)
-        pose = base_pose
-        if jitter:
-            drift = np.random.default_rng(jitter_seed).uniform(-_JITTER_PX, _JITTER_PX, 2)
-            pose = HeadPose(base_pose.tx + float(drift[0]),
-                            base_pose.ty + float(drift[1]),
-                            base_pose.theta, base_pose.scale)
-        gaze_norm = (gaze.x / spec.screen.width_cm, gaze.y / spec.screen.height_cm)
-        truths.append(GroundTruth(
-            features=feature_model(pose, gaze_norm, spec.layout),
-            gaze_cm=gaze,
-            pose=pose,
-            seed=noise_seed,
-        ))
+            add(f"eval_p{pi}_k{label:02d}", "evaluation", None,
+                grid.cell_center(label), pose, False)
 
     sigma = spec.render.noise_sigma
     shape = (spec.render.height, spec.render.width)
     buffers = (np.empty(shape), np.empty(shape)) if sigma > 0 else ()
 
     def draw_ahead(index: int) -> Future | None:
-        if not buffers or index == len(truths):
+        if not buffers or index == len(plan):
             return None
-        return pool.submit(draw_noise, truths[index].seed, sigma, buffers[index % 2])
+        return pool.submit(draw_noise, plan[index][3].seed, sigma, buffers[index % 2])
 
     frames = []
     skipped = []
@@ -419,8 +405,7 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     # sigma is 0; leaving the block joins it.
     with ThreadPoolExecutor(max_workers=1) as pool:
         ahead = draw_ahead(0)
-        for index, (frame_id, role, corner, gaze, _, _) in enumerate(plan):
-            truth = truths[index]
+        for index, (frame_id, role, corner, truth) in enumerate(plan):
             noise = ahead.result() if ahead else None
             ahead = draw_ahead(index + 1)
             file_name = frame_id + ".pgm"
@@ -433,7 +418,7 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
             entry = {
                 "file": file_name,
                 "role": role,
-                "gaze": [gaze.x, gaze.y],
+                "gaze": list(truth.gaze_cm),
                 "pose": truth.pose.to_dict(),
                 "truth": truth.coords_dict(),
                 "seed": truth.seed,

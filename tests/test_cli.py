@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irgaze.cli import main
+from irgaze.cli import CONFIG_DEFAULTS, main
 from irgaze.imaging import encode_pgm
 
 
@@ -332,6 +333,10 @@ def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
     ({"metric": "cosine"}, "metric"),
     ({"detect": {"expected_marker_area": float("inf")}}, "expected_marker_area"),
     ({"jobs": 0}, "jobs"),
+    ({"detect": {"eccentricity_max": 0.5}}, "detect.eccentricity_max"),
+    ({"detect": {"high_mean_weight": 2.0}}, "detect.high_mean_weight"),
+    ({"detect": {"pupil_diameter_fraction": 0.1}}, "detect.pupil_diameter_fraction"),
+    ({"detect": {"pair_tolerance_floor": 0.02}}, "detect.pair_tolerance_floor"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
     cfg = tmp_path / "cfg.json"
@@ -340,6 +345,20 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
                  "--out", str(tmp_path / "o.jsonl")]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_readme_config_table_lists_every_key():
+    def leaves(section, prefix=""):
+        for key, value in section.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Run configuration")[1].split("\n###")[0]
+    documented = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(leaves(CONFIG_DEFAULTS))
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -498,6 +517,17 @@ def test_evaluate_needs_one_manifest_per_estimates_file(pipeline, tmp_path, caps
     assert main(["evaluate", "--estimates", est, "--manifest", man, "--manifest", man,
                  "--out", str(out)]) == 2
     assert "give one --manifest per --estimates, got 1 and 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_estimates_sharing_no_frame_with_the_manifest(pipeline, tmp_path, capsys):
+    """Such a file once exited 1 after creating an empty report directory."""
+    est = tmp_path / "est.csv"
+    est.write_text((pipeline / "est.csv").read_text().replace("eval_", "zzz_"))
+    man, out = str(pipeline / "ds" / "manifest.json"), tmp_path / "r"
+    assert main(["evaluate", "--estimates", str(est), "--manifest", man,
+                 "--out", str(out)]) == 2
+    assert f"{est} shares no evaluation frame with {man}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import as_image, blank, paint_disk, paint_ellipse, reference_marker_mask
 from irgaze.detection import (
+    PAIR_TOLERANCE_FLOOR,
     DetectConfig,
     EyeRoi,
     MarkerTriple,
@@ -86,31 +88,28 @@ def pair_at(y_right, y_left):
 
 def test_pair_check_bound_from_marker_geometry():
     markers = MarkerTriple(right=Point(200, 98), middle=Point(100, 130), left=Point(0, 102))
-    cfg = DetectConfig()
     # bound = 0.25 * |(98-102) * (130-100)| = 30; floor = (0.02*~200)^2 ~ 16
-    assert validate_pupil_pair(pair_at(105, 100), markers, cfg) is True
-    assert validate_pupil_pair(pair_at(106, 100), markers, cfg) is False
+    assert validate_pupil_pair(pair_at(105, 100), markers) is True
+    assert validate_pupil_pair(pair_at(106, 100), markers) is False
 
 
 def test_pair_check_level_markers_fall_to_floor():
     markers = MarkerTriple(right=Point(200, 100), middle=Point(100, 60), left=Point(0, 100))
-    cfg = DetectConfig()
-    floor = (cfg.pair_tolerance_floor * 200.0) ** 2
+    floor = (PAIR_TOLERANCE_FLOOR * 200.0) ** 2
     ok_gap = np.sqrt(floor) - 0.1
-    assert validate_pupil_pair(pair_at(100 + ok_gap, 100), markers, cfg) is True
-    assert validate_pupil_pair(pair_at(100 + np.sqrt(floor) + 0.1, 100), markers, cfg) is False
+    assert validate_pupil_pair(pair_at(100 + ok_gap, 100), markers) is True
+    assert validate_pupil_pair(pair_at(100 + np.sqrt(floor) + 0.1, 100), markers) is False
 
 
 def test_pair_check_equal_heights_always_pass():
     markers = MarkerTriple(right=Point(200, 100), middle=Point(100, 60), left=Point(0, 100))
-    assert validate_pupil_pair(pair_at(123.4, 123.4), markers, DetectConfig()) is True
+    assert validate_pupil_pair(pair_at(123.4, 123.4), markers) is True
 
 
 def test_pair_check_symmetric_under_swap():
     markers = MarkerTriple(right=Point(200, 98), middle=Point(100, 130), left=Point(0, 102))
-    cfg = DetectConfig()
-    a = validate_pupil_pair(pair_at(105, 101), markers, cfg)
-    b = validate_pupil_pair(pair_at(101, 105), markers, cfg)
+    a = validate_pupil_pair(pair_at(105, 101), markers)
+    b = validate_pupil_pair(pair_at(101, 105), markers)
     assert a == b
 
 
@@ -118,7 +117,7 @@ def test_pair_check_needs_both_pupils():
     markers = MarkerTriple(right=Point(200, 100), middle=Point(100, 60), left=Point(0, 100))
     incomplete = PupilPair(right=PupilDetection(Point(1, 1), 5, 0.1), left=None)
     with pytest.raises(MissingPupil):
-        validate_pupil_pair(incomplete, markers, DetectConfig())
+        validate_pupil_pair(incomplete, markers)
 
 
 # --- detect_markers -----------------------------------------------------------
@@ -258,7 +257,7 @@ def whole_roi(canvas, col_origin=0, row_origin=0, frame_height=None):
 def test_detect_pupil_single_round_blob():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 20, 5, 170)
-    found = detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
+    found = detect_pupil(whole_roi(canvas), 10.0)
     assert found.point.distance_to(Point(30, 20)) < 0.5
     assert found.eccentricity < 0.9
     assert found.area > 50
@@ -268,7 +267,7 @@ def test_detect_pupil_offsets_map_to_frame_coordinates():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 20, 5, 170)
     roi = whole_roi(canvas, col_origin=100, row_origin=200, frame_height=480)
-    found = detect_pupil(roi, DetectConfig(), 10.0)
+    found = detect_pupil(roi, 10.0)
     # ROI row of the blob center: (40-1)-20 = 19 -> frame row 219 -> y = 479-219
     assert found.point.x == pytest.approx(130, abs=0.5)
     assert found.point.y == pytest.approx(479 - 219, abs=0.5)
@@ -278,7 +277,7 @@ def test_detect_pupil_border_blob_rejected():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 38, 5, 170)  # pokes past the top edge
     with pytest.raises(NoPupilFound):
-        detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
+        detect_pupil(whole_roi(canvas), 10.0)
 
 
 def test_detect_pupil_two_persistent_blobs_ambiguous():
@@ -286,7 +285,7 @@ def test_detect_pupil_two_persistent_blobs_ambiguous():
     paint_disk(canvas, 20, 20, 5, 170)
     paint_disk(canvas, 40, 20, 5, 170)
     with pytest.raises(AmbiguousPupil):
-        detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
+        detect_pupil(whole_roi(canvas), 10.0)
 
 
 def test_detect_pupil_retry_raises_threshold_until_unique():
@@ -294,7 +293,7 @@ def test_detect_pupil_retry_raises_threshold_until_unique():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 20, 20, 5, 140)
     paint_disk(canvas, 42, 20, 5, 235)
-    found = detect_pupil(whole_roi(canvas), DetectConfig(), 10.0)
+    found = detect_pupil(whole_roi(canvas), 10.0)
     assert found.point.distance_to(Point(42, 20)) < 0.5
 
 
@@ -370,9 +369,6 @@ def test_config_default_top_n_tracks_marker_area():
 
 @pytest.mark.parametrize("bad", [
     dict(expected_marker_area=0.5),  # top_n = round(1.5) = 2
-    dict(eccentricity_max=0.0),
-    dict(eccentricity_max=1.2),
-    dict(max_retries=-1),
     dict(expected_marker_area=0.0),
 ])
 def test_config_validation(bad):
@@ -382,8 +378,8 @@ def test_config_validation(bad):
 
 def test_config_replace_keeps_frozen_semantics():
     cfg = DetectConfig()
-    derived = dataclasses.replace(cfg, max_retries=2)
-    assert cfg.max_retries == 5
-    assert derived.max_retries == 2
+    derived = dataclasses.replace(cfg, expected_marker_area=4.0 * cfg.expected_marker_area)
+    assert cfg.expected_marker_area == math.pi * 7.0 * 7.0
+    assert (cfg.top_n, derived.top_n) == (462, 1847)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.max_retries = 1
+        cfg.expected_marker_area = 1.0
