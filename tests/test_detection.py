@@ -367,9 +367,10 @@ def test_config_default_top_n_tracks_marker_area():
     assert DetectConfig(expected_marker_area=100.0).top_n == 300
 
 
+# Case ids are fixed names, not list positions: retired cases leave gaps.
 @pytest.mark.parametrize("bad", [
-    dict(expected_marker_area=0.5),  # top_n = round(1.5) = 2
-    dict(expected_marker_area=0.0),
+    pytest.param(dict(expected_marker_area=0.5), id="bad0"),  # top_n = round(1.5) = 2
+    pytest.param(dict(expected_marker_area=0.0), id="bad4"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
