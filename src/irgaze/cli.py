@@ -36,6 +36,7 @@ from .errors import (
 )
 from .gaze import (
     CORNERS,
+    GRID_NS,
     METRICS,
     WEIGHTINGS,
     EyeWeights,
@@ -53,12 +54,9 @@ CONFIG_DEFAULTS: dict = {
     "metric": "congruency",
     "eq10_variant": "corrected",
     "jobs": 1,
-    "grid_n_min": 2,
-    "grid_n_max": 10,
     "screen": {
         "width_cm": 60.0,
         "height_cm": 60.0,
-        "training_targets": "corners",
     },
     "detect": dataclasses.asdict(DetectConfig()),
     "synth": {
@@ -75,7 +73,6 @@ CONFIG_DEFAULTS: dict = {
 CONFIG_CHOICES = {
     "metric": METRICS,
     "eq10_variant": WEIGHTINGS,
-    "screen.training_targets": ("corners", "cell_centers"),
 }
 
 # Each stage's own flags: (flag, config key it sets, argparse options).
@@ -92,8 +89,7 @@ STAGE_FLAGS: dict[str, tuple[tuple[str, str, dict], ...]] = {
     "train": (("--metric", "metric", dict(choices=METRICS, help="head-orientation metric")),),
     "estimate": (("--eq10-variant", "eq10_variant",
                   dict(choices=WEIGHTINGS, help="vertical-interpolation weighting")),),
-    "evaluate": (("--n-min", "grid_n_min", dict(type=int)),
-                 ("--n-max", "grid_n_max", dict(type=int))),
+    "evaluate": (),
 }
 
 _WEIGHT_NAMES = tuple(f.name for f in dataclasses.fields(EyeWeights))
@@ -122,7 +118,8 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigError(f"config key {where!r} must be {type(default).__name__}, "
                               f"got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        # NaN, an infinity and an int beyond float range all fail this test.
+        if isinstance(default, float) and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"config key {where!r} must be finite, got {value!r}")
         if value not in CONFIG_CHOICES.get(where, (value,)):
             raise ConfigError(f"config key {where!r} must be one of {CONFIG_CHOICES[where]}")
@@ -137,7 +134,7 @@ def load_config(path: str | None) -> dict:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer over int()'s digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -150,13 +147,6 @@ def _configured(section: str, factory, *args, **kwargs):
         return factory(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"config {section}: {exc}") from exc
-
-
-def _screen_from_config(cfg: dict) -> ScreenGeometry:
-    sc = cfg["screen"]
-    factory = (ScreenGeometry.with_corner_targets if sc["training_targets"] == "corners"
-               else ScreenGeometry.with_cell_center_targets)
-    return _configured("screen", factory, sc["width_cm"], sc["height_cm"])
 
 
 # --- input files ----------------------------------------------------------
@@ -174,7 +164,8 @@ def _reading(where: str):
         raise InputFileError(f"{where}: not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise InputFileError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError, EmptyCorner, DegenerateTriangle) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, EmptyCorner,
+            DegenerateTriangle) as exc:
         raise InputFileError(f"{where}: malformed field: {exc}") from exc
 
 
@@ -260,7 +251,7 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
         poses=all_poses[: sy["poses"]],
         eval_points=sy["points"],
         training_repeats=sy["training_repeats"],
-        screen=_screen_from_config(cfg),
+        screen=_configured("screen", ScreenGeometry.with_corner_targets, **cfg["screen"]),
         render=render,
         master_seed=cfg["seed"],
     )
@@ -361,6 +352,8 @@ def cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
         print("error: no input frames (give --manifest or PGM paths)", file=sys.stderr)
         return 1
 
+    # A fork-started pool forks all its workers at the first submit.
+    workers = min(workers, len(jobs_list))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_detect_one, jobs_list))
@@ -468,10 +461,6 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
-    n_min, n_max = cfg["grid_n_min"], cfg["grid_n_max"]
-    if not 2 <= n_min <= n_max:
-        raise ConfigError(f"need 2 <= grid_n_min <= grid_n_max, got {n_min} and {n_max}")
-
     if len(args.estimates) != len(args.manifest):
         raise InputFileError(f"give one --manifest per --estimates, got "
                              f"{len(args.estimates)} and {len(args.manifest)}")
@@ -502,7 +491,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     columns = []
     for name, screen, rows in datasets:
         table = accuracy_table([(est, truth) for _, est, truth in rows],
-                               screen.width_cm, screen.height_cm, range(n_min, n_max + 1))
+                               screen.width_cm, screen.height_cm)
         columns.append([acc for _, acc in table])
 
         with open(out_dir / f"details_{name}.csv", "w", newline="") as fh:
@@ -515,7 +504,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     with open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", *stems, "AVG", "STD"])
-        for i, n in enumerate(range(n_min, n_max + 1)):
+        for i, n in enumerate(GRID_NS):
             pct = [100.0 * col[i] for col in columns]
             avg = sum(pct) / len(pct)
             if len(pct) > 1:

@@ -234,7 +234,7 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
 
     row_lo = y_to_row(y_hi, height)
     row_hi = y_to_row(y_lo, height)
-    crop = img[row_lo : row_hi + 1, col_lo : col_hi + 1].astype(np.float64)
+    crop = img[row_lo : row_hi + 1, col_lo : col_hi + 1].copy()
 
     mask = np.zeros(crop.shape, dtype=bool)
     if markers.regions is not None:
@@ -247,12 +247,11 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
             )
             mask[rows[inside] - row_lo, cols[inside] - col_lo] = True
     if mask.any():
-        fill = crop[~mask].mean() if (~mask).any() else 0.0
-        crop[mask] = fill
+        # The mean is a float64 sum of uint8 values, which is exact.
+        crop[mask] = np.floor(crop[~mask].mean() + 0.5) if (~mask).any() else 0
 
-    image = np.floor(crop + 0.5).astype(np.uint8)
-    image.setflags(write=False)
-    return EyeRoi(image=image, col_origin=col_lo, row_origin=row_lo, frame_height=height)
+    crop.setflags(write=False)
+    return EyeRoi(image=crop, col_origin=col_lo, row_origin=row_lo, frame_height=height)
 
 
 def pupil_threshold(roi: np.ndarray, weight: float) -> float:

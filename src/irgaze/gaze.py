@@ -48,6 +48,7 @@ from .imaging import Point
 CORNERS = (1, 2, 3, 4)  # 1 up-left, 2 up-right, 3 down-left, 4 down-right
 METRICS = ("congruency", "euclidean")
 WEIGHTINGS = ("corrected", "literal")
+GRID_NS = range(2, 11)  # grid resolutions of every accuracy table
 
 # Ten coordinate field names, in serialization order: markers right, middle,
 # left, then pupils right, left.
@@ -90,27 +91,12 @@ class ScreenGeometry:
 
     @classmethod
     def with_corner_targets(cls, width_cm: float = 60.0, height_cm: float = 60.0) -> "ScreenGeometry":
-        """Training targets at the exact screen corners (the default)."""
+        """Training targets at the exact screen corners."""
         return cls(width_cm, height_cm, (
             Point(0.0, height_cm),
             Point(width_cm, height_cm),
             Point(0.0, 0.0),
             Point(width_cm, 0.0),
-        ))
-
-    @classmethod
-    def with_cell_center_targets(
-        cls, width_cm: float = 60.0, height_cm: float = 60.0, n: int = 5
-    ) -> "ScreenGeometry":
-        """Training targets at the centers of the four corner cells of an
-        n-by-n grid (the alternative calibration protocol)."""
-        dx = width_cm / n / 2.0
-        dy = height_cm / n / 2.0
-        return cls(width_cm, height_cm, (
-            Point(dx, height_cm - dy),
-            Point(width_cm - dx, height_cm - dy),
-            Point(dx, dy),
-            Point(width_cm - dx, dy),
         ))
 
     def to_dict(self) -> dict:
@@ -443,14 +429,11 @@ def score_accuracy(
 
 
 def accuracy_table(
-    pairs: Sequence[tuple[Point, Point]],
-    width_cm: float,
-    height_cm: float,
-    n_values: Iterable[int] = range(2, 11),
+    pairs: Sequence[tuple[Point, Point]], width_cm: float, height_cm: float
 ) -> list[tuple[int, float]]:
-    """Accuracy at each grid resolution; non-increasing in n by
-    construction."""
+    """Accuracy at each grid resolution n in ``GRID_NS``; non-increasing in
+    n by construction."""
     return [
         (n, score_accuracy(pairs, GridSpec(n=n, width_cm=width_cm, height_cm=height_cm)))
-        for n in n_values
+        for n in GRID_NS
     ]

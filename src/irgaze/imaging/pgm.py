@@ -47,7 +47,9 @@ def decode_pgm(data: bytes) -> np.ndarray:
     for name in ("width", "height", "maxval"):
         token = next_token()
         try:
-            fields.append(int(token))
+            if not token.isdigit():  # ASCII digits only, unlike int()
+                raise ValueError
+            fields.append(int(token))  # raises past 4300 digits
         except ValueError:
             raise PgmError(f"non-numeric {name} field: {token!r}") from None
     width, height, maxval = fields

@@ -37,6 +37,7 @@ from .imaging import Point, encode_pgm
 SCALE_RANGE = (0.5, 2.0)
 MAX_ROTATION = 0.35  # radians
 RENDER_MARGIN = 10  # minimum feature distance to the image border, px
+EVAL_GRID_N = 5  # evaluation gaze points are cell centers of this n-by-n grid
 
 # Training-sweep translation jitter, px (head drift between repeats).
 _JITTER_PX = 12.0
@@ -323,13 +324,12 @@ def default_poses(width: int = 640, height: int = 480) -> tuple[HeadPose, ...]:
 @dataclass(frozen=True)
 class DatasetSpec:
     """What to generate: evaluation frames cover ``eval_points`` cell
-    centers of an ``eval_grid_n`` grid at every pose; training frames sweep
+    centers of an ``EVAL_GRID_N`` grid at every pose; training frames sweep
     the four corner targets at every pose, ``training_repeats`` times with
     a little translation jitter between repeats."""
 
     poses: tuple[HeadPose, ...] = field(default_factory=default_poses)
     eval_points: int = 25
-    eval_grid_n: int = 5
     training_repeats: int = 2
     screen: ScreenGeometry = field(default_factory=ScreenGeometry.with_corner_targets)
     layout: FaceLayout = FaceLayout()
@@ -337,8 +337,8 @@ class DatasetSpec:
     master_seed: int = 1234
 
     def __post_init__(self):
-        if self.eval_points < 0 or self.eval_points > self.eval_grid_n ** 2:
-            raise ValueError(f"eval_points must lie in [0, {self.eval_grid_n ** 2}]")
+        if self.eval_points < 0 or self.eval_points > EVAL_GRID_N ** 2:
+            raise ValueError(f"eval_points must lie in [0, {EVAL_GRID_N ** 2}]")
         if self.training_repeats < 0:
             raise ValueError("training_repeats must be >= 0")
 
@@ -361,7 +361,7 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    grid = GridSpec(n=spec.eval_grid_n, width_cm=spec.screen.width_cm,
+    grid = GridSpec(n=EVAL_GRID_N, width_cm=spec.screen.width_cm,
                     height_cm=spec.screen.height_cm)
 
     # (frame_id, role, corner or None, truth); a frame's seeds come from its

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irgaze.cli import CONFIG_DEFAULTS, main
+from irgaze.cli import CONFIG_DEFAULTS, STAGE_FLAGS, main
 from irgaze.imaging import encode_pgm
 
 
@@ -291,6 +291,7 @@ def test_full_pipeline_determinism(tmp_path):
     ["evaluate", "--estimates", "e", "--manifest", "m", "--out", "r", "--jobs", "7"],
     ["evaluate", "--estimates", "e", "--manifest", "m", "--out", "r",
      "--eq10-variant", "literal"],
+    ["evaluate", "--estimates", "e", "--manifest", "m", "--out", "r", "--n-max", "5"],
 ])
 def test_stage_rejects_flags_it_does_not_read(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -337,6 +338,9 @@ def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
     ({"detect": {"high_mean_weight": 2.0}}, "detect.high_mean_weight"),
     ({"detect": {"pupil_diameter_fraction": 0.1}}, "detect.pupil_diameter_fraction"),
     ({"detect": {"pair_tolerance_floor": 0.02}}, "detect.pair_tolerance_floor"),
+    ({"screen": {"training_targets": "corners"}}, "screen.training_targets"),
+    ({"grid_n_min": 2}, "grid_n_min"),
+    ({"grid_n_max": 10}, "grid_n_max"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
     cfg = tmp_path / "cfg.json"
@@ -361,6 +365,16 @@ def test_readme_config_table_lists_every_key():
     assert sorted(documented) == sorted(leaves(CONFIG_DEFAULTS))
 
 
+def test_readme_stage_flags_table_lists_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = re.split(r"^\| stage +\| own flags.*$", readme, flags=re.MULTILINE)[1]
+    table = table.split("\n\n")[0]
+    rows = re.findall(r"^\| (\w+) +\|(.*)\|$", table, flags=re.MULTILINE)
+    documented = {stage: re.findall(r"`(--[\w-]+)", flags) for stage, flags in rows}
+    assert documented == {stage: [flag for flag, _, _ in flags]
+                          for stage, flags in STAGE_FLAGS.items()}
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_detect_rejects_jobs_below_1_from_the_flag(pipeline, tmp_path, capsys, jobs):
     frame = next((pipeline / "ds").glob("*.pgm"))
@@ -370,11 +384,36 @@ def test_detect_rejects_jobs_below_1_from_the_flag(pipeline, tmp_path, capsys, j
     assert not out.exists()
 
 
-def test_evaluate_rejects_an_empty_grid_range(pipeline, tmp_path, capsys):
-    assert main(["evaluate", "--estimates", str(pipeline / "est.csv"),
-                 "--manifest", str(pipeline / "ds" / "manifest.json"),
-                 "--out", str(tmp_path / "r"), "--n-min", "5", "--n-max", "3"]) == 2
-    assert "grid_n_min" in capsys.readouterr().err
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's worker count
+    and maps in this process."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("n_frames, built", [(2, [2]), (1, [])])
+def test_detect_starts_no_more_workers_than_frames(pipeline, tmp_path, monkeypatch,
+                                                   n_frames, built):
+    monkeypatch.setattr("irgaze.cli.ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "built", [])
+    frames = [str(p) for p in sorted((pipeline / "ds").glob("*.pgm"))[:n_frames]]
+    serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+    assert main(["detect", *frames, "--out", str(serial)]) == 0
+    assert main(["detect", *frames, "--out", str(pooled), "--jobs", "64"]) == 0
+    assert _RecordingPool.built == built
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_config_accepts_an_int_where_a_float_is_expected(tmp_path):
@@ -753,3 +792,66 @@ def test_hires_observation_bytes_are_pinned(tmp_path):
     assert main(["detect", "--manifest", str(ds / "manifest.json"), "--out", str(obs)]) == 0
     digest = hashlib.sha256(obs.read_bytes()).hexdigest()
     assert digest == "7a21f72d4dd2c3f5e97e21a5d4a35fc32ecb9b2f50cf539c4b05018d785b821d"
+
+
+# --- integers beyond float range ------------------------------------------------
+
+HUGE = 10**400  # json.dumps writes it as a bare integer; float() overflows on it
+
+
+def _huge_gaze_in_manifest(pipeline, tmp_path):
+    doc = json.loads((pipeline / "ds" / "manifest.json").read_text())
+    i = next(i for i, f in enumerate(doc["frames"]) if f["role"] == "evaluation")
+    doc["frames"][i]["gaze"][0] = HUGE
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    return (["detect", "--manifest", str(bad), "--out", str(tmp_path / "out")],
+            f"{bad}: frames.{i}: malformed field")
+
+
+def _huge_marker_in_observations(pipeline, tmp_path):
+    rows = read_jsonl(pipeline / "obs.jsonl")
+    rows[1]["markers"]["middle"][0] = HUGE
+    bad = tmp_path / "obs.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return (["train", "--observations", str(bad),
+             "--manifest", str(pipeline / "ds" / "manifest.json"),
+             "--out", str(tmp_path / "out")],
+            f"{bad}:2: malformed field")
+
+
+def _huge_pupil_in_training_set(pipeline, tmp_path):
+    doc = json.loads((pipeline / "train.json").read_text())
+    doc["corners"]["3"][0]["y_pl"] = HUGE
+    bad = tmp_path / "ts.json"
+    bad.write_text(json.dumps(doc))
+    return (["estimate", "--observations", str(pipeline / "obs.jsonl"),
+             "--training-set", str(bad), "--out", str(tmp_path / "out")],
+            f"{bad}: corners.3.0: malformed field")
+
+
+def _huge_noise_sigma_in_config(pipeline, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"noise_sigma": HUGE}}))
+    return (["synth", "--config", str(cfg), "--out", str(tmp_path / "out"),
+             "--poses", "1", "--points", "1"],
+            "config key 'synth.noise_sigma' must be finite")
+
+
+def _overlong_noise_sigma_in_config(pipeline, tmp_path):
+    """Past 4300 digits json.loads itself raises a plain ValueError."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"synth": {"noise_sigma": ' + "9" * 5000 + "}}")
+    return (["synth", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            f"config {cfg} is not valid JSON")
+
+
+@pytest.mark.parametrize("spoil", [_huge_gaze_in_manifest, _huge_marker_in_observations,
+                                   _huge_pupil_in_training_set, _huge_noise_sigma_in_config,
+                                   _overlong_noise_sigma_in_config])
+def test_integer_beyond_float_range_exits_2_naming_the_field(pipeline, tmp_path, capsys,
+                                                             spoil):
+    argv, named = spoil(pipeline, tmp_path)
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -589,14 +589,6 @@ def test_screen_corner_targets_layout():
     assert s.corner(4) == Point(60, 0)
 
 
-def test_screen_cell_center_targets_preset():
-    s = ScreenGeometry.with_cell_center_targets(60, 60, n=5)
-    assert s.corner(1) == Point(6, 54)
-    assert s.corner(2) == Point(54, 54)
-    assert s.corner(3) == Point(6, 6)
-    assert s.corner(4) == Point(54, 6)
-
-
 def test_screen_rejects_misordered_corners():
     with pytest.raises(ValueError):
         ScreenGeometry(60, 60, (Point(60, 60), Point(0, 60), Point(0, 0), Point(60, 0)))

@@ -44,6 +44,19 @@ def test_decode_garbage_header():
         decode_pgm(b"P5 two 2 255 " + bytes(4))
 
 
+@pytest.mark.parametrize("header, samples", [
+    pytest.param(b"P5 1_0 1 255 ", 10, id="underscore-width"),
+    pytest.param(b"P5 +2 1 255 ", 2, id="signed-width"),
+    pytest.param(b"P5 1 1 2_55 ", 1, id="underscore-maxval"),
+    pytest.param(b"P5 " + b"9" * 5000 + b" 1 255 ", 0, id="overlong-width"),
+])
+def test_decode_header_number_grammar(header, samples):
+    """int() would read the first three as 10, 2 and 255, and raises a
+    plain ValueError on the last."""
+    with pytest.raises(PgmError, match="non-numeric"):
+        decode_pgm(header + bytes(samples))
+
+
 def test_decode_ignores_trailing_bytes():
     img = decode_pgm(b"P5 1 1 255 \x2a extra")
     assert_same_image(img, np.array([[42]], dtype=np.uint8))
