@@ -37,6 +37,7 @@ from .gaze import (
 from .imaging import (
     Point,
     Region,
+    Regions,
     binarize,
     check_image,
     connected_components,
@@ -62,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "Point", "Region",
+    "Point", "Region", "Regions",
     "binarize", "check_image", "connected_components", "decode_pgm", "encode_pgm",
     "histogram_equalize", "morphology",
     "DetectConfig", "EyeRoi", "FaceObservation", "MarkerTriple",

@@ -169,6 +169,13 @@ def _reading(where: str):
         raise InputFileError(f"{where}: malformed field: {exc}") from exc
 
 
+def _require_finite(values: list, field: str) -> None:
+    """ValueError naming ``field`` unless every value is a finite number:
+    NaN, an infinity and an int beyond float range all fail."""
+    if not all(abs(value) <= sys.float_info.max for value in values):
+        raise ValueError(f"{field} must be finite, got {values}")
+
+
 def _claim(seen: dict[str, str], frame_id: str, entry: str) -> None:
     """Record that ``entry`` holds ``frame_id``, which no entry in ``seen``
     may hold already."""
@@ -196,9 +203,8 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
                 if type(label) is not int:
                     raise TypeError(f"corner must be an integer, got {label!r}")
             else:
+                _require_finite(entry["gaze"], "gaze")
                 label = Point(*map(float, entry["gaze"]))
-                if not all(map(math.isfinite, label)):
-                    raise ValueError(f"gaze must be finite, got {list(label)}")
             if role != "evaluation" and label not in CORNERS:
                 raise ValueError(
                     f"need role 'evaluation', or 'training' with a corner in {CORNERS}")
@@ -300,10 +306,8 @@ def row_to_observation(row: dict) -> FaceObservation:
     non-finite coordinate raises ValueError naming its field."""
 
     def point(xy, field: str) -> Point:
-        x, y = xy
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"{field} must be finite, got {[x, y]}")
-        return Point(x, y)
+        _require_finite(xy, field)
+        return Point(*xy)
 
     def pupil(side):
         d = row["pupils"][side]

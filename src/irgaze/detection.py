@@ -19,7 +19,7 @@ level-headed frames from being rejected wholesale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .imaging import (
     Point,
-    Region,
     binarize,
     check_image,
     connected_components,
@@ -91,14 +90,14 @@ class DetectConfig:
 @dataclass(frozen=True)
 class MarkerTriple:
     """The three marker centroids; right/left refer to image sides, so
-    right.x >= left.x.  ``regions`` keeps the detected blobs (same order)
-    when the triple came from :func:`detect_markers`; hand-built triples
-    may omit them."""
+    right.x >= left.x.  ``outer_pixels`` holds the right and left blobs'
+    frame (row, col) pixels as read-only (n, 2) arrays when the triple came
+    from :func:`detect_markers`.  Equality compares the centroids only."""
 
     right: Point
     middle: Point
     left: Point
-    regions: tuple[Region, Region, Region] | None = None
+    outer_pixels: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
     def outer_distance(self) -> float:
         return self.right.distance_to(self.left)
@@ -173,34 +172,38 @@ def detect_markers(img: np.ndarray, cfg: DetectConfig) -> MarkerTriple:
 
     lo = MARKER_AREA_BAND[0] * cfg.expected_marker_area
     hi = MARKER_AREA_BAND[1] * cfg.expected_marker_area
-    candidates = [r for r in regions if lo <= r.area <= hi]
-    if len(candidates) < 3:
+    candidates = ((regions.area >= lo) & (regions.area <= hi)).nonzero()[0]
+    if candidates.size < 3:
         raise TooFewComponents(
-            f"{len(candidates)} plausible marker blobs, need 3 "
+            f"{candidates.size} plausible marker blobs, need 3 "
             f"(area band [{lo:.0f}, {hi:.0f}] px)"
         )
-    top3 = sorted(candidates, key=lambda r: r.area, reverse=True)[:3]
-
-    by_x = sorted(top3, key=lambda r: r.centroid.x)
-    left_r, middle_r, right_r = by_x[0], by_x[1], by_x[2]
-    outer_mean_y = 0.5 * (right_r.centroid.y + left_r.centroid.y)
-    if middle_r.centroid.y >= outer_mean_y:
+    # Stable sorts: equal areas, then equal x, keep region order.
+    top3 = candidates[np.argsort(-regions.area[candidates], kind="stable")[:3]]
+    by_x = top3[np.argsort(regions.x[top3], kind="stable")].tolist()
+    left, middle, right = (Point(regions.x[i].item(), regions.y[i].item()) for i in by_x)
+    outer_mean_y = 0.5 * (right.y + left.y)
+    if middle.y >= outer_mean_y:
         raise MarkerGeometryInvalid(
-            f"middle blob at y={middle_r.centroid.y:.1f} is not below the "
+            f"middle blob at y={middle.y:.1f} is not below the "
             f"outer pair (mean y={outer_mean_y:.1f})"
         )
-    separation = right_r.centroid.x - left_r.centroid.x
+    separation = right.x - left.x
     if separation < 2.0 * cfg.expected_marker_diameter:
         raise MarkerGeometryInvalid(
             f"outer markers only {separation:.1f} px apart, expected at "
             f"least {2.0 * cfg.expected_marker_diameter:.1f}"
         )
-    return MarkerTriple(
-        right=right_r.centroid,
-        middle=middle_r.centroid,
-        left=left_r.centroid,
-        regions=(right_r, middle_r, left_r),
-    )
+    # Each outer blob's pixels, read off the label image within its bbox.
+    box_row, box_col = regions.origin
+    outer = []
+    for i in (by_x[2], by_x[0]):  # right, left
+        c0, r0, c1, r1 = regions.bbox[i].tolist()
+        labels = regions.labels[r0 - box_row : r1 - box_row + 1, c0 - box_col : c1 - box_col + 1]
+        pixels = np.argwhere(labels == i + 1) + (r0, c0)
+        pixels.setflags(write=False)
+        outer.append(pixels)
+    return MarkerTriple(right=right, middle=middle, left=left, outer_pixels=tuple(outer))
 
 
 def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi:
@@ -217,14 +220,10 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
     outer = markers.right if side == "right" else markers.left
     height, width = check_image(img).shape
 
-    col_lo = int(math.floor(min(outer.x, markers.middle.x)))
-    col_hi = int(math.ceil(max(outer.x, markers.middle.x)))
-    y_lo = int(math.floor(min(outer.y, markers.middle.y)))
-    y_hi = int(math.ceil(max(outer.y, markers.middle.y)))
-    col_lo = max(col_lo, 0)
-    y_lo = max(y_lo, 0)
-    col_hi = min(col_hi, width - 1)
-    y_hi = min(y_hi, height - 1)
+    col_lo = max(math.floor(min(outer.x, markers.middle.x)), 0)
+    col_hi = min(math.ceil(max(outer.x, markers.middle.x)), width - 1)
+    y_lo = max(math.floor(min(outer.y, markers.middle.y)), 0)
+    y_hi = min(math.ceil(max(outer.y, markers.middle.y)), height - 1)
 
     if col_hi - col_lo + 1 < MIN_ROI_SIDE or y_hi - y_lo + 1 < MIN_ROI_SIDE:
         raise DegenerateRoi(
@@ -237,15 +236,9 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
     crop = img[row_lo : row_hi + 1, col_lo : col_hi + 1].copy()
 
     mask = np.zeros(crop.shape, dtype=bool)
-    if markers.regions is not None:
-        for blob in (markers.regions[0], markers.regions[2]):  # right, left
-            cols = blob.pixels[:, 0]
-            rows = blob.pixels[:, 1]
-            inside = (
-                (cols >= col_lo) & (cols <= col_hi)
-                & (rows >= row_lo) & (rows <= row_hi)
-            )
-            mask[rows[inside] - row_lo, cols[inside] - col_lo] = True
+    for rows, cols in (pixels.T for pixels in markers.outer_pixels or ()):
+        inside = (cols >= col_lo) & (cols <= col_hi) & (rows >= row_lo) & (rows <= row_hi)
+        mask[rows[inside] - row_lo, cols[inside] - col_lo] = True
     if mask.any():
         # The mean is a float64 sum of uint8 values, which is exact.
         crop[mask] = np.floor(crop[~mask].mean() + 0.5) if (~mask).any() else 0
@@ -261,15 +254,6 @@ def pupil_threshold(roi: np.ndarray, weight: float) -> float:
     mean = vals.mean()
     w = np.where(vals > mean, weight, 1.0)
     return float((w * vals).sum() / w.sum())
-
-
-def _pupil_candidates(mask: np.ndarray, cleanup_radius: int) -> list[Region]:
-    cleaned = morphology(mask, "open", cleanup_radius)
-    return [
-        r
-        for r in connected_components(cleaned)
-        if not r.touches_border and r.eccentricity < ECCENTRICITY_MAX
-    ]
 
 
 def detect_pupil(roi: EyeRoi, pupil_diameter: float) -> PupilDetection:
@@ -289,23 +273,25 @@ def detect_pupil(roi: EyeRoi, pupil_diameter: float) -> PupilDetection:
     i_max = float(eq.max())
 
     for attempt in range(MAX_RETRIES + 1):
-        candidates = _pupil_candidates(binarize(eq, threshold), cleanup_radius)
-        if len(candidates) == 1:
-            blob = candidates[0]
-            col = blob.centroid.x + roi.col_origin
-            roi_row = y_to_row(blob.centroid.y, roi.image.shape[0])
+        regions = connected_components(
+            morphology(binarize(eq, threshold), "open", cleanup_radius))
+        candidates = (~regions.touches_border
+                      & (regions.eccentricity < ECCENTRICITY_MAX)).nonzero()[0]
+        if candidates.size == 1:
+            (i,) = candidates.tolist()
+            col = regions.x[i].item() + roi.col_origin
+            roi_row = y_to_row(regions.y[i].item(), roi.image.shape[0])
             y = row_to_y(roi_row + roi.row_origin, roi.frame_height)
-            return PupilDetection(
-                point=Point(col, y), area=blob.area, eccentricity=blob.eccentricity
-            )
-        if not candidates:
+            return PupilDetection(point=Point(col, y), area=regions.area[i].item(),
+                                  eccentricity=regions.eccentricity[i].item())
+        if candidates.size == 0:
             raise NoPupilFound(
                 f"no pupil candidate at threshold {threshold:.1f} "
                 f"(attempt {attempt + 1})"
             )
         if attempt == MAX_RETRIES:
             raise AmbiguousPupil(
-                f"{len(candidates)} candidates left after {MAX_RETRIES} retries"
+                f"{candidates.size} candidates left after {MAX_RETRIES} retries"
             )
         threshold = threshold + 0.5 * (i_max - threshold)
     raise AssertionError("unreachable")

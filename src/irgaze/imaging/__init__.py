@@ -5,11 +5,12 @@ from .image import Point, check_image, row_to_y, y_to_row
 from .ops import (MORPHOLOGY_OPS, binarize, disk_offsets, equalize_lut, histogram_equalize,
                   morphology)
 from .pgm import decode_pgm, encode_pgm
-from .regions import Region, connected_components
+from .regions import Region, Regions, connected_components
 
 __all__ = [
     "Point",
     "Region",
+    "Regions",
     "MORPHOLOGY_OPS",
     "binarize",
     "check_image",

@@ -4,11 +4,11 @@
 mask's foreground, in one pass: numpy finds every run of foreground pixels
 at once, and a vectorized union-find merges runs that touch across
 adjacent rows, so the Python-level cost scales with the number of distinct
-region areas, not the rows or the regions.  Pixels, bounding boxes and the
-border flag are in frame coordinates, the border taken against the frame.
-Area, bounding box, border flag and the centroid's exact coordinate sums
-are integer reductions over each region's runs; all regions' pixels share
-one read-only buffer.
+region areas, not the rows or the regions.  The result is one table of
+read-only columns plus the label image of the foreground box.  Area,
+bounding box, border flag and the centroid's exact coordinate sums are
+integer reductions over each region's runs, in frame coordinates, the
+border taken against the frame.
 
 Eccentricity comes from the second-order central moments of the pixel
 coordinates: with covariance eigenvalues l1 >= l2,
@@ -17,15 +17,17 @@ gives ~0, a 1-pixel-wide line gives exactly 1.  The moments are summed
 over per-pixel deviations from the centroid, not derived from raw run
 sums, whose cancellation would change the last bits.  Their bits depend
 on the order of summation, and each must equal the region's own 1-D
-``ndarray.sum()``: the buffer holds the regions smallest first, and the
-products of all regions of one area are summed along the last axis of one
-contiguous (regions, area) block, which numpy reduces row by row exactly
-as it reduces each row alone.
+``ndarray.sum()`` over its pixels in raster order: the pixels are laid out
+region by region, smallest first, and the products of all regions of one
+area are summed along the last axis of one contiguous (regions, area)
+block, which numpy reduces row by row exactly as it reduces each row alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,33 +36,46 @@ from .image import Point, check_mask, row_to_y
 _EIG_EPS = 1e-12
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Region:
-    """One 8-connected foreground component.
+class Region(NamedTuple):
+    """One row of a :class:`Regions` table, in plain Python scalars."""
 
-    ``pixels`` is a read-only (area, 2) int32 array of (col, row) pairs in
-    raster order; ``bbox`` is (min_col, min_row, max_col, max_row) in
-    raster coordinates.  ``centroid`` is the mean pixel position in
-    Cartesian coordinates of the frame.
-    """
-
-    pixels: np.ndarray
     area: int
     bbox: tuple[int, int, int, int]
     touches_border: bool
     centroid: Point
     eccentricity: float
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Region)
-            and self.area == other.area
-            and self.centroid == other.centroid
-            and self.eccentricity == other.eccentricity
-            and self.bbox == other.bbox
-            and self.touches_border == other.touches_border
-            and np.array_equal(self.pixels, other.pixels)
-        )
+
+@dataclass(frozen=True, eq=False)
+class Regions:
+    """The 8-connected components of a mask as read-only columns, row i for
+    region i: ``bbox`` is (min_col, min_row, max_col, max_row) in raster
+    coordinates, (``x``, ``y``) the centroid in Cartesian coordinates.
+    ``labels`` is the int32 label image of the foreground's bounding box,
+    whose top-left pixel is at frame (row, col) ``origin``: 0 for
+    background, i + 1 for region i.  Iterating yields :class:`Region` rows."""
+
+    area: np.ndarray
+    bbox: np.ndarray
+    touches_border: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    eccentricity: np.ndarray
+    labels: np.ndarray
+    origin: tuple[int, int]
+
+    def __post_init__(self):
+        for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity", "labels"):
+            getattr(self, name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.area.size
+
+    def __iter__(self) -> Iterator[Region]:
+        return map(Region, self.area.tolist(), map(tuple, self.bbox.tolist()),
+                   self.touches_border.tolist(),
+                   map(Point, self.x.tolist(), self.y.tolist()),
+                   self.eccentricity.tolist())
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -78,10 +93,11 @@ def _moments(coords: np.ndarray, area: np.ndarray, offsets: np.ndarray,
     dev = coords - np.repeat(centroid, area, axis=1)
     prods = dev[[0, 1, 0]] * dev[[0, 1, 1]]  # dx*dx, dy*dy, dx*dy
 
-    # One reduction per distinct area, over its regions' (k, area) blocks.
+    # One reduction per distinct area, over its regions' (k, area) blocks
+    # (none when there are no regions).
     second = np.empty((3, area.size))
     cuts = ((area[1:] != area[:-1]).nonzero()[0] + 1).tolist()
-    for i, j in zip([0, *cuts], [*cuts, area.size]):
+    for i, j in zip([0, *cuts][: area.size], [*cuts, area.size]):
         n_px, start = int(area[i]), int(offsets[i])
         block = prods[:, start : start + (j - i) * n_px]
         second[:, i:j] = block.reshape(3, j - i, n_px).sum(axis=-1)
@@ -96,22 +112,19 @@ def _moments(coords: np.ndarray, area: np.ndarray, offsets: np.ndarray,
     return centroid, ecc
 
 
-def connected_components(mask: np.ndarray) -> list[Region]:
+def connected_components(mask: np.ndarray) -> Regions:
     """All 8-connected foreground regions of a bool mask, sorted by bounding-box origin.
 
     One pass over the foreground's bounding box finds every run; each run
     is joined to the runs it touches in the row above, and each set keeps
-    its first run (in raster order) as root.  A region's pixels come in
-    raster order, and regions with the same bbox origin and area keep
-    first-run order.
+    its first run (in raster order) as root.  Regions with the same bbox
+    origin and area keep first-run order.
     """
     h, w = check_mask(mask).shape
     on_rows = mask.any(axis=1).nonzero()[0]
-    if on_rows.size == 0:
-        return []
-    top, bottom = int(on_rows[0]), int(on_rows[-1]) + 1
+    top, bottom = (int(on_rows[0]), int(on_rows[-1]) + 1) if on_rows.size else (0, 0)
     on_cols = mask[top:bottom].any(axis=0).nonzero()[0]
-    left, right = int(on_cols[0]), int(on_cols[-1]) + 1
+    left, right = (int(on_cols[0]), int(on_cols[-1]) + 1) if on_cols.size else (0, 0)
     bw = right - left
     padded = np.zeros((bottom - top, bw + 2), dtype=bool)
     padded[:, 1:-1] = mask[top:bottom, left:right]
@@ -166,24 +179,16 @@ def connected_components(mask: np.ndarray) -> list[Region]:
     ys = row_to_y(rows, h)
     sums = np.add.reduceat([lengths * (starts + ends - 1) // 2, lengths * ys], heads, axis=1)
 
-    pixels = np.empty((int(area.sum()), 2), dtype=np.int32)
-    coords = np.empty((2, len(pixels)))
-    coords[0] = pixels[:, 0] = _ranges(starts, lengths)
-    coords[1] = np.repeat(ys, lengths)
-    pixels[:, 1] = np.repeat(rows, lengths)
-    pixels.setflags(write=False)
-    offsets = np.cumsum(area) - area
-    centroid, ecc = _moments(coords, area, offsets, sums)
+    cols = _ranges(starts, lengths)
+    coords = np.array((cols, np.repeat(ys, lengths)), dtype=np.float64)
+    centroid, ecc = _moments(coords, area, np.cumsum(area) - area, sums)
 
-    # A stable sort by (bbox origin, area) keeps first-run order for ties.
+    # A stable sort by (bbox origin, area) keeps first-run order for ties;
+    # each pixel of the box is labeled with its region's rank + 1.
     ranked = np.lexsort((area, min_col, min_row))
-    fields = zip(offsets[ranked].tolist(), area[ranked].tolist(),
-                 min_col[ranked].tolist(), min_row[ranked].tolist(),
-                 max_col[ranked].tolist(), max_row[ranked].tolist(),
-                 border[ranked].tolist(), *centroid[:, ranked].tolist(),
-                 ecc[ranked].tolist())
-    return [
-        Region(pixels=pixels[off : off + n_px], area=n_px, bbox=(c0, r0, c1, r1),
-               touches_border=t, centroid=Point(x, y), eccentricity=e)
-        for off, n_px, c0, r0, c1, r1, t, x, y, e in fields
-    ]
+    labels = np.zeros((bottom - top, bw), dtype=np.int32)
+    labels[np.repeat(rows - top, lengths), cols - left] = np.repeat(np.argsort(ranked) + 1, area)
+    bbox = np.array((min_col, min_row, max_col, max_row)).T[ranked]
+    return Regions(area=area[ranked], bbox=bbox, touches_border=border[ranked],
+                   x=centroid[0, ranked], y=centroid[1, ranked], eccentricity=ecc[ranked],
+                   labels=labels, origin=(top, left))

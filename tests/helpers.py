@@ -9,9 +9,9 @@ reference closest-vector selection scores one vector at a time on Points.
 The reference labeler walks the whole mask row by row with a union-find
 over run indices and builds each region from its own pixel arrays, with
 centroid and eccentricity summed over that region alone
-(``reference_moments``), so its regions must equal the package's bit for
-bit.  The reference marker mask equalizes the whole frame and partitions
-it.
+(``reference_moments``), so its rows must equal the package's bit for
+bit, and its pixel lists those read off the package's label image.  The
+reference marker mask equalizes the whole frame and partitions it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
 from irgaze.errors import DegenerateTriangle
-from irgaze.imaging import Point, Region
+from irgaze.imaging import Point, Region, Regions
 from irgaze.synth import (
     FaceLayout,
     FeaturePoints,
@@ -85,7 +85,7 @@ def assert_same_image(a, b, what: str = "") -> None:
 
 
 def flood_fill_components(mask: np.ndarray) -> list[frozenset[tuple[int, int]]]:
-    """Dense BFS 8-connected labeling; returns pixel sets of (col, row)."""
+    """Dense BFS 8-connected labeling; returns pixel sets of (row, col)."""
     h, w = mask.shape
     seen = np.zeros_like(mask, dtype=bool)
     out = []
@@ -98,7 +98,7 @@ def flood_fill_components(mask: np.ndarray) -> list[frozenset[tuple[int, int]]]:
             seen[r0, c0] = True
             while queue:
                 r, c = queue.popleft()
-                group.add((c, r))
+                group.add((r, c))
                 for dr in (-1, 0, 1):
                     for dc in (-1, 0, 1):
                         rr, cc = r + dr, c + dc
@@ -319,11 +319,11 @@ def reference_marker_mask(img: np.ndarray, top_n: int) -> np.ndarray:
 
 
 def reference_moments(pixels: np.ndarray, height: int) -> tuple[Point, float]:
-    """Centroid and eccentricity of one region from its own (col, row)
+    """Centroid and eccentricity of one region from its own (row, col)
     pixels in raster order, summed one region at a time: the bits
     ``connected_components`` must reproduce."""
-    xs = pixels[:, 0].astype(np.float64)
-    ys = (height - 1) - pixels[:, 1].astype(np.float64)
+    xs = pixels[:, 1].astype(np.float64)
+    ys = (height - 1) - pixels[:, 0].astype(np.float64)
     n = xs.size
     cx = float(xs.mean())
     cy = float(ys.mean())
@@ -340,13 +340,13 @@ def reference_moments(pixels: np.ndarray, height: int) -> tuple[Point, float]:
     return Point(cx, cy), ecc
 
 
-def _reference_region(cols: np.ndarray, rows: np.ndarray, width: int, height: int) -> Region:
+def _reference_region(rows: np.ndarray, cols: np.ndarray, width: int,
+                      height: int) -> tuple[Region, np.ndarray]:
     min_col, max_col = int(cols.min()), int(cols.max())
     min_row, max_row = int(rows.min()), int(rows.max())
-    pixels = np.column_stack((cols, rows)).astype(np.int32)
+    pixels = np.column_stack((rows, cols))
     centroid, eccentricity = reference_moments(pixels, height)
     return Region(
-        pixels=pixels,
         area=int(cols.size),
         bbox=(min_col, min_row, max_col, max_row),
         touches_border=(
@@ -354,13 +354,14 @@ def _reference_region(cols: np.ndarray, rows: np.ndarray, width: int, height: in
         ),
         centroid=centroid,
         eccentricity=eccentricity,
-    )
+    ), pixels
 
 
-def reference_components(a: np.ndarray) -> list[Region]:
-    """The row-loop labeler ``connected_components`` replaced: all
-    8-connected foreground regions, sorted by bounding-box origin, with the
-    same region order, pixel order and moments."""
+def reference_components(a: np.ndarray) -> tuple[list[Region], list[np.ndarray]]:
+    """The row-loop labeler ``connected_components`` replaced: the rows of
+    all 8-connected foreground regions, sorted by bounding-box origin, and
+    each region's (row, col) pixels in raster order, with the same region
+    order and moments."""
     h, w = a.shape
 
     # runs[i] = (row, start_col, end_col_exclusive)
@@ -406,7 +407,14 @@ def reference_components(a: np.ndarray) -> list[Region]:
         rows = np.concatenate(
             [np.full(runs[i][2] - runs[i][1], runs[i][0]) for i in members]
         )
-        regions.append(_reference_region(cols, rows, w, h))
+        regions.append(_reference_region(rows, cols, w, h))
 
-    regions.sort(key=lambda reg: (reg.bbox[1], reg.bbox[0], reg.area))
-    return regions
+    regions.sort(key=lambda reg: (reg[0].bbox[1], reg[0].bbox[0], reg[0].area))
+    return [row for row, _ in regions], [pixels for _, pixels in regions]
+
+
+def label_pixels(regions: Regions) -> list[np.ndarray]:
+    """Each region's frame (row, col) pixels in raster order, read off the
+    label image."""
+    return [np.argwhere(regions.labels == i + 1) + regions.origin
+            for i in range(len(regions))]

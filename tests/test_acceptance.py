@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     assert_same_image,
     flood_fill_components,
+    label_pixels,
     observation_from_row,
     synthetic_observation,
     truth_from_manifest_entry,
@@ -306,10 +307,8 @@ def test_imaging_oracles(capsys):
     for _ in range(500):
         h, w = rng.integers(1, 33, 2)
         mask = rng.random((h, w)) < rng.choice([0.15, 0.35, 0.55, 0.8])
-        ours = {
-            frozenset(map(tuple, region.pixels.tolist()))
-            for region in connected_components(mask)
-        }
+        ours = {frozenset(map(tuple, pixels.tolist()))
+                for pixels in label_pixels(connected_components(mask))}
         assert ours == set(flood_fill_components(mask))
         cc_checked += 1
 

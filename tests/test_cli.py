@@ -806,7 +806,7 @@ def _huge_gaze_in_manifest(pipeline, tmp_path):
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps(doc))
     return (["detect", "--manifest", str(bad), "--out", str(tmp_path / "out")],
-            f"{bad}: frames.{i}: malformed field")
+            f"{bad}: frames.{i}: malformed field: gaze must be finite")
 
 
 def _huge_marker_in_observations(pipeline, tmp_path):
@@ -817,7 +817,7 @@ def _huge_marker_in_observations(pipeline, tmp_path):
     return (["train", "--observations", str(bad),
              "--manifest", str(pipeline / "ds" / "manifest.json"),
              "--out", str(tmp_path / "out")],
-            f"{bad}:2: malformed field")
+            f"{bad}:2: malformed field: markers.middle must be finite")
 
 
 def _huge_pupil_in_training_set(pipeline, tmp_path):

@@ -173,7 +173,9 @@ def test_detect_markers_on_rendered_frame():
     assert markers.right.distance_to(feats.marker_right) < 1.5
     assert markers.middle.distance_to(feats.marker_middle) < 1.5
     assert markers.left.distance_to(feats.marker_left) < 1.5
-    assert markers.regions is not None
+    right, left = markers.outer_pixels
+    assert right.shape[1] == left.shape[1] == 2
+    assert not right.flags.writeable and not left.flags.writeable
 
 
 def test_detect_markers_two_blobs_is_too_few():
@@ -220,7 +222,7 @@ def test_roi_masks_outer_marker_pixels():
     markers = detect_markers(img, cfg)
     roi = extract_eye_roi(img, markers, "right")
     mask = np.zeros(roi.image.shape, dtype=bool)
-    for col, row in markers.regions[0].pixels:  # the right marker's blob
+    for row, col in markers.outer_pixels[0]:  # the right marker's blob
         r, c = row - roi.row_origin, col - roi.col_origin
         if 0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]:
             mask[r, c] = True
@@ -230,6 +232,39 @@ def test_roi_masks_outer_marker_pixels():
     assert np.all(np.abs(masked_values.astype(float) - unmasked_mean) <= 1.0)
     # middle-marker pixels are retained: the opposite corner keeps bright pixels
     assert roi.image.max() >= 200
+
+
+def test_roi_masks_only_the_marker_blobs_own_pixels():
+    """A bright speck inside the right marker's bounding box and inside the
+    right eye region, but not touching the marker, keeps its value: the
+    mask is the blob's own pixels, read off the label image, not every
+    bright pixel of its box."""
+    canvas = blank(640, 480, 30)
+    paint_disk(canvas, 230, 290, 8, 250)
+    paint_disk(canvas, 410, 290, 8, 250)
+    paint_disk(canvas, 320, 250, 8, 250)
+    speck = np.array([(480 - 1) - 282, 402])  # (row, col): the box's corner toward the middle
+    canvas[speck[0], speck[1]] = 250
+    img = as_image(canvas)
+    markers = detect_markers(img, DetectConfig())
+    blob = markers.outer_pixels[0]
+    assert (blob.min(axis=0) <= speck).all() and (speck <= blob.max(axis=0)).all()
+    assert np.abs(blob - speck).max(axis=1).min() > 1, "speck must not touch the marker"
+
+    roi = extract_eye_roi(img, markers, "right")
+    origin = (roi.row_origin, roi.col_origin)
+    speck_r, speck_c = speck - origin
+    assert roi.image[speck_r, speck_c] == 250
+    own = blob - origin
+    own = own[((own >= 0) & (own < roi.image.shape)).all(axis=1)]
+    assert len(own) > 10, "the marker blob should overlap the ROI corner"
+    mask = np.zeros(roi.image.shape, dtype=bool)
+    mask[own[:, 0], own[:, 1]] = True
+    crop = img[roi.row_origin : roi.row_origin + roi.image.shape[0],
+               roi.col_origin : roi.col_origin + roi.image.shape[1]]
+    fill = np.floor(crop[~mask].mean() + 0.5)
+    assert (roi.image[mask] == fill).all()
+    assert np.array_equal(roi.image[~mask], crop[~mask])
 
 
 def test_roi_degenerate_when_corners_coincide():
@@ -358,7 +393,10 @@ def test_observe_face_fails_when_no_eye_usable():
 def test_observe_face_is_deterministic():
     img, _ = rendered_frame(pose=HeadPose(300, 230, -0.04, 0.95), gaze=(0.8, 0.2))
     cfg = DetectConfig()
-    assert observe_face(img, cfg) == observe_face(img, cfg)
+    first, second = observe_face(img, cfg), observe_face(img, cfg)
+    assert first == second
+    for a, b in zip(first.markers.outer_pixels, second.markers.outer_pixels, strict=True):
+        assert np.array_equal(a, b)
 
 
 # --- DetectConfig -------------------------------------------------------------

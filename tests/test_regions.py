@@ -3,16 +3,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import flood_fill_components, moment_eccentricity, reference_components
-from irgaze.imaging import connected_components
+from helpers import (flood_fill_components, label_pixels, moment_eccentricity,
+                     reference_components)
+from irgaze.imaging import Regions, connected_components
 
 
 def binary(mask) -> np.ndarray:
     return np.array(mask, dtype=bool)
 
 
+def labeled_as_the_reference(mask: np.ndarray) -> Regions:
+    """connected_components(mask), checked against the reference labeler:
+    the rows equal in order and bit for bit, each region's pixels read off
+    the label image equal the reference's in raster order, and the label
+    image is background wherever the mask is."""
+    regions = connected_components(mask)
+    rows, pixels = reference_components(mask)
+    assert list(regions) == rows
+    ours = label_pixels(regions)
+    assert len(ours) == len(pixels)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, pixels))
+    assert regions.labels.dtype == np.int32
+    assert np.count_nonzero(regions.labels) == np.count_nonzero(mask)
+    return regions
+
+
 def test_empty_image_yields_no_regions():
-    assert connected_components(binary(np.zeros((4, 4)))) == []
+    regions = connected_components(binary(np.zeros((4, 4))))
+    assert len(regions) == 0 and list(regions) == []
+    assert regions.labels.size == 0
 
 
 def test_single_pixel_region():
@@ -56,7 +75,7 @@ def test_touches_border_flags():
         [0, 0, 1, 0],
         [0, 0, 0, 0],
     ]))
-    flags = {tuple(r.pixels[0]): r.touches_border for r in regions}
+    flags = {r.bbox[:2]: r.touches_border for r in regions}
     assert flags[(0, 0)] is True
     assert flags[(2, 1)] is False
 
@@ -66,9 +85,11 @@ def test_centroid_is_mean_of_cartesian_coordinates():
     mask[1, 1] = mask[1, 2] = mask[2, 1] = mask[3, 4] = False
     mask[2, 2:5] = True
     mask[3, 3] = True
-    (region,) = connected_components(binary(mask))
-    xs = region.pixels[:, 0].astype(float)
-    ys = (6 - 1) - region.pixels[:, 1].astype(float)
+    regions = connected_components(binary(mask))
+    (region,) = regions
+    (pixels,) = label_pixels(regions)
+    xs = pixels[:, 1].astype(float)
+    ys = (6 - 1) - pixels[:, 0].astype(float)
     assert abs(region.centroid.x - xs.mean()) < 1e-9
     assert abs(region.centroid.y - ys.mean()) < 1e-9
 
@@ -82,10 +103,8 @@ def test_centroid_is_mean_of_cartesian_coordinates():
 )
 def test_matches_flood_fill_oracle(w, h, density, seed):
     mask = np.random.default_rng(seed).random((h, w)) < density
-    ours = {
-        frozenset(map(tuple, region.pixels.tolist()))
-        for region in connected_components(mask)
-    }
+    ours = {frozenset(map(tuple, pixels.tolist()))
+            for pixels in label_pixels(connected_components(mask))}
     oracle = set(flood_fill_components(mask))
     assert ours == oracle
 
@@ -96,8 +115,8 @@ def test_regions_partition_the_foreground(w, h, seed):
     mask = np.random.default_rng(seed).random((h, w)) < 0.5
     regions = connected_components(mask)
     seen: set[tuple[int, int]] = set()
-    for region in regions:
-        pix = set(map(tuple, region.pixels.tolist()))
+    for region, pixels in zip(regions, label_pixels(regions), strict=True):
+        pix = set(map(tuple, pixels.tolist()))
         assert len(pix) == region.area
         assert not (pix & seen), "regions overlap"
         seen |= pix
@@ -105,7 +124,7 @@ def test_regions_partition_the_foreground(w, h, seed):
         assert min_col <= region.centroid.x <= max_col
         assert (h - 1) - max_row <= region.centroid.y <= (h - 1) - min_row
         assert 0.0 <= region.eccentricity <= 1.0
-    assert seen == {(c, r) for r, c in zip(*np.nonzero(mask))}
+    assert seen == set(zip(*map(np.ndarray.tolist, np.nonzero(mask))))
 
 
 def _mask(kind: str, h: int, w: int, density: float, seed: int) -> np.ndarray:
@@ -137,9 +156,8 @@ def _mask(kind: str, h: int, w: int, density: float, seed: int) -> np.ndarray:
 @example(kind="diagonal", w=12, h=9, density=0.5, seed=1)
 def test_matches_reference_labeler(kind, w, h, density, seed):
     """Region order, pixel order, centroid and eccentricity bits all equal
-    the row-loop labeler's (Region.__eq__ compares pixels in order)."""
-    mask = _mask(kind, h, w, density, seed)
-    assert connected_components(mask) == reference_components(mask)
+    the row-loop labeler's."""
+    labeled_as_the_reference(_mask(kind, h, w, density, seed))
 
 
 @pytest.mark.parametrize("bar_rows, ell_rows, bar_first", [(5, 7, True), (6, 8, False)])
@@ -152,22 +170,25 @@ def test_same_bbox_origin_orders_by_area_then_first_run(bar_rows, ell_rows, bar_
     mask[0:bar_rows, 0:2] = True
     mask[:, 3] = True
     mask[-1, 0:3] = True
-    regions = connected_components(mask)
-    assert regions == reference_components(mask)
+    regions = labeled_as_the_reference(mask)
     bar, ell = (0, 0, 1, bar_rows - 1), (0, 0, 3, ell_rows - 1)
     assert [r.bbox for r in regions] == ([bar, ell] if bar_first else [ell, bar])
 
 
-def test_region_pixels_are_read_only():
-    """All regions of a mask are views of one pixel buffer, so a write
-    through one region would corrupt its neighbours."""
+def test_region_columns_and_labels_are_read_only():
+    """A result may be shared, so a write to any column or to the label
+    image raises instead of corrupting it."""
     mask = np.zeros((4, 6), dtype=bool)
     mask[0, 0:2] = mask[2:4, 3:6] = True
-    first, second = connected_components(binary(mask))
-    assert first.pixels.base is not None and first.pixels.base is second.pixels.base
-    with pytest.raises(ValueError):
-        first.pixels[0, 0] = 5
-    assert second.pixels.tolist() == [[3, 2], [4, 2], [5, 2], [3, 3], [4, 3], [5, 3]]
+    regions = connected_components(binary(mask))
+    for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity", "labels"):
+        column = getattr(regions, name)
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            column[0] = 5
+    assert regions.origin == (0, 0)
+    assert regions.labels.tolist() == [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0],
+                                       [0, 0, 0, 2, 2, 2], [0, 0, 0, 2, 2, 2]]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -181,9 +202,10 @@ def test_each_regions_moments_match_the_oracle(w, h, density, seed):
     """Centroid and eccentricity, computed for all regions of the mask in one
     pass, against a from-scratch eigen solve on each region alone."""
     mask = np.random.default_rng(seed).random((h, w)) < density
-    for region in connected_components(mask):
+    regions = connected_components(mask)
+    for region, pixels in zip(regions, label_pixels(regions), strict=True):
         alone = np.zeros_like(mask)
-        alone[region.pixels[:, 1], region.pixels[:, 0]] = True
+        alone[pixels[:, 0], pixels[:, 1]] = True
         rows, cols = np.nonzero(alone)
         assert abs(region.centroid.x - cols.mean()) < 1e-9
         assert abs(region.centroid.y - ((h - 1) - rows).mean()) < 1e-9
@@ -211,8 +233,8 @@ def _stamp(rng: np.random.Generator) -> np.ndarray:
 def test_tiled_stamps_match_the_reference_moments_exactly(n_stamps, copies, seed):
     """Copies of a few stamps in shuffled grid cells: many regions share an
     area, and those of one area are reduced as one block, which must give
-    each region the bits of its own sum (Region.__eq__ compares centroid
-    and eccentricity with ==)."""
+    each region the bits of its own sum (rows compare centroid and
+    eccentricity with ==)."""
     rng = np.random.default_rng(seed)
     stamps = [_stamp(rng) for _ in range(n_stamps)]
     tiles = [s for s in stamps for _ in range(copies)]
@@ -225,16 +247,15 @@ def test_tiled_stamps_match_the_reference_moments_exactly(n_stamps, copies, seed
     for k, s in enumerate(tiles):
         r, c = top + cell * (k // per_row), left + cell * (k % per_row)
         mask[r : r + s.shape[0], c : c + s.shape[1]] = s
-    regions = connected_components(mask)
-    assert regions == reference_components(mask)
+    regions = labeled_as_the_reference(mask)
     if copies > 1:
-        assert len({r.area for r in regions}) < len(regions)
+        assert len(set(regions.area.tolist())) < len(regions)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 6), (120, 90)])
 def test_all_false_mask_has_no_regions(shape):
     mask = np.zeros(shape, dtype=bool)
-    assert connected_components(mask) == reference_components(mask) == []
+    assert list(connected_components(mask)) == reference_components(mask)[0] == []
 
 
 @pytest.mark.parametrize("row, col, border", [
@@ -242,8 +263,7 @@ def test_all_false_mask_has_no_regions(shape):
 def test_single_pixel_at_a_corner_or_the_centre(row, col, border):
     mask = np.zeros((7, 9), dtype=bool)
     mask[row, col] = True
-    (region,) = connected_components(mask)
-    assert [region] == reference_components(mask)
+    (region,) = labeled_as_the_reference(mask)
     assert region.bbox == (col, row, col, row)
     assert region.touches_border is border
     assert region.centroid == (col, 6 - row)
@@ -259,9 +279,8 @@ def test_foreground_only_on_the_last_row_or_column_touches_the_border(last):
         mask[-1, 3:37] = rng.random(34) < 0.5
     else:
         mask[4:26, -1] = rng.random(22) < 0.5
-    regions = connected_components(mask)
-    assert regions == reference_components(mask)
-    assert regions and all(r.touches_border for r in regions)
+    regions = labeled_as_the_reference(mask)
+    assert len(regions) and regions.touches_border.all()
 
 
 @pytest.mark.parametrize("vertical", [False, True])
@@ -273,10 +292,9 @@ def test_thin_foreground_box_inside_a_large_frame(vertical):
     else:
         mask[123, 45:250:3] = True
         mask[123, 251:270] = True
-    regions = connected_components(mask)
-    assert regions == reference_components(mask)
-    assert not any(r.touches_border for r in regions)
-    assert regions[-1].eccentricity == 1.0
+    regions = labeled_as_the_reference(mask)
+    assert not regions.touches_border.any()
+    assert regions.eccentricity[-1] == 1.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -289,8 +307,7 @@ def test_thin_foreground_box_inside_a_large_frame(vertical):
 def test_sparse_masks_match_the_reference_labeler(w, h, density, seed):
     """A few specks in a large frame: the foreground box sits anywhere,
     mostly away from the origin."""
-    mask = np.random.default_rng(seed).random((h, w)) < density
-    assert connected_components(mask) == reference_components(mask)
+    labeled_as_the_reference(np.random.default_rng(seed).random((h, w)) < density)
 
 
 def test_numpy_sums_each_row_of_a_block_as_it_sums_the_row_alone():

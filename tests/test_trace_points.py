@@ -39,3 +39,12 @@ def test_every_wrap_point_fires_on_a_small_pipeline(tmp_path):
     label_callers = {rec.spans[span[3]][0] for span in rec.spans
                      if span[0] == "imaging.label"}
     assert {"detection.detect_markers", "detection.detect_pupil"} <= label_callers
+
+    # The trace is written as JSON lines, which take plain Python numbers
+    # only: a numpy scalar in a span's counts would make the dump raise.
+    trace = tmp_path / "trace.jsonl"
+    rec.dump(trace)
+    assert spans.load_spans(trace) == rec.spans
+    labels = [span[4] for span in rec.spans if span[0] == "imaging.label"]
+    assert labels and all(type(attrs["regions"]) is int and type(attrs["fg_px"]) is int
+                          for attrs in labels)
