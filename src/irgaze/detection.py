@@ -7,7 +7,9 @@ blobs.  The equalized frame is never built: its 256-entry remap, read off
 the raw histogram, gives the raw level at which to cut the same mask.
 Pupils are found per eye inside the rectangle spanned by the outer marker
 and the middle marker; a weighted-average threshold is raised geometrically
-toward the maximum until exactly one clean candidate remains.
+toward the maximum until exactly one clean candidate remains.  The region
+is cut at every threshold of that ladder at once, and the stack of cuts is
+opened and labeled in one pass each.
 
 A detected pupil pair must also be vertically consistent: the squared
 vertical pupil gap may not exceed a quarter of |(y_mr - y_ml) * (y_mm -
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,9 +75,9 @@ class DetectConfig:
     expected_marker_area: float = math.pi * 7.0 * 7.0
 
     def __post_init__(self):
-        if self.top_n < 3:
+        if not math.isfinite(3.0 * self.expected_marker_area) or self.top_n < 3:
             raise ValueError(
-                f"expected_marker_area must give top_n = round(3 x area) >= 3, "
+                f"expected_marker_area must give a finite top_n = round(3 x area) >= 3, "
                 f"got {self.expected_marker_area}"
             )
 
@@ -263,38 +266,33 @@ def detect_pupil(roi: EyeRoi, pupil_diameter: float) -> PupilDetection:
     with a small disk (element diameter = 10% of ``pupil_diameter``, the
     expected pupil diameter in pixels), stripped of border-touching and
     elongated blobs, and the threshold is moved halfway toward the maximum
-    whenever more than one candidate survives.
+    whenever more than one candidate survives.  All MAX_RETRIES + 1 steps
+    are cut, opened and labeled as one stack; the first step left with at
+    most one candidate decides.
     """
     eq = histogram_equalize(roi.image)
     element_diameter = max(1, round(0.10 * pupil_diameter))
-    cleanup_radius = element_diameter // 2
-
-    threshold = pupil_threshold(eq, HIGH_MEAN_WEIGHT)
     i_max = float(eq.max())
-
-    for attempt in range(MAX_RETRIES + 1):
-        regions = connected_components(
-            morphology(binarize(eq, threshold), "open", cleanup_radius))
-        candidates = (~regions.touches_border
-                      & (regions.eccentricity < ECCENTRICITY_MAX)).nonzero()[0]
-        if candidates.size == 1:
-            (i,) = candidates.tolist()
-            col = regions.x[i].item() + roi.col_origin
-            roi_row = y_to_row(regions.y[i].item(), roi.image.shape[0])
-            y = row_to_y(roi_row + roi.row_origin, roi.frame_height)
-            return PupilDetection(point=Point(col, y), area=regions.area[i].item(),
-                                  eccentricity=regions.eccentricity[i].item())
-        if candidates.size == 0:
-            raise NoPupilFound(
-                f"no pupil candidate at threshold {threshold:.1f} "
-                f"(attempt {attempt + 1})"
-            )
-        if attempt == MAX_RETRIES:
-            raise AmbiguousPupil(
-                f"{candidates.size} candidates left after {MAX_RETRIES} retries"
-            )
-        threshold = threshold + 0.5 * (i_max - threshold)
-    raise AssertionError("unreachable")
+    thresholds = list(accumulate(range(MAX_RETRIES), lambda t, _: t + 0.5 * (i_max - t),
+                                 initial=pupil_threshold(eq, HIGH_MEAN_WEIGHT)))
+    stack = eq >= np.array(thresholds)[:, None, None]
+    regions = connected_components(morphology(stack, "open", element_diameter // 2))
+    clean = ~regions.touches_border & (regions.eccentricity < ECCENTRICITY_MAX)
+    counts = np.bincount(regions.plane[clean], minlength=MAX_RETRIES + 1)
+    if (counts > 1).all():
+        raise AmbiguousPupil(f"{counts[-1]} candidates left after {MAX_RETRIES} retries")
+    attempt = int(np.argmax(counts <= 1))
+    if counts[attempt] == 0:
+        raise NoPupilFound(
+            f"no pupil candidate at threshold {thresholds[attempt]:.1f} "
+            f"(attempt {attempt + 1})"
+        )
+    i = int(np.flatnonzero(clean & (regions.plane == attempt))[0])
+    col = regions.x[i].item() + roi.col_origin
+    roi_row = y_to_row(regions.y[i].item(), roi.image.shape[0])
+    y = row_to_y(roi_row + roi.row_origin, roi.frame_height)
+    return PupilDetection(point=Point(col, y), area=regions.area[i].item(),
+                          eccentricity=regions.eccentricity[i].item())
 
 
 def validate_pupil_pair(pupils: PupilPair, markers: MarkerTriple) -> bool:

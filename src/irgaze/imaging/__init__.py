@@ -1,5 +1,6 @@
 """Self-contained 8-bit raster toolkit: PGM codec, equalization,
-thresholding, binary morphology, and connected-component analysis."""
+thresholding, binary morphology, and connected-component analysis; the
+last two also take a (k, h, w) stack of masks and treat each plane alone."""
 
 from .image import Point, check_image, row_to_y, y_to_row
 from .ops import (MORPHOLOGY_OPS, binarize, disk_offsets, equalize_lut, histogram_equalize,

@@ -41,10 +41,10 @@ def check_image(img) -> np.ndarray:
 
 def check_mask(mask) -> np.ndarray:
     """``mask`` itself, if it is a non-empty 2-D bool array (a binary mask:
-    True is foreground); ValueError otherwise."""
+    True is foreground) or (k, h, w) stack of them; ValueError otherwise."""
     if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_
-            and mask.ndim == 2 and mask.size):
-        raise ValueError("expected a non-empty 2-D bool mask")
+            and mask.ndim in (2, 3) and mask.size):
+        raise ValueError("expected a non-empty 2-D bool mask or a stack of them")
     return mask
 
 

@@ -12,7 +12,9 @@ Morphology uses a discrete disk structuring element: all offsets whose
 center distance is <= radius.  Pixels beyond the image border count as
 background, which is the usual infinite-plane embedding: the mask is
 padded with zeros once, and each erosion or dilation combines the disk's
-offset slices of that plane, AND for erosion and OR for dilation.
+offset slices of that plane, AND for erosion and OR for dilation.  A
+(k, h, w) stack is padded on its last two axes only and swept in the same
+numpy calls, so no plane reaches into the next.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def disk_offsets(radius: float) -> list[tuple[int, int]]:
 
 def morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray:
     """The read-only result of eroding, dilating, opening or closing
-    ``mask`` with the disk of ``radius``."""
+    ``mask``, or each plane of a (k, h, w) stack, with the disk of ``radius``."""
     if op not in MORPHOLOGY_OPS:
         raise ValueError(f"unknown morphology op {op!r}")
     steps = _STEPS[op]
@@ -86,15 +88,15 @@ def morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray:
     # step.  Closing must run on the padded plane: clipping the intermediate
     # dilation at the raster edge would let the erosion eat foreground that
     # touches the border, breaking X <= close(X).
-    h, w = check_mask(mask).shape
+    *k, h, w = check_mask(mask).shape
     pad = r * len(steps)
-    plane = np.zeros((h + 2 * pad, w + 2 * pad), dtype=bool)
-    plane[pad : pad + h, pad : pad + w] = mask
+    plane = np.zeros((*k, h + 2 * pad, w + 2 * pad), dtype=bool)
+    plane[..., pad : pad + h, pad : pad + w] = mask
     for combine in steps:
-        rows, cols = plane.shape[0] - 2 * r, plane.shape[1] - 2 * r
-        out = plane[r : r + rows, r : r + cols].copy()
+        rows, cols = plane.shape[-2] - 2 * r, plane.shape[-1] - 2 * r
+        out = plane[..., r : r + rows, r : r + cols].copy()
         for dr, dc in offsets:
-            combine(out, plane[r + dr : r + dr + rows, r + dc : r + dc + cols], out=out)
+            combine(out, plane[..., r + dr : r + dr + rows, r + dc : r + dc + cols], out=out)
         plane = out
     plane.setflags(write=False)
     return plane

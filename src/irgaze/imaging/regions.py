@@ -1,14 +1,17 @@
 """Connected-component labeling and region properties.
 
-8-connectivity throughout.  Labeling covers only the bounding box of the
-mask's foreground, in one pass: numpy finds every run of foreground pixels
+8-connectivity throughout.  A mask may be one 2-D plane or a (k, h, w)
+stack of independent planes, such as one plane per threshold.  Labeling
+covers only the bounding box of the foreground of all planes, in one pass:
+one flat scan of the zero-padded box finds every run of foreground pixels
 at once, and a vectorized union-find merges runs that touch across
-adjacent rows, so the Python-level cost scales with the number of distinct
-region areas, not the rows or the regions.  The result is one table of
-read-only columns plus the label image of the foreground box.  Area,
-bounding box, border flag and the centroid's exact coordinate sums are
-integer reductions over each region's runs, in frame coordinates, the
-border taken against the frame.
+adjacent rows of one plane, so the Python-level cost scales with the
+number of distinct region areas, not the planes, rows or regions.  The
+result is one table of read-only columns, with each region's plane, plus
+the label image of the foreground box.  Area, bounding box, border flag
+and the centroid's exact coordinate sums are integer reductions over each
+region's runs, in its plane's frame coordinates, the border taken against
+the frame.
 
 Eccentricity comes from the second-order central moments of the pixel
 coordinates: with covariance eigenvalues l1 >= l2,
@@ -50,10 +53,12 @@ class Region(NamedTuple):
 class Regions:
     """The 8-connected components of a mask as read-only columns, row i for
     region i: ``bbox`` is (min_col, min_row, max_col, max_row) in raster
-    coordinates, (``x``, ``y``) the centroid in Cartesian coordinates.
+    coordinates, (``x``, ``y``) the centroid in Cartesian coordinates, and
+    ``plane`` the index of the region's plane in a stack (0 for a 2-D mask).
     ``labels`` is the int32 label image of the foreground's bounding box,
-    whose top-left pixel is at frame (row, col) ``origin``: 0 for
-    background, i + 1 for region i.  Iterating yields :class:`Region` rows."""
+    (rows, cols) or, for a stack, (k, rows, cols), whose top-left pixel is
+    at frame (row, col) ``origin``: 0 for background, i + 1 for region i.
+    Iterating yields :class:`Region` rows, which leave out the plane."""
 
     area: np.ndarray
     bbox: np.ndarray
@@ -61,11 +66,13 @@ class Regions:
     x: np.ndarray
     y: np.ndarray
     eccentricity: np.ndarray
+    plane: np.ndarray
     labels: np.ndarray
     origin: tuple[int, int]
 
     def __post_init__(self):
-        for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity", "labels"):
+        for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity", "plane",
+                     "labels"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
@@ -115,40 +122,47 @@ def _moments(coords: np.ndarray, area: np.ndarray, offsets: np.ndarray,
 def connected_components(mask: np.ndarray) -> Regions:
     """All 8-connected foreground regions of a bool mask, sorted by bounding-box origin.
 
-    One pass over the foreground's bounding box finds every run; each run
-    is joined to the runs it touches in the row above, and each set keeps
-    its first run (in raster order) as root.  Regions with the same bbox
-    origin and area keep first-run order.
+    ``mask`` may also be a (k, h, w) stack of independent planes: nothing
+    connects across planes, each region is measured in its plane's frame,
+    and rows sort by plane first.  One scan of the foreground's bounding box
+    finds every run; each run is joined to the runs it touches in the row
+    above, and each set keeps its first run (in raster order) as root.
+    Regions with the same plane, bbox origin and area keep first-run order.
     """
-    h, w = check_mask(mask).shape
-    on_rows = mask.any(axis=1).nonzero()[0]
+    stack = check_mask(mask).reshape(-1, *mask.shape[-2:])
+    k, h, w = stack.shape
+    on_rows = stack.any(axis=(0, 2)).nonzero()[0]
     top, bottom = (int(on_rows[0]), int(on_rows[-1]) + 1) if on_rows.size else (0, 0)
-    on_cols = mask[top:bottom].any(axis=0).nonzero()[0]
+    on_cols = stack[:, top:bottom].any(axis=(0, 1)).nonzero()[0]
     left, right = (int(on_cols[0]), int(on_cols[-1]) + 1) if on_cols.size else (0, 0)
-    bw = right - left
-    padded = np.zeros((bottom - top, bw + 2), dtype=bool)
-    padded[:, 1:-1] = mask[top:bottom, left:right]
-    # Value changes come in raster order and alternate within each row: a
+    bh, bw = bottom - top, right - left
+    # Every box row gets a zero in front and every plane a zero row below,
+    # so that in the raveled box no run spans two rows or touches a run of
+    # the next plane.  Value changes come in raster order and alternate: a
     # run starts at an even one and ends, exclusively, at the next.
-    rows, cols = (padded[:, 1:] != padded[:, :-1]).nonzero()
-    rows, starts, ends = rows[0::2], cols[0::2], cols[1::2]
-    n = rows.size
+    padded = np.zeros((k, bh + 1, bw + 1), dtype=bool)
+    padded[:, :bh, 1:] = stack[:, top:bottom, left:right]
+    flat = padded.ravel()
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    first, last = changes[0::2], changes[1::2]
+    line, starts = divmod(first - 1, bw + 1)  # box column of the start
+    plane, rows = divmod(line, bh + 1)
+    lengths = last - first
 
-    # Row-major keys (row * (bw + 1) + column) are sorted for both starts
-    # and ends.  The runs above run i that it touches, diagonally included,
-    # are those in row - 1 ending at or after its start and starting at or
-    # before its end: one contiguous slice [lo, hi).
-    above = (rows - 1) * (bw + 1)
-    lo = np.searchsorted(rows * (bw + 1) + ends, above + starts, side="left")
-    hi = np.searchsorted(rows * (bw + 1) + starts, above + ends, side="right")
+    # Flat indices are sorted for both starts and ends.  The runs above run
+    # i that it touches, diagonally included, are those one line up ending
+    # at or after its start and starting at or before its end: one
+    # contiguous slice [lo, hi).
+    lo = np.searchsorted(last, first - (bw + 1), side="left")
+    hi = np.searchsorted(first, last - (bw + 1), side="right")
     touching = np.maximum(hi - lo, 0)
     upper = _ranges(lo, touching)
-    lower = np.repeat(np.arange(n), touching)
+    lower = np.repeat(np.arange(first.size), touching)
 
     # Union-find over the touching pairs: hook the larger root onto the
     # smaller, then compress, until every pair shares a root.  The root of
     # each set is its first run.
-    root = np.arange(n)
+    root = np.arange(first.size)
     while True:
         ru, rl = root[upper], root[lower]
         if (ru == rl).all():
@@ -164,12 +178,13 @@ def connected_components(mask: np.ndarray) -> Regions:
     # area lie side by side for _moments) and, within one area, by root,
     # keeping raster order within each group: a group's first run is its
     # root.  Reduce each group's runs to its region's area, bbox and
-    # coordinate sums, in frame coordinates.
-    lengths = ends - starts
+    # coordinate sums, in its plane's frame.
     order = np.lexsort((root, np.bincount(root, weights=lengths)[root]))
     heads = (root[order] == order).nonzero()[0]
-    rows, lengths = rows[order] + top, lengths[order]
-    starts, ends = starts[order] + left, ends[order] + left
+    plane, rows, lengths = plane[order], rows[order], lengths[order]
+    flat_starts = (plane * bh + rows) * bw + starts[order]  # in the label image
+    rows, starts = rows + top, starts[order] + left
+    ends = starts + lengths
     area = np.add.reduceat(lengths, heads)
     min_col = np.minimum.reduceat(starts, heads)
     max_col = np.maximum.reduceat(ends, heads) - 1
@@ -183,12 +198,15 @@ def connected_components(mask: np.ndarray) -> Regions:
     coords = np.array((cols, np.repeat(ys, lengths)), dtype=np.float64)
     centroid, ecc = _moments(coords, area, np.cumsum(area) - area, sums)
 
-    # A stable sort by (bbox origin, area) keeps first-run order for ties;
-    # each pixel of the box is labeled with its region's rank + 1.
-    ranked = np.lexsort((area, min_col, min_row))
-    labels = np.zeros((bottom - top, bw), dtype=np.int32)
-    labels[np.repeat(rows - top, lengths), cols - left] = np.repeat(np.argsort(ranked) + 1, area)
+    # A stable sort by (plane, bbox origin, area) keeps first-run order for
+    # ties; each pixel of the box is labeled with its region's rank + 1.
+    plane = plane[heads]
+    ranked = np.lexsort((area, min_col, min_row, plane))
+    labels = np.zeros(k * bh * bw, dtype=np.int32)
+    labels[cols + np.repeat(flat_starts - starts, lengths)] = np.repeat(
+        np.argsort(ranked) + 1, area)
     bbox = np.array((min_col, min_row, max_col, max_row)).T[ranked]
     return Regions(area=area[ranked], bbox=bbox, touches_border=border[ranked],
                    x=centroid[0, ranked], y=centroid[1, ranked], eccentricity=ecc[ranked],
-                   labels=labels, origin=(top, left))
+                   plane=plane[ranked], labels=labels.reshape(*mask.shape[:-2], bh, bw),
+                   origin=(top, left))

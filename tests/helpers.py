@@ -11,7 +11,10 @@ over run indices and builds each region from its own pixel arrays, with
 centroid and eccentricity summed over that region alone
 (``reference_moments``), so its rows must equal the package's bit for
 bit, and its pixel lists those read off the package's label image.  The
-reference marker mask equalizes the whole frame and partitions it.
+reference marker mask equalizes the whole frame and partitions it.  The
+reference pupil ladder is the step-by-step loop ``detect_pupil`` replaced:
+it cuts, opens and labels one 2-D mask per threshold, with the 2-D calls
+that the morphology and labeling oracles check.
 """
 
 from __future__ import annotations
@@ -21,9 +24,29 @@ from collections import deque
 
 import numpy as np
 
-from irgaze.detection import FaceObservation, MarkerTriple, PupilDetection, PupilPair
-from irgaze.errors import DegenerateTriangle
-from irgaze.imaging import Point, Region, Regions
+from irgaze.detection import (
+    ECCENTRICITY_MAX,
+    HIGH_MEAN_WEIGHT,
+    MAX_RETRIES,
+    EyeRoi,
+    FaceObservation,
+    MarkerTriple,
+    PupilDetection,
+    PupilPair,
+    pupil_threshold,
+)
+from irgaze.errors import AmbiguousPupil, DegenerateTriangle, NoPupilFound
+from irgaze.imaging import (
+    Point,
+    Region,
+    Regions,
+    binarize,
+    connected_components,
+    histogram_equalize,
+    morphology,
+    row_to_y,
+    y_to_row,
+)
 from irgaze.synth import (
     FaceLayout,
     FeaturePoints,
@@ -418,3 +441,41 @@ def label_pixels(regions: Regions) -> list[np.ndarray]:
     label image."""
     return [np.argwhere(regions.labels == i + 1) + regions.origin
             for i in range(len(regions))]
+
+
+def reference_detect_pupil(roi: EyeRoi, pupil_diameter: float) -> tuple[PupilDetection, int]:
+    """The threshold ladder as ``detect_pupil`` ran it one step at a time:
+    binarize, open and label a 2-D mask per threshold, raising the threshold
+    halfway toward the maximum while more than one candidate survives.
+    Returns the detection and the number of steps taken, or raises what
+    ``detect_pupil`` must raise, with the same message."""
+    eq = histogram_equalize(roi.image)
+    element_diameter = max(1, round(0.10 * pupil_diameter))
+    cleanup_radius = element_diameter // 2
+
+    threshold = pupil_threshold(eq, HIGH_MEAN_WEIGHT)
+    i_max = float(eq.max())
+
+    for attempt in range(MAX_RETRIES + 1):
+        regions = connected_components(
+            morphology(binarize(eq, threshold), "open", cleanup_radius))
+        candidates = (~regions.touches_border
+                      & (regions.eccentricity < ECCENTRICITY_MAX)).nonzero()[0]
+        if candidates.size == 1:
+            (i,) = candidates.tolist()
+            col = regions.x[i].item() + roi.col_origin
+            roi_row = y_to_row(regions.y[i].item(), roi.image.shape[0])
+            y = row_to_y(roi_row + roi.row_origin, roi.frame_height)
+            return PupilDetection(point=Point(col, y), area=regions.area[i].item(),
+                                  eccentricity=regions.eccentricity[i].item()), attempt + 1
+        if candidates.size == 0:
+            raise NoPupilFound(
+                f"no pupil candidate at threshold {threshold:.1f} "
+                f"(attempt {attempt + 1})"
+            )
+        if attempt == MAX_RETRIES:
+            raise AmbiguousPupil(
+                f"{candidates.size} candidates left after {MAX_RETRIES} retries"
+            )
+        threshold = threshold + 0.5 * (i_max - threshold)
+    raise AssertionError("unreachable")

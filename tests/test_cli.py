@@ -341,6 +341,8 @@ def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
     ({"screen": {"training_targets": "corners"}}, "screen.training_targets"),
     ({"grid_n_min": 2}, "grid_n_min"),
     ({"grid_n_max": 10}, "grid_n_max"),
+    # Finite, but 3 x area is inf, which has no integer top_n.
+    ({"detect": {"expected_marker_area": 1e308}}, "config detect: expected_marker_area"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
     cfg = tmp_path / "cfg.json"

@@ -1,14 +1,18 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_image, blank, paint_disk, paint_ellipse, reference_marker_mask
+from helpers import (as_image, blank, paint_disk, paint_ellipse, reference_detect_pupil,
+                     reference_marker_mask)
 from irgaze.detection import (
+    MAX_RETRIES,
     PAIR_TOLERANCE_FLOOR,
+    PUPIL_DIAMETER_FRACTION,
     DetectConfig,
     EyeRoi,
     MarkerTriple,
@@ -25,19 +29,22 @@ from irgaze.detection import (
 from irgaze.errors import (
     AmbiguousPupil,
     DegenerateRoi,
+    DetectionError,
     MarkerGeometryInvalid,
     MissingPupil,
     NoPupilFound,
     TooFewComponents,
 )
-from irgaze.imaging import Point, binarize
+from irgaze.imaging import Point, binarize, decode_pgm
 from irgaze.synth import (
+    DatasetSpec,
     FaceLayout,
     GroundTruth,
     HeadPose,
     RenderConfig,
     default_poses,
     feature_model,
+    generate_dataset,
     render_scene,
 )
 
@@ -340,6 +347,86 @@ def test_threshold_raising_shrinks_foreground():
     assert (hi <= lo).all()
 
 
+def ladder_exit(roi, pupil_diameter):
+    """Where the reference ladder left: ("unique", step), ("NoPupilFound",
+    step) or ("AmbiguousPupil", MAX_RETRIES + 1); with ``detect_pupil``'s
+    outcome checked against the reference's on the way: the detection's
+    point, area and eccentricity with ==, or the exception class and
+    message."""
+    try:
+        expected, steps = reference_detect_pupil(roi, pupil_diameter)
+    except DetectionError as exc:
+        with pytest.raises(type(exc)) as raised:
+            detect_pupil(roi, pupil_diameter)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        attempt = re.search(r"\(attempt (\d+)\)$", str(exc))
+        return type(exc).__name__, int(attempt[1]) if attempt else MAX_RETRIES + 1
+    found = detect_pupil(roi, pupil_diameter)
+    assert (found.point, found.area, found.eccentricity) == (
+        expected.point, expected.area, expected.eccentricity)
+    assert type(found.area) is int and type(found.eccentricity) is float
+    return "unique", steps
+
+
+def _eye_rois(spec, tmp_path):
+    manifest = generate_dataset(spec, tmp_path)
+    for entry in manifest["frames"]:
+        img = decode_pgm((tmp_path / entry["file"]).read_bytes())
+        markers = detect_markers(img, DetectConfig())
+        for side in ("right", "left"):
+            yield (extract_eye_roi(img, markers, side),
+                   PUPIL_DIAMETER_FRACTION * markers.outer_distance())
+
+
+def _two_ridged_disks():
+    """Two disks that both pass the first cuts, each with a 1-px-wide ridge
+    that alone passes the later ones and that the radius-1 opening removes."""
+    canvas = blank(60, 40, 80)
+    for cx in (18, 42):
+        paint_disk(canvas, cx, 20, 5, 170)
+        canvas[19, cx - 4 : cx + 5] = 250
+    return whole_roi(canvas), 20.0
+
+
+def test_detect_pupil_matches_the_reference_ladder_on_every_exit(tmp_path):
+    """Every eye ROI of a seeded 640x480 and 1280x1024 dataset, and ROIs
+    built to leave the ladder at each of its exits."""
+    rois = [*_eye_rois(DatasetSpec(eval_points=4, training_repeats=1, master_seed=17),
+                       tmp_path / "640"),
+            *_eye_rois(DatasetSpec(poses=default_poses(1280, 1024)[:2], eval_points=4,
+                                   training_repeats=1,
+                                   render=RenderConfig(width=1280, height=1024),
+                                   master_seed=17), tmp_path / "1280")]
+    assert len(rois) == 2 * (6 * 8 + 2 * 8)
+    one_disk, two_disks, distractor = blank(60, 40, 80), blank(60, 40, 80), blank(60, 40, 80)
+    paint_disk(one_disk, 30, 20, 5, 170)
+    for canvas, level in ((two_disks, 170), (distractor, 140)):
+        paint_disk(canvas, 20, 20, 5, level)
+        paint_disk(canvas, 42, 20, 5, 235 if level == 140 else 170)
+    rois += [(whole_roi(canvas), 10.0) for canvas in (one_disk, two_disks, distractor)]
+    rois.append(_two_ridged_disks())
+    exits = {(kind, step > 1) for kind, step in map(ladder_exit, *zip(*rois))}
+    assert {("unique", False), ("unique", True), ("NoPupilFound", True),
+            ("AmbiguousPupil", True)} <= exits
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(w=st.integers(6, 90), h=st.integers(6, 70), disks=st.integers(0, 3),
+       diameter=st.floats(5.0, 60.0), seed=st.integers(0, 2**32 - 1))
+def test_detect_pupil_matches_the_reference_ladder_on_random_rois(w, h, disks, diameter,
+                                                                  seed):
+    """Noise plus up to three bright disks of about the pupil's size."""
+    rng = np.random.default_rng(seed)
+    canvas = rng.normal(rng.uniform(30.0, 120.0), rng.uniform(0.0, 25.0), (h, w))
+    for _ in range(disks):
+        paint_disk(canvas, rng.uniform(0, w - 1), rng.uniform(0, h - 1),
+                   0.5 * diameter * rng.uniform(0.3, 1.2), int(rng.integers(120, 256)))
+    row_origin = int(rng.integers(0, 300))
+    roi = EyeRoi(image=as_image(canvas), col_origin=int(rng.integers(0, 400)),
+                 row_origin=row_origin, frame_height=row_origin + h + int(rng.integers(0, 300)))
+    ladder_exit(roi, diameter)
+
+
 # --- observe_face ------------------------------------------------------------
 
 def test_observe_face_recovers_all_features():
@@ -409,6 +496,7 @@ def test_config_default_top_n_tracks_marker_area():
 @pytest.mark.parametrize("bad", [
     pytest.param(dict(expected_marker_area=0.5), id="bad0"),  # top_n = round(1.5) = 2
     pytest.param(dict(expected_marker_area=0.0), id="bad4"),
+    pytest.param(dict(expected_marker_area=1e308), id="huge"),  # 3 x area is inf
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -106,7 +106,10 @@ def test_binarize_rejects_nan():
     np.zeros(4, dtype=bool),
     np.zeros((0, 3), dtype=bool),
     [[True, False]],
-], ids=["uint8", "1-D", "empty", "list"])
+    np.zeros((2, 3, 3, 3), dtype=bool),
+    np.zeros((0, 3, 3), dtype=bool),
+    np.zeros((2, 0, 3), dtype=bool),
+], ids=["uint8", "1-D", "empty", "list", "4-D", "no-planes", "empty-planes"])
 def test_masks_must_be_non_empty_2d_bool_arrays(bad):
     with pytest.raises(ValueError, match="non-empty 2-D bool mask"):
         morphology(bad, "open", 1)
@@ -206,6 +209,26 @@ def test_morphology_matches_the_per_pixel_oracle(op, radius):
             mask = rng.random((h, w)) < density
             out = morphology(mask, op, radius)
             assert np.array_equal(out, reference_morphology(mask, op, radius)), (h, w, density)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+@pytest.mark.parametrize("op", ["erode", "dilate", "open", "close"])
+def test_morphology_treats_each_plane_of_a_stack_alone(op, radius):
+    """Each plane of a (k, h, w) stack comes out as that plane alone would,
+    and as the per-pixel oracle says: foreground on one plane's last row or
+    a full plane must not bleed into the empty planes beside it."""
+    rng = np.random.default_rng(31)
+    stack = np.zeros((6, 9, 11), dtype=bool)
+    stack[0] = rng.random((9, 11)) < 0.5
+    stack[1, -1, :] = True
+    stack[3] = True
+    stack[4, 0, 2:] = True
+    stack[4, 1:] = rng.random((8, 11)) < 0.7
+    out = morphology(stack, op, radius)
+    assert out.shape == stack.shape and out.dtype == bool and not out.flags.writeable
+    for p, plane in enumerate(stack):
+        assert np.array_equal(out[p], morphology(plane, op, radius)), p
+        assert np.array_equal(out[p], reference_morphology(plane, op, radius)), p
 
 
 @settings(max_examples=60, deadline=None)

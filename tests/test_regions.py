@@ -310,6 +310,51 @@ def test_sparse_masks_match_the_reference_labeler(w, h, density, seed):
     labeled_as_the_reference(np.random.default_rng(seed).random((h, w)) < density)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 7),
+    w=st.integers(1, 24),
+    h=st.integers(1, 24),
+    densities=st.lists(st.sampled_from([0.0, 0.1, 0.4, 0.7, 1.0]), min_size=7, max_size=7),
+    seam=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=4, w=9, h=6, densities=[0.0] * 7, seam=False, seed=0)
+@example(k=1, w=13, h=11, densities=[0.4] * 7, seam=True, seed=1)
+@example(k=3, w=8, h=5, densities=[0.0, 0.4, 0.0, 1.0, 0.0, 0.0, 0.0], seam=True, seed=2)
+@example(k=5, w=1, h=1, densities=[1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0], seam=False, seed=3)
+def test_each_plane_of_a_stack_labels_as_that_plane_alone(k, w, h, densities, seam, seed):
+    """Rows with plane == p equal the plane's own call column by column, bits
+    included, and the stack's label image holds the plane's labels.  With
+    ``seam``, foreground on each plane's last row sits right above foreground
+    on the next plane's first row, and must stay apart."""
+    rng = np.random.default_rng(seed)
+    stack = rng.random((k, h, w)) < np.array(densities[:k])[:, None, None]
+    if seam:
+        stack[:-1, -1, :] = stack[1:, 0, :] = True
+    regions = connected_components(stack)
+    top, left = regions.origin
+    bh, bw = regions.labels.shape[1:]
+    assert regions.labels.shape[0] == k and regions.labels.dtype == np.int32
+    assert (np.diff(regions.plane) >= 0).all()
+    for p in range(k):
+        alone = connected_components(stack[p])
+        assert not alone.plane.any()
+        rows = regions.plane == p
+        for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity"):
+            column = getattr(regions, name)[rows]
+            assert column.dtype == getattr(alone, name).dtype, name
+            assert column.tolist() == getattr(alone, name).tolist(), name
+        ours = np.zeros((h, w), dtype=np.int32)
+        first = np.count_nonzero(regions.plane < p)
+        ours[top : top + bh, left : left + bw] = np.where(
+            regions.labels[p] > 0, regions.labels[p] - first, 0)
+        theirs = np.zeros((h, w), dtype=np.int32)
+        (r0, c0), (lh, lw) = alone.origin, alone.labels.shape
+        theirs[r0 : r0 + lh, c0 : c0 + lw] = alone.labels
+        assert np.array_equal(ours, theirs)
+
+
 def test_numpy_sums_each_row_of_a_block_as_it_sums_the_row_alone():
     """connected_components sums the moments of all regions of one area as
     rows of one (3, k, area) block; its bits equal per-region sums only
