@@ -23,7 +23,6 @@ from .detection import (
 )
 from .gaze import (
     GazeEstimate,
-    GridSpec,
     ScreenGeometry,
     TrainingSet,
     accuracy_table,
@@ -70,7 +69,7 @@ __all__ = [
     "PupilDetection", "PupilPair",
     "detect_markers", "detect_pupil", "extract_eye_roi", "observe_face",
     "pupil_threshold", "validate_pupil_pair",
-    "GazeEstimate", "GridSpec", "ScreenGeometry", "TrainingSet",
+    "GazeEstimate", "ScreenGeometry", "TrainingSet",
     "accuracy_table", "build_training_set", "congruency", "estimate_gaze",
     "estimate_gaze_single_eye", "score_accuracy",
     "select_closest",

@@ -54,10 +54,7 @@ CONFIG_DEFAULTS: dict = {
     "metric": "congruency",
     "eq10_variant": "corrected",
     "jobs": 1,
-    "screen": {
-        "width_cm": 60.0,
-        "height_cm": 60.0,
-    },
+    "screen": dataclasses.asdict(ScreenGeometry()),
     "detect": dataclasses.asdict(DetectConfig()),
     "synth": {
         "width": 640,
@@ -244,6 +241,8 @@ def _read_training_set(path: str) -> TrainingSet:
 # --- synth --------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     sy = cfg["synth"]
     all_poses = default_poses(sy["width"], sy["height"])
     if not 0 <= sy["poses"] <= len(all_poses):
@@ -257,15 +256,11 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
         poses=all_poses[: sy["poses"]],
         eval_points=sy["points"],
         training_repeats=sy["training_repeats"],
-        screen=_configured("screen", ScreenGeometry.with_corner_targets, **cfg["screen"]),
+        screen=_configured("screen", ScreenGeometry, **cfg["screen"]),
         render=render,
         master_seed=cfg["seed"],
     )
-    try:
-        manifest = generate_dataset(spec, args.out)
-    except OSError as exc:
-        print(f"error: cannot write dataset to {args.out}: {exc}", file=sys.stderr)
-        return 1
+    manifest = generate_dataset(spec, args.out)
     n_eval = sum(1 for f in manifest["frames"] if f["role"] == "evaluation")
     n_train = len(manifest["frames"]) - n_eval
     print(Path(args.out) / "manifest.json")
@@ -494,8 +489,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
 
     columns = []
     for name, screen, rows in datasets:
-        table = accuracy_table([(est, truth) for _, est, truth in rows],
-                               screen.width_cm, screen.height_cm)
+        table = accuracy_table([(est, truth) for _, est, truth in rows], screen)
         columns.append([acc for _, acc in table])
 
         with open(out_dir / f"details_{name}.csv", "w", newline="") as fh:
@@ -584,6 +578,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a failed read is an InputFileError by now
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 """Training-based gaze estimation.
 
+The screen is modeled by its extents alone: the user calibrates by gazing
+at its four corners, and accuracy is scored on n-by-n grids of cells over it.
+
 Calibration frames are grouped by the screen corner being gazed at, each
 corner's training vectors held as one (n, 10) array of marker and pupil
 coordinates.  For an input frame the closest head orientation per corner
@@ -66,50 +69,55 @@ _DENOM_EPS = 1e-6
 
 @dataclass(frozen=True)
 class ScreenGeometry:
-    """Target-plane geometry in centimeters, origin at the down-left screen
-    corner with y pointing up.  ``corners`` holds the four training gaze
-    targets indexed 1=up-left, 2=up-right, 3=down-left, 4=down-right."""
+    """The screen's extents in centimeters, origin at its down-left corner
+    with y pointing up.  The four training gaze targets are the screen's
+    corners, indexed 1=up-left, 2=up-right, 3=down-left, 4=down-right; an
+    n-by-n evaluation grid splits it into cells labeled 1-based, row-major
+    from the top-left (cell 1 is up-left)."""
 
-    width_cm: float
-    height_cm: float
-    corners: tuple[Point, Point, Point, Point]
+    width_cm: float = 60.0
+    height_cm: float = 60.0
 
     def __post_init__(self):
-        values = (self.width_cm, self.height_cm, *(v for p in self.corners for v in p))
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"screen extents and corner targets must be finite, "
-                             f"got {self.to_dict()}")
+        if not (math.isfinite(self.width_cm) and math.isfinite(self.height_cm)):
+            raise ValueError(f"screen extents must be finite, got "
+                             f"{self.width_cm} x {self.height_cm}")
         if self.width_cm <= 0 or self.height_cm <= 0:
             raise ValueError("screen extents must be positive")
-        c1, c2, c3, c4 = self.corners
-        if not (c1.x < c2.x and c3.x < c4.x and c1.y > c3.y and c2.y > c4.y):
-            raise ValueError("corner targets must be ordered up-left, up-right, "
-                             "down-left, down-right")
 
     def corner(self, c: int) -> Point:
-        return self.corners[c - 1]
+        right, top = ((0, 1), (1, 1), (0, 0), (1, 0))[c - 1]
+        return Point(self.width_cm if right else 0.0, self.height_cm if top else 0.0)
 
-    @classmethod
-    def with_corner_targets(cls, width_cm: float = 60.0, height_cm: float = 60.0) -> "ScreenGeometry":
-        """Training targets at the exact screen corners."""
-        return cls(width_cm, height_cm, (
-            Point(0.0, height_cm),
-            Point(width_cm, height_cm),
-            Point(0.0, 0.0),
-            Point(width_cm, 0.0),
-        ))
+    def cell_center(self, n: int, label: int) -> Point:
+        _check_grid(n)
+        row_from_top, col = divmod(label - 1, n)
+        return Point(
+            (col + 0.5) * self.width_cm / n,
+            self.height_cm - (row_from_top + 0.5) * self.height_cm / n,
+        )
 
     def to_dict(self) -> dict:
         return {
             "Lx": self.width_cm,
             "Ly": self.height_cm,
-            "corners": [[p.x, p.y] for p in self.corners],
+            "corners": [list(self.corner(c)) for c in CORNERS],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScreenGeometry":
-        corners = tuple(Point(float(x), float(y)) for x, y in d["corners"])
-        return cls(float(d["Lx"]), float(d["Ly"]), corners)
+        """Parse ``to_dict`` output, whose corner targets must be the
+        screen's own corners: ValueError otherwise."""
+        screen = cls(float(d["Lx"]), float(d["Ly"]))
+        corners = [[float(x), float(y)] for x, y in d["corners"]]
+        if corners != screen.to_dict()["corners"]:
+            raise ValueError(f"corner targets must be the screen's corners, got {corners}")
+        return screen
+
+
+def _check_grid(n: int) -> None:
+    if n < 2:
+        raise ValueError("grid resolution must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -387,39 +395,16 @@ def estimate_gaze(
     raise NoUsableEye(f"no eye produced an estimate for frame {obs.frame_id!r}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """n-by-n evaluation grid over the screen.  Cells are labeled 1-based,
-    row-major from the top-left (cell 1 is up-left)."""
-
-    n: int
-    width_cm: float
-    height_cm: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("grid resolution must be at least 2")
-        if self.width_cm <= 0 or self.height_cm <= 0:
-            raise ValueError("grid extents must be positive")
-
-    def cell_center(self, label: int) -> Point:
-        row_from_top = (label - 1) // self.n
-        col = (label - 1) % self.n
-        return Point(
-            (col + 0.5) * self.width_cm / self.n,
-            self.height_cm - (row_from_top + 0.5) * self.height_cm / self.n,
-        )
-
-
 def score_accuracy(
-    pairs: Sequence[tuple[Point, Point]], grid: GridSpec
+    pairs: Sequence[tuple[Point, Point]], screen: ScreenGeometry, n: int
 ) -> float:
     """Fraction of (estimate, truth) pairs whose error is under half a cell
-    in both axes (strict inequalities)."""
+    of the n-by-n grid in both axes (strict inequalities)."""
+    _check_grid(n)
     if not pairs:
         raise EmptyInput("no estimate/truth pairs to score")
-    half_x = grid.width_cm / (2.0 * grid.n)
-    half_y = grid.height_cm / (2.0 * grid.n)
+    half_x = screen.width_cm / (2.0 * n)
+    half_y = screen.height_cm / (2.0 * n)
     correct = sum(
         1
         for est, truth in pairs
@@ -429,11 +414,8 @@ def score_accuracy(
 
 
 def accuracy_table(
-    pairs: Sequence[tuple[Point, Point]], width_cm: float, height_cm: float
+    pairs: Sequence[tuple[Point, Point]], screen: ScreenGeometry
 ) -> list[tuple[int, float]]:
     """Accuracy at each grid resolution n in ``GRID_NS``; non-increasing in
     n by construction."""
-    return [
-        (n, score_accuracy(pairs, GridSpec(n=n, width_cm=width_cm, height_cm=height_cm)))
-        for n in GRID_NS
-    ]
+    return [(n, score_accuracy(pairs, screen, n)) for n in GRID_NS]

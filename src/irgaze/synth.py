@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FeatureOutOfFrame
-from .gaze import COORD_KEYS, GridSpec, ScreenGeometry
+from .gaze import COORD_KEYS, ScreenGeometry
 from .imaging import Point, encode_pgm
 
 SCALE_RANGE = (0.5, 2.0)
@@ -331,7 +331,7 @@ class DatasetSpec:
     poses: tuple[HeadPose, ...] = field(default_factory=default_poses)
     eval_points: int = 25
     training_repeats: int = 2
-    screen: ScreenGeometry = field(default_factory=ScreenGeometry.with_corner_targets)
+    screen: ScreenGeometry = ScreenGeometry()
     layout: FaceLayout = FaceLayout()
     render: RenderConfig = RenderConfig()
     master_seed: int = 1234
@@ -361,9 +361,6 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    grid = GridSpec(n=EVAL_GRID_N, width_cm=spec.screen.width_cm,
-                    height_cm=spec.screen.height_cm)
-
     # (frame_id, role, corner or None, truth); a frame's seeds come from its
     # plan index, and repeats of a training target drift a little.
     plan: list[tuple[str, str, int | None, GroundTruth]] = []
@@ -388,7 +385,7 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     for pi, pose in enumerate(spec.poses):
         for label in range(1, spec.eval_points + 1):
             add(f"eval_p{pi}_k{label:02d}", "evaluation", None,
-                grid.cell_center(label), pose, False)
+                spec.screen.cell_center(EVAL_GRID_N, label), pose, False)
 
     sigma = spec.render.noise_sigma
     shape = (spec.render.height, spec.render.width)

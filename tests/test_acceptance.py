@@ -27,7 +27,6 @@ from irgaze.errors import IrGazeError
 from irgaze.gaze import (
     METRICS,
     WEIGHTINGS,
-    GridSpec,
     ScreenGeometry,
     accuracy_table,
     build_training_set,
@@ -56,7 +55,7 @@ from irgaze.synth import (
 )
 
 MASTER_SEED = 20240808
-SCREEN = ScreenGeometry.with_corner_targets(60.0, 60.0)
+SCREEN = ScreenGeometry(60.0, 60.0)
 
 
 def announce(capsys, name: str, ok: bool, detail: str) -> None:
@@ -165,9 +164,8 @@ def _eval_pairs(oracle_run, trained, weighting):
 
 def test_end_to_end_gaze_accuracy(oracle_run, trained, capsys):
     pairs = _eval_pairs(oracle_run, trained, "corrected")
-    table = dict(accuracy_table(pairs, SCREEN.width_cm, SCREEN.height_cm))
-    literal = dict(accuracy_table(_eval_pairs(oracle_run, trained, "literal"),
-                                  SCREEN.width_cm, SCREEN.height_cm))
+    table = dict(accuracy_table(pairs, SCREEN))
+    literal = dict(accuracy_table(_eval_pairs(oracle_run, trained, "literal"), SCREEN))
     ok = table[5] >= 0.95 and table[2] == 1.0 and table[3] == 1.0
     announce(capsys, "end-to-end-accuracy", ok,
              f"corrected N=5 {table[5]:.1%}, N=2 {table[2]:.1%}, N=3 {table[3]:.1%}")
@@ -182,7 +180,7 @@ def test_end_to_end_gaze_accuracy(oracle_run, trained, capsys):
 
 def test_accuracy_table_monotone(oracle_run, trained, capsys):
     pairs = _eval_pairs(oracle_run, trained, "corrected")
-    accs = [acc for _, acc in accuracy_table(pairs, SCREEN.width_cm, SCREEN.height_cm)]
+    accs = [acc for _, acc in accuracy_table(pairs, SCREEN)]
     ok = all(a >= b for a, b in zip(accs, accs[1:]))
     announce(capsys, "monotonicity", ok,
              f"accuracies N=2..10: {['%.3f' % a for a in accs]}")
@@ -230,7 +228,7 @@ def test_held_out_pose_accuracy_floor(held_out, capsys, metric, weighting):
     pairs = [(estimate_gaze(obs, ts, weighting).point, Point(*entry["gaze"]))
              for entry, obs in held_out["evaluation"]]
     correct = tuple(round(acc * len(pairs))
-                    for _, acc in accuracy_table(pairs, SCREEN.width_cm, SCREEN.height_cm))
+                    for _, acc in accuracy_table(pairs, SCREEN))
     floor = HELD_OUT_FLOOR[(metric, weighting)]
     ok = len(pairs) == 75 and all(c >= f for c, f in zip(correct, floor))
     announce(capsys, f"held-out-poses {metric}/{weighting}", ok,
@@ -288,13 +286,12 @@ def test_congruency_properties(capsys):
 def test_half_cell_boundary_is_strict(capsys):
     ok = True
     for n in range(2, 11):
-        grid = GridSpec(n=n, width_cm=60.0, height_cm=60.0)
         half = 60.0 / (2 * n)
         truth = Point(0.0, 30.0)  # delta against 0 stays exact in floats
         at_bound = [(Point(half, truth.y), truth)]
         below = [(Point(np.nextafter(half, 0.0), truth.y), truth)]
-        ok = ok and score_accuracy(at_bound, grid) == 0.0
-        ok = ok and score_accuracy(below, grid) == 1.0
+        ok = ok and score_accuracy(at_bound, SCREEN, n) == 0.0
+        ok = ok and score_accuracy(below, SCREEN, n) == 1.0
     announce(capsys, "half-cell-boundary", ok,
              "dx = Lx/(2N) incorrect, one ulp below correct, N = 2..10")
     assert ok

@@ -45,12 +45,42 @@ def test_synth_poses_points_counts(tmp_path):
     assert len(eval_frames) == 4
 
 
-def test_synth_invalid_output_path(tmp_path, capsys):
+def _stage_argv(pipeline, stage: str) -> list[str]:
+    """The fixture's argv of ``stage``, less its --out."""
+    man, obs = str(pipeline / "ds" / "manifest.json"), str(pipeline / "obs.jsonl")
+    return {
+        "synth": ["synth", "--poses", "1", "--points", "1"],
+        "detect": ["detect", "--manifest", man],
+        "train": ["train", "--observations", obs, "--manifest", man],
+        "estimate": ["estimate", "--observations", obs,
+                     "--training-set", str(pipeline / "train.json")],
+        "evaluate": ["evaluate", "--estimates", str(pipeline / "est.csv"), "--manifest", man],
+    }[stage]
+
+
+@pytest.mark.parametrize("stage", list(STAGE_FLAGS))
+def test_invalid_output_path(pipeline, tmp_path, capsys, stage):
+    """Only synth once caught this; the other stages exited 1 with a
+    NotADirectoryError traceback."""
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
     bad = blocker / "nested"
-    assert main(["synth", "--out", str(bad), "--poses", "1", "--points", "1"]) == 1
-    assert str(bad) in capsys.readouterr().err
+    assert main([*_stage_argv(pipeline, stage), "--out", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot write" in err and str(bad) in err
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_synth_negative_seed_exits_2_naming_it(tmp_path, capsys, how):
+    """A negative seed once failed in numpy's SeedSequence with a traceback,
+    after the output directory was made."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    seed = ["--seed", "-1"] if how == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "ds"
+    assert main(["synth", *seed, "--out", str(out), "--poses", "1", "--points", "1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_output_accounts_for_every_frame(pipeline):
@@ -524,8 +554,14 @@ def _left_marker_onto_middle(doc):
     pytest.param(_nan_into_corner_1, "corners.1.0: malformed field: x_mm must be finite",
                  id="nan-1.0"),
     pytest.param(lambda doc: doc["screen"].update(Lx=float("inf")),
-                 "screen: malformed field: screen extents and corner targets must be finite",
+                 "screen: malformed field: screen extents must be finite",
                  id="infinite-Lx"),
+    pytest.param(lambda doc: doc["screen"]["corners"][1].__setitem__(0, 50.0),
+                 "screen: malformed field: corner targets must be the screen's corners",
+                 id="other-corners"),
+    pytest.param(lambda doc: doc["screen"]["corners"][3].__setitem__(1, float("nan")),
+                 "screen: malformed field: corner targets must be the screen's corners",
+                 id="nan-corner"),
 ])
 def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, spoil, named):
     doc = json.loads((pipeline / "train.json").read_text())
@@ -602,8 +638,28 @@ def test_manifest_with_an_infinite_screen_names_the_field(pipeline, tmp_path, ca
             ["evaluate", "--estimates", str(pipeline / "est.csv"), "--manifest", str(bad),
              "--out", out])
     assert main(argv) == 2
-    assert (f"{bad}: screen: malformed field: screen extents and corner targets "
-            "must be finite") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{bad}: screen: malformed field: screen extents must be finite" in err
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda doc: doc["screen"]["corners"].reverse(), id="reversed"),
+    pytest.param(lambda doc: doc["screen"]["corners"][0].__setitem__(1, 50.0), id="inside"),
+    pytest.param(lambda doc: doc["screen"]["corners"][2].__setitem__(0, float("nan")),
+                 id="nan"),
+])
+def test_manifest_with_other_corner_targets_names_the_screen(pipeline, tmp_path, capsys,
+                                                             stage, spoil):
+    """The training targets are the screen's corners; a file claiming
+    others is refused, never read as if it held the corners."""
+    bad = _spoiled_manifest(pipeline, tmp_path, spoil)
+    argv = [*_stage_argv(pipeline, stage), "--out", str(tmp_path / "out")]
+    argv[argv.index("--manifest") + 1] = str(bad)
+    assert main(argv) == 2
+    assert (f"{bad}: screen: malformed field: corner targets must be the screen's "
+            "corners") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_manifest_nan_gaze_names_the_frame(pipeline, tmp_path, capsys):
@@ -794,6 +850,32 @@ def test_hires_observation_bytes_are_pinned(tmp_path):
     assert main(["detect", "--manifest", str(ds / "manifest.json"), "--out", str(obs)]) == 0
     digest = hashlib.sha256(obs.read_bytes()).hexdigest()
     assert digest == "7a21f72d4dd2c3f5e97e21a5d4a35fc32ecb9b2f50cf539c4b05018d785b821d"
+
+
+def test_non_default_screen_bytes_are_pinned(tmp_path):
+    """A 52 x 33.5 screen from the config, an int extent among them: the
+    manifest writes it as given, and every stage scores against it."""
+    cfg, ds = tmp_path / "cfg.json", tmp_path / "ds"
+    cfg.write_text(json.dumps({"screen": {"width_cm": 52, "height_cm": 33.5}}))
+    man, obs = str(ds / "manifest.json"), str(tmp_path / "obs.jsonl")
+    ts, est = str(tmp_path / "ts.json"), str(tmp_path / "est.csv")
+    for argv in (
+        ["synth", "--config", str(cfg), "--out", str(ds), "--poses", "2", "--points", "3",
+         "--training-repeats", "3", "--seed", "77"],
+        ["detect", "--manifest", man, "--out", obs],
+        ["train", "--observations", obs, "--manifest", man, "--out", ts],
+        ["estimate", "--observations", obs, "--training-set", ts, "--out", est],
+        ["evaluate", "--estimates", est, "--manifest", man, "--out", str(tmp_path / "report")],
+    ):
+        assert main(argv) == 0, argv
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("ds/manifest.json", "ts.json", "est.csv", "report/report.csv")}
+    assert digests == {
+        "ds/manifest.json": "67d7da0d3d67e89b3c438aba92835e004122a11078d08977638da7ee23dfde2c",
+        "ts.json": "64b88f57a5458a575b1e99683c83a133846c2439bf9b5f103d6f3529afd69b34",
+        "est.csv": "725515b49591f29fbb99eb344178cd4c95d6471908ccbfa3ec82e04b7aa50907",
+        "report/report.csv": "43caa974ac8a059dad25a7d8dc480e4c4ca55a306bbfde7f6222a68da10b8fc5",
+    }
 
 
 # --- integers beyond float range ------------------------------------------------

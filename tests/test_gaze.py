@@ -21,7 +21,6 @@ from irgaze.gaze import (
     CORNERS,
     MARKER_COLS,
     METRICS,
-    GridSpec,
     ScreenGeometry,
     TrainingSet,
     accuracy_table,
@@ -35,7 +34,7 @@ from irgaze.gaze import (
 from irgaze.imaging import Point
 from irgaze.synth import HeadPose
 
-SCREEN = ScreenGeometry.with_corner_targets(60.0, 60.0)
+SCREEN = ScreenGeometry(60.0, 60.0)
 
 
 def triple_with_edges_equilateral(side: float, offset=(0.0, 0.0)) -> MarkerTriple:
@@ -532,19 +531,16 @@ def test_estimate_gaze_no_usable_eye():
 
 # --- grid + scoring --------------------------------------------------------------
 
-GRID5 = GridSpec(n=5, width_cm=60.0, height_cm=60.0)
-
-
 def test_score_all_exact_pairs():
     pairs = [(Point(10, 10), Point(10, 10))] * 4
-    assert score_accuracy(pairs, GRID5) == 1.0
+    assert score_accuracy(pairs, SCREEN, 5) == 1.0
 
 
 def test_score_strict_half_cell_boundary():
     ok = [(Point(30 + 5.9, 30), Point(30, 30))]
     bad = [(Point(36.0, 30), Point(30, 30))]
-    assert score_accuracy(ok, GRID5) == 1.0
-    assert score_accuracy(bad, GRID5) == 0.0
+    assert score_accuracy(ok, SCREEN, 5) == 1.0
+    assert score_accuracy(bad, SCREEN, 5) == 0.0
 
 
 def test_score_counts_fraction():
@@ -554,17 +550,17 @@ def test_score_counts_fraction():
         (Point(10, 50), Point(40, 20)),
         (Point(59, 59), Point(20, 20)),
     ]
-    assert score_accuracy(pairs, GRID5) == 0.25
+    assert score_accuracy(pairs, SCREEN, 5) == 0.25
 
 
 def test_score_empty_input():
     with pytest.raises(EmptyInput):
-        score_accuracy([], GRID5)
+        score_accuracy([], SCREEN, 5)
 
 
 def test_accuracy_table_zero_error_everywhere():
     pairs = [(Point(7, 9), Point(7, 9))] * 3
-    table = accuracy_table(pairs, 60.0, 60.0)
+    table = accuracy_table(pairs, SCREEN)
     assert [n for n, _ in table] == list(range(2, 11))
     assert all(acc == 1.0 for _, acc in table)
 
@@ -574,7 +570,7 @@ def test_accuracy_table_monotone_non_increasing():
         (Point(30 + d, 30 - d), Point(30, 30))
         for d in (0.0, 1.0, 2.4, 3.3, 4.8, 6.1, 9.0, 14.0)
     ]
-    table = accuracy_table(rng_pairs, 60.0, 60.0)
+    table = accuracy_table(rng_pairs, SCREEN)
     accs = [acc for _, acc in table]
     assert all(a >= b for a, b in zip(accs, accs[1:]))
 
@@ -582,13 +578,47 @@ def test_accuracy_table_monotone_non_increasing():
 # --- screen geometry -------------------------------------------------------------
 
 def test_screen_corner_targets_layout():
-    s = ScreenGeometry.with_corner_targets(60, 48)
+    s = ScreenGeometry(60, 48)
     assert s.corner(1) == Point(0, 48)
     assert s.corner(2) == Point(60, 48)
     assert s.corner(3) == Point(0, 0)
     assert s.corner(4) == Point(60, 0)
+    with pytest.raises(IndexError):
+        s.corner(5)
 
 
-def test_screen_rejects_misordered_corners():
-    with pytest.raises(ValueError):
-        ScreenGeometry(60, 60, (Point(60, 60), Point(0, 60), Point(0, 0), Point(60, 0)))
+
+def test_screen_cell_centers_run_row_major_from_the_top_left():
+    s = ScreenGeometry(60, 48)
+    assert s.cell_center(5, 1) == Point(6.0, 43.2)
+    assert s.cell_center(5, 5) == Point(54.0, 43.2)
+    assert s.cell_center(5, 21) == Point(6.0, 4.799999999999997)
+    assert s.cell_center(2, 4) == Point(45.0, 12.0)
+
+
+@pytest.mark.parametrize("grid_of_one", [
+    pytest.param(lambda: score_accuracy([(Point(1, 1), Point(1, 1))], SCREEN, 1),
+                 id="score_accuracy"),
+    pytest.param(lambda: SCREEN.cell_center(1, 1), id="cell_center"),
+])
+def test_grid_resolution_must_be_at_least_2(grid_of_one):
+    with pytest.raises(ValueError, match="grid resolution must be at least 2"):
+        grid_of_one()
+
+
+def test_screen_file_keeps_the_extents_as_given():
+    """A config's int extent is written as an int, and read back as float."""
+    doc = ScreenGeometry(52, 33.5).to_dict()
+    assert json.dumps(doc) == ('{"Lx": 52, "Ly": 33.5, "corners": '
+                               '[[0.0, 33.5], [52, 33.5], [0.0, 0.0], [52, 0.0]]}')
+    assert ScreenGeometry.from_dict(doc) == ScreenGeometry(52.0, 33.5)
+
+
+@pytest.mark.parametrize("corners", [
+    [[0.0, 33.5], [52.0, 33.5], [0.0, 0.0], [52.0, 0.5]],
+    [[52.0, 33.5], [0.0, 33.5], [0.0, 0.0], [52.0, 0.0]],
+    [[0.0, 33.5], [52.0, 33.5], [0.0, 0.0]],
+])
+def test_screen_file_with_other_corner_targets_is_refused(corners):
+    with pytest.raises(ValueError, match="corner targets must be the screen's corners"):
+        ScreenGeometry.from_dict({"Lx": 52, "Ly": 33.5, "corners": corners})

@@ -357,7 +357,7 @@ def test_synth_write_failure_exits_1_and_joins_the_worker(tmp_path, capsys):
     (out / "train_p0_c1_r0.pgm").mkdir(parents=True)
     before = set(threading.enumerate())
     assert main(["synth", "--out", str(out), "--poses", "1", "--points", "1"]) == 1
-    assert f"cannot write dataset to {out}" in capsys.readouterr().err
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
     assert set(threading.enumerate()) <= before
 
 
