@@ -46,7 +46,7 @@ from .gaze import (
     estimate_gaze,
     TrainingSet,
 )
-from .imaging import Point, decode_pgm
+from .imaging import Point, check_finite, decode_pgm
 from .synth import DatasetSpec, RenderConfig, default_poses, generate_dataset
 
 CONFIG_DEFAULTS: dict = {
@@ -115,9 +115,11 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigError(f"config key {where!r} must be {type(default).__name__}, "
                               f"got {value!r}")
-        # NaN, an infinity and an int beyond float range all fail this test.
-        if isinstance(default, float) and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"config key {where!r} must be finite, got {value!r}")
+        if isinstance(value, (int, float)):
+            try:
+                check_finite(value, where)
+            except ValueError:
+                raise ConfigError(f"config key {where!r} must be finite, got {value!r}") from None
         if value not in CONFIG_CHOICES.get(where, (value,)):
             raise ConfigError(f"config key {where!r} must be one of {CONFIG_CHOICES[where]}")
         out[key] = value
@@ -166,13 +168,6 @@ def _reading(where: str):
         raise InputFileError(f"{where}: malformed field: {exc}") from exc
 
 
-def _require_finite(values: list, field: str) -> None:
-    """ValueError naming ``field`` unless every value is a finite number:
-    NaN, an infinity and an int beyond float range all fail."""
-    if not all(abs(value) <= sys.float_info.max for value in values):
-        raise ValueError(f"{field} must be finite, got {values}")
-
-
 def _claim(seen: dict[str, str], frame_id: str, entry: str) -> None:
     """Record that ``entry`` holds ``frame_id``, which no entry in ``seen``
     may hold already."""
@@ -200,8 +195,7 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
                 if type(label) is not int:
                     raise TypeError(f"corner must be an integer, got {label!r}")
             else:
-                _require_finite(entry["gaze"], "gaze")
-                label = Point(*map(float, entry["gaze"]))
+                label = Point(*map(float, check_finite(entry["gaze"], "gaze")))
             if role != "evaluation" and label not in CORNERS:
                 raise ValueError(
                     f"need role 'evaluation', or 'training' with a corner in {CORNERS}")
@@ -241,8 +235,6 @@ def _read_training_set(path: str) -> TrainingSet:
 # --- synth --------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     sy = cfg["synth"]
     all_poses = default_poses(sy["width"], sy["height"])
     if not 0 <= sy["poses"] <= len(all_poses):
@@ -301,8 +293,7 @@ def row_to_observation(row: dict) -> FaceObservation:
     non-finite coordinate raises ValueError naming its field."""
 
     def point(xy, field: str) -> Point:
-        _require_finite(xy, field)
-        return Point(*xy)
+        return Point(*check_finite(xy, field))
 
     def pupil(side):
         d = row["pupils"][side]
@@ -451,11 +442,8 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
             if row["error"] or not row["x_g"]:
                 continue
             with _reading(where):
-                point = Point(float(row["x_g"]), float(row["y_g"]))
-                for field, value in zip(("x_g", "y_g"), point):
-                    if not math.isfinite(value):
-                        raise ValueError(f"{field} must be finite, got {value}")
-            points[row["frame"]] = point
+                points[row["frame"]] = Point(
+                    *(check_finite(float(row[field]), field) for field in ("x_g", "y_g")))
     return points
 
 

@@ -38,6 +38,7 @@ from .errors import (
 from .imaging import (
     Point,
     binarize,
+    check_finite,
     check_image,
     connected_components,
     equalize_lut,
@@ -75,11 +76,9 @@ class DetectConfig:
     expected_marker_area: float = math.pi * 7.0 * 7.0
 
     def __post_init__(self):
-        if not math.isfinite(3.0 * self.expected_marker_area) or self.top_n < 3:
-            raise ValueError(
-                f"expected_marker_area must give a finite top_n = round(3 x area) >= 3, "
-                f"got {self.expected_marker_area}"
-            )
+        area = check_finite(self.expected_marker_area, "expected_marker_area")
+        if round(check_finite(3.0 * area, "expected_marker_area x 3")) < 3:  # top_n
+            raise ValueError(f"expected_marker_area must give top_n >= 3, got {area}")
 
     @property
     def top_n(self) -> int:

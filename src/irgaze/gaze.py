@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -46,7 +45,7 @@ from .errors import (
     IncompleteObservation,
     NoUsableEye,
 )
-from .imaging import Point
+from .imaging import Point, check_finite
 
 CORNERS = (1, 2, 3, 4)  # 1 up-left, 2 up-right, 3 down-left, 4 down-right
 METRICS = ("congruency", "euclidean")
@@ -79,9 +78,7 @@ class ScreenGeometry:
     height_cm: float = 60.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.width_cm) and math.isfinite(self.height_cm)):
-            raise ValueError(f"screen extents must be finite, got "
-                             f"{self.width_cm} x {self.height_cm}")
+        check_finite([self.width_cm, self.height_cm], "screen extents")
         if self.width_cm <= 0 or self.height_cm <= 0:
             raise ValueError("screen extents must be positive")
 
@@ -106,12 +103,12 @@ class ScreenGeometry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScreenGeometry":
-        """Parse ``to_dict`` output, whose corner targets must be the
-        screen's own corners: ValueError otherwise."""
-        screen = cls(float(d["Lx"]), float(d["Ly"]))
-        corners = [[float(x), float(y)] for x, y in d["corners"]]
-        if corners != screen.to_dict()["corners"]:
-            raise ValueError(f"corner targets must be the screen's corners, got {corners}")
+        """Parse ``to_dict`` output, whose extents must be finite JSON
+        numbers and whose corner targets must be the screen's own corners:
+        ValueError otherwise."""
+        screen = cls(*map(float, check_finite([d["Lx"], d["Ly"]], "screen extents")))
+        if d["corners"] != screen.to_dict()["corners"]:
+            raise ValueError(f"corner targets must be the screen's corners, got {d['corners']}")
         return screen
 
 
@@ -165,9 +162,9 @@ class TrainingSet:
         """Parse ``to_dict`` output.  ``reading(section)`` is entered around
         the parse of each section ("screen", "corners", "corners.3.0"), so a
         caller can name the section in the errors raised inside it.  A row
-        with a non-finite coordinate raises ValueError, and one whose marker
-        triangle has a near-zero edge raises DegenerateTriangle, since it
-        would fail every congruency score."""
+        with a coordinate that is not a finite JSON number raises ValueError,
+        and one whose marker triangle has a near-zero edge raises
+        DegenerateTriangle, since it would fail every congruency score."""
         screen_doc, corner_docs = d["screen"], d["corners"]
         with reading("screen"):
             screen = ScreenGeometry.from_dict(screen_doc)
@@ -178,10 +175,7 @@ class TrainingSet:
             rows, frames = [], []
             for i, vd in enumerate(vector_docs):
                 with reading(f"corners.{c}.{i}"):
-                    row = [float(vd[k]) for k in COORD_KEYS]
-                    for k, v in zip(COORD_KEYS, row):
-                        if not math.isfinite(v):
-                            raise ValueError(f"{k} must be finite, got {v}")
+                    row = [float(check_finite(vd[k], k)) for k in COORD_KEYS]
                     if (_edges(np.array(row[MARKER_COLS])) < _EDGE_EPS).any():
                         raise DegenerateTriangle("marker triangle has an edge under 1e-9")
                     rows.append(row)

@@ -1,17 +1,21 @@
-"""Core raster types.
+"""Core raster types and input checks.
 
 An image is a plain 2-D uint8 numpy array in raster order (row 0 is the
 top scanline); a binary mask is a plain 2-D bool array in the same
 layout.  Every function that returns either hands back a fresh read-only
 array, so values can be shared freely across threads; other dtypes are
-rejected, never converted.  All geometry elsewhere in the package uses
-mathematical Cartesian coordinates: x is the column index and y grows
-upward, so ``y = (height - 1) - row``.  The converters at the bottom of
-this module are the only place that mapping is written out.
+rejected, never converted.  ``check_finite`` is the package's one rule
+for a number from outside (a config value, a file field, a threshold).
+All geometry elsewhere in the package uses mathematical Cartesian
+coordinates: x is the column index and y grows upward, so
+``y = (height - 1) - row``.  The converters at the bottom of this module
+are the only place that mapping is written out.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +50,18 @@ def check_mask(mask) -> np.ndarray:
             and mask.ndim in (2, 3) and mask.size):
         raise ValueError("expected a non-empty 2-D bool mask or a stack of them")
     return mask
+
+
+def check_finite(value, name: str):
+    """``value`` itself, if it is a finite real number (not a bool) or a list
+    of them; else ValueError naming ``name``, and never another exception:
+    NaN, an infinity, an int beyond float range and a non-number all fail."""
+    for v in value if isinstance(value, list) else (value,):
+        # float and int first: the numbers.Real test alone is several times slower.
+        if not (isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def row_to_y(row, height: int):

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .image import check_image, check_mask
+from .image import check_finite, check_image, check_mask
 
 _STEPS = {
     "erode": (np.logical_and,),
@@ -55,8 +55,7 @@ def histogram_equalize(img: np.ndarray) -> np.ndarray:
 
 def binarize(img: np.ndarray, threshold: float) -> np.ndarray:
     """The read-only mask of foreground = intensity >= threshold."""
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
+    check_finite(threshold, "threshold")
     mask = check_image(img) >= threshold
     mask.setflags(write=False)
     return mask

@@ -1,51 +1,41 @@
 """Binary PGM (P5) codec, 8-bit only.
 
-Header comments (``#`` to end of line) are tolerated anywhere whitespace
-is allowed.  ``decode_pgm(encode_pgm(img))`` equals ``img`` byte-exactly
+The header is four tokens (magic, width, height, maxval) split by
+whitespace, which one regular expression reads a token at a time; header
+comments (``#`` to end of line) are tolerated anywhere whitespace is
+allowed.  ``decode_pgm(encode_pgm(img))`` equals ``img`` byte-exactly
 for every valid image; trailing bytes after the sample plane are ignored on
 decode.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ..errors import BadMagic, PgmError, TruncatedData, UnsupportedMaxval
 from .image import check_image
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# One header token: the whitespace and ``#`` comments before it, then the
+# token itself.  A ``#`` inside a token is part of the token.
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c]*)")
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
     """Parse a binary PGM stream into a read-only image over its own copy
     of the samples."""
     pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c in _WHITESPACE:
-                pos += 1
-            elif c == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in b"\r\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-            pos += 1
-        if start == pos:
-            raise TruncatedData("stream ended inside the PGM header")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
-        raise BadMagic(f"expected magic 'P5', got {magic!r}")
-
     fields = []
-    for name in ("width", "height", "maxval"):
-        token = next_token()
+    for name in ("magic", "width", "height", "maxval"):
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise TruncatedData("stream ended inside the PGM header")
+        if name == "magic":
+            if token != b"P5":
+                raise BadMagic(f"expected magic 'P5', got {token!r}")
+            continue
         try:
             if not token.isdigit():  # ASCII digits only, unlike int()
                 raise ValueError

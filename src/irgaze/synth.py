@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FeatureOutOfFrame
-from .gaze import COORD_KEYS, ScreenGeometry
-from .imaging import Point, encode_pgm
+from .gaze import COORD_KEYS, CORNERS, ScreenGeometry
+from .imaging import Point, check_finite, encode_pgm
 
 SCALE_RANGE = (0.5, 2.0)
 MAX_ROTATION = 0.35  # radians
@@ -41,9 +41,6 @@ EVAL_GRID_N = 5  # evaluation gaze points are cell centers of this n-by-n grid
 
 # Training-sweep translation jitter, px (head drift between repeats).
 _JITTER_PX = 12.0
-
-FEATURE_NAMES = ("marker_right", "marker_middle", "marker_left",
-                 "pupil_right", "pupil_left")
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,12 @@ class RenderConfig:
             raise ValueError("need marker > pupil > face > background in [0, 255]")
         if self.width < 2 * RENDER_MARGIN or self.height < 2 * RENDER_MARGIN:
             raise ValueError(f"width and height must be at least {2 * RENDER_MARGIN}")
-        if self.blur_sigma < 0 or self.noise_sigma < 0:
+        sigmas = [self.blur_sigma, self.noise_sigma]
+        if min(check_finite(sigmas, "blur_sigma and noise_sigma")) < 0:
             raise ValueError("blur_sigma and noise_sigma must be >= 0")
+        if 3.0 * self.blur_sigma > max(self.width, self.height):
+            raise ValueError(f"the blur radius, 3 x blur_sigma, must be at most max(width, "
+                             f"height) = {max(self.width, self.height)}, got {self.blur_sigma}")
 
 
 class FeaturePoints(NamedTuple):
@@ -236,7 +237,7 @@ def render_scene(
     background, so each pixel sums the same floats in the same order as a
     full-frame blur would.
     """
-    for name, p in zip(FEATURE_NAMES, truth.features):
+    for name, p in zip(truth.features._fields, truth.features):
         if not (RENDER_MARGIN <= p.x <= cfg.width - 1 - RENDER_MARGIN
                 and RENDER_MARGIN <= p.y <= cfg.height - 1 - RENDER_MARGIN):
             raise FeatureOutOfFrame(
@@ -341,6 +342,8 @@ class DatasetSpec:
             raise ValueError(f"eval_points must lie in [0, {EVAL_GRID_N ** 2}]")
         if self.training_repeats < 0:
             raise ValueError("training_repeats must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 
 
 def _frame_seeds(master_seed: int, index: int) -> tuple[int, int]:
@@ -378,7 +381,7 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         plan.append((frame_id, role, corner, truth))
 
     for pi, pose in enumerate(spec.poses):
-        for corner in (1, 2, 3, 4):
+        for corner in CORNERS:
             for rep in range(spec.training_repeats):
                 add(f"train_p{pi}_c{corner}_r{rep}", "training", corner,
                     spec.screen.corner(corner), pose, rep > 0)

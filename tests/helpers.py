@@ -14,7 +14,9 @@ bit, and its pixel lists those read off the package's label image.  The
 reference marker mask equalizes the whole frame and partitions it.  The
 reference pupil ladder is the step-by-step loop ``detect_pupil`` replaced:
 it cuts, opens and labels one 2-D mask per threshold, with the 2-D calls
-that the morphology and labeling oracles check.
+that the morphology and labeling oracles check.  The reference PGM
+decoder is the byte-by-byte header scanner that ``decode_pgm``'s regular
+expression replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +37,15 @@ from irgaze.detection import (
     PupilPair,
     pupil_threshold,
 )
-from irgaze.errors import AmbiguousPupil, DegenerateTriangle, NoPupilFound
+from irgaze.errors import (
+    AmbiguousPupil,
+    BadMagic,
+    DegenerateTriangle,
+    NoPupilFound,
+    PgmError,
+    TruncatedData,
+    UnsupportedMaxval,
+)
 from irgaze.imaging import (
     Point,
     Region,
@@ -479,3 +489,60 @@ def reference_detect_pupil(roi: EyeRoi, pupil_diameter: float) -> tuple[PupilDet
             )
         threshold = threshold + 0.5 * (i_max - threshold)
     raise AssertionError("unreachable")
+
+
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def reference_decode_pgm(data: bytes) -> np.ndarray:
+    """Parse a binary PGM stream into a read-only image over its own copy
+    of the samples."""
+    pos = 0
+
+    def next_token() -> bytes:
+        nonlocal pos
+        while pos < len(data):
+            c = data[pos : pos + 1]
+            if c in _WHITESPACE:
+                pos += 1
+            elif c == b"#":
+                while pos < len(data) and data[pos : pos + 1] not in b"\r\n":
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
+            pos += 1
+        if start == pos:
+            raise TruncatedData("stream ended inside the PGM header")
+        return data[start:pos]
+
+    magic = next_token()
+    if magic != b"P5":
+        raise BadMagic(f"expected magic 'P5', got {magic!r}")
+
+    fields = []
+    for name in ("width", "height", "maxval"):
+        token = next_token()
+        try:
+            if not token.isdigit():  # ASCII digits only, unlike int()
+                raise ValueError
+            fields.append(int(token))  # raises past 4300 digits
+        except ValueError:
+            raise PgmError(f"non-numeric {name} field: {token!r}") from None
+    width, height, maxval = fields
+
+    if width <= 0 or height <= 0:
+        raise PgmError(f"non-positive dimensions {width}x{height}")
+    if maxval != 255:
+        raise UnsupportedMaxval(f"maxval {maxval}; only 8-bit (255) is supported")
+
+    # Exactly one whitespace byte separates the header from the samples.
+    pos += 1
+    need = width * height
+    raw = data[pos : pos + need]
+    if len(raw) < need:
+        raise TruncatedData(f"expected {need} samples, got {len(raw)}")
+    img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    img.setflags(write=False)
+    return img

@@ -373,6 +373,8 @@ def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
     ({"grid_n_max": 10}, "grid_n_max"),
     # Finite, but 3 x area is inf, which has no integer top_n.
     ({"detect": {"expected_marker_area": 1e308}}, "config detect: expected_marker_area"),
+    # An int key had no range test: 10**400 reached synth as a traceback.
+    ({"synth": {"width": 10**400}}, "config key 'synth.width' must be finite"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
     cfg = tmp_path / "cfg.json"
@@ -553,6 +555,12 @@ def _left_marker_onto_middle(doc):
                  id="degenerate-2.0"),
     pytest.param(_nan_into_corner_1, "corners.1.0: malformed field: x_mm must be finite",
                  id="nan-1.0"),
+    pytest.param(lambda doc: doc["corners"]["3"][0].update(x_pl="12.5"),
+                 "corners.3.0: malformed field: x_pl must be finite, got '12.5'",
+                 id="string-x_pl"),
+    pytest.param(lambda doc: doc["screen"].update(Lx="60.0"),
+                 "screen: malformed field: screen extents must be finite, got ['60.0', 60.0]",
+                 id="string-Lx"),
     pytest.param(lambda doc: doc["screen"].update(Lx=float("inf")),
                  "screen: malformed field: screen extents must be finite",
                  id="infinite-Lx"),
@@ -640,6 +648,19 @@ def test_manifest_with_an_infinite_screen_names_the_field(pipeline, tmp_path, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}: screen: malformed field: screen extents must be finite" in err
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+def test_manifest_with_a_numeric_string_extent_names_the_screen(pipeline, tmp_path, capsys,
+                                                                stage):
+    """float() once read "60.0" as a number, so both stages ran on it."""
+    bad = _spoiled_manifest(pipeline, tmp_path, lambda doc: doc["screen"].update(Lx="60.0"))
+    argv = [*_stage_argv(pipeline, stage), "--out", str(tmp_path / "out")]
+    argv[argv.index("--manifest") + 1] = str(bad)
+    assert main(argv) == 2
+    assert (f"{bad}: screen: malformed field: screen extents must be finite, got "
+            "['60.0', 60.0]") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("stage", ["train", "evaluate"])
@@ -922,6 +943,25 @@ def _huge_noise_sigma_in_config(pipeline, tmp_path):
             "config key 'synth.noise_sigma' must be finite")
 
 
+def _huge_width_in_config(pipeline, tmp_path):
+    """An int key had no range test: this ended in default_poses as an
+    OverflowError traceback, exit 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"width": HUGE}}))
+    return (["synth", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            "config key 'synth.width' must be finite")
+
+
+def _huge_seed_in_config(pipeline, tmp_path):
+    """numpy's SeedSequence takes it, but it is no JSON number a reader of
+    the config can count on."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": HUGE}))
+    return (["synth", "--config", str(cfg), "--out", str(tmp_path / "out"),
+             "--poses", "1", "--points", "1"],
+            "config key 'seed' must be finite")
+
+
 def _overlong_noise_sigma_in_config(pipeline, tmp_path):
     """Past 4300 digits json.loads itself raises a plain ValueError."""
     cfg = tmp_path / "cfg.json"
@@ -932,10 +972,28 @@ def _overlong_noise_sigma_in_config(pipeline, tmp_path):
 
 @pytest.mark.parametrize("spoil", [_huge_gaze_in_manifest, _huge_marker_in_observations,
                                    _huge_pupil_in_training_set, _huge_noise_sigma_in_config,
-                                   _overlong_noise_sigma_in_config])
+                                   _overlong_noise_sigma_in_config, _huge_width_in_config,
+                                   _huge_seed_in_config])
 def test_integer_beyond_float_range_exits_2_naming_the_field(pipeline, tmp_path, capsys,
                                                              spoil):
     argv, named = spoil(pipeline, tmp_path)
     assert main(argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blur", [
+    pytest.param(1e308, id="1e308"),  # math.ceil(3 x blur) overflowed
+    pytest.param(1e300, id="1e300"),  # numpy could not allocate the kernel
+    pytest.param(213.34, id="past-bound"),  # 3 x blur > 640, the longer side
+])
+def test_synth_huge_blur_sigma_exits_2_before_writing(tmp_path, capsys, blur):
+    """Both huge values once ended in a traceback, exit 1, after --out was made."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"blur_sigma": blur}}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(cfg), "--out", str(out),
+                 "--poses", "1", "--points", "1"]) == 2
+    assert "config synth: the blur radius, 3 x blur_sigma, must be at most" in (
+        capsys.readouterr().err)
+    assert not out.exists()

@@ -497,6 +497,9 @@ def test_config_default_top_n_tracks_marker_area():
     pytest.param(dict(expected_marker_area=0.5), id="bad0"),  # top_n = round(1.5) = 2
     pytest.param(dict(expected_marker_area=0.0), id="bad4"),
     pytest.param(dict(expected_marker_area=1e308), id="huge"),  # 3 x area is inf
+    pytest.param(dict(expected_marker_area=10**400), id="beyond-float"),  # was OverflowError
+    pytest.param(dict(expected_marker_area=float("nan")), id="nan"),
+    pytest.param(dict(expected_marker_area="153.9"), id="string"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -28,3 +28,20 @@ def test_runtime_imports_only_the_standard_library_and_numpy():
             outside |= {f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in (*sys.stdlib_module_names, "numpy")}
     assert not outside
+
+
+
+def test_the_finiteness_rule_is_written_once():
+    """``check_finite`` in imaging/image.py is the one place that tests
+    whether a number is finite: no other module names ``math.isfinite`` or
+    ``sys.float_info.max``, as a call or in a comparison."""
+    root = Path(irgaze.__file__).parent
+    image = root / "imaging" / "image.py"
+    sources = sorted(root.rglob("*.py"))
+    assert image in sources
+    found = [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
+             for path in sources if path != image
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute)
+             and ast.unparse(node) in ("math.isfinite", "sys.float_info.max")]
+    assert not found

@@ -614,6 +614,26 @@ def test_screen_file_keeps_the_extents_as_given():
     assert ScreenGeometry.from_dict(doc) == ScreenGeometry(52.0, 33.5)
 
 
+@pytest.mark.parametrize("extents", [
+    pytest.param((10**400, 1), id="int-beyond-float"),  # was an OverflowError
+    pytest.param((60.0, float("nan")), id="nan"),
+    pytest.param((float("-inf"), 60.0), id="-inf"),
+    pytest.param(("60", 60.0), id="string"),
+    pytest.param((True, 60.0), id="bool"),
+])
+def test_screen_extents_must_be_finite_numbers(extents):
+    with pytest.raises(ValueError, match="screen extents must be finite"):
+        ScreenGeometry(*extents)
+
+
+def test_screen_file_extents_must_be_json_numbers():
+    """float() would read the string as 52.0."""
+    doc = ScreenGeometry(52.0, 33.5).to_dict()
+    doc["Lx"] = "52"
+    with pytest.raises(ValueError, match=r"screen extents must be finite, got \['52', 33.5\]"):
+        ScreenGeometry.from_dict(doc)
+
+
 @pytest.mark.parametrize("corners", [
     [[0.0, 33.5], [52.0, 33.5], [0.0, 0.0], [52.0, 0.5]],
     [[52.0, 33.5], [0.0, 33.5], [0.0, 0.0], [52.0, 0.0]],

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from irgaze.detection import (
 from irgaze.imaging import (
     Point,
     binarize,
+    check_finite,
     connected_components,
     decode_pgm,
     encode_pgm,
@@ -97,6 +101,55 @@ def test_binarize_is_inclusive_at_threshold():
 def test_binarize_rejects_nan():
     with pytest.raises(ValueError):
         binarize(gray([[1]]), float("nan"))
+
+
+@pytest.mark.parametrize("threshold", [
+    pytest.param(10**400, id="int-beyond-float"),  # was an OverflowError
+    pytest.param(float("-inf"), id="-inf"),
+    pytest.param("128", id="string"),
+])
+def test_binarize_rejects_a_threshold_that_is_not_a_finite_number(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        binarize(gray([[1]]), threshold)
+
+
+# --- check_finite ---------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [
+    0, -3, 1.5, -0.0, sys.float_info.max, -sys.float_info.max, 10**308,
+    np.float64(2.5), np.int64(-7), np.uint8(200), Fraction(1, 3), [], [1, 2.5, -0.0],
+])
+def test_check_finite_returns_a_finite_number_or_list_itself(value):
+    assert check_finite(value, "v") is value
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), np.float64("nan"), 10**400, -(10**400),
+    Fraction(10**400, 3), True, np.True_, None, "1.5", b"1", (1.0, 2.0), np.array([1.0]),
+    {"x": 1.0}, [1.0, float("nan")], [1, "2"], [[1.0]], [False, 1.0],
+])
+def test_check_finite_raises_value_error_naming_the_field(value):
+    with pytest.raises(ValueError) as info:
+        check_finite(value, "x_g")
+    assert str(info.value) == f"x_g must be finite, got {value!r}"
+
+
+_JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                       st.integers(10**300, 10**310), st.fractions())
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(_JSON_LEAF, st.lists(st.one_of(_JSON_LEAF, st.lists(_JSON_LEAF)),
+                                            max_size=3)))
+def test_check_finite_passes_finite_numbers_and_raises_only_value_error(value):
+    items = value if isinstance(value, list) else [value]
+    finite = all(type(v) in (int, float, Fraction) and abs(v) <= sys.float_info.max
+                 for v in items)
+    if finite:
+        assert check_finite(value, "v") is value
+    else:
+        with pytest.raises(ValueError, match="^v must be finite, got "):
+            check_finite(value, "v")
 
 
 # --- morphology ---------------------------------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_same_image
+from helpers import assert_same_image, reference_decode_pgm
 from irgaze.errors import BadMagic, PgmError, TruncatedData, UnsupportedMaxval
 from irgaze.imaging import decode_pgm, encode_pgm
 
@@ -83,3 +83,69 @@ def test_round_trip_is_lossless(w, h, seed):
     rng = np.random.default_rng(seed)
     img = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
     assert_same_image(decode_pgm(encode_pgm(img)), img)
+
+
+# --- the header grammar against the byte-by-byte reference scanner ------------
+
+def _mostly(usual, unusual):
+    """``usual`` three times as often as all of ``unusual`` together."""
+    return st.sampled_from([usual] * 3 * len(unusual) + unusual)
+
+
+_SPACES = [bytes([b]) for b in b" \t\r\n\x0b\x0c"]
+# A comment runs to a line end; one cut short by the end of the stream is
+# among the truncated prefixes.
+_COMMENT = st.builds(lambda text, end: b"#" + text + end,
+                     st.binary(max_size=4).map(lambda b: b.translate(None, b"\r\n")),
+                     st.sampled_from([b"\n", b"\r"]))
+_GAP_PIECE = st.one_of(st.sampled_from(_SPACES), _COMMENT)
+# A "#" right after a token is part of the token, so a gap between two
+# tokens opens with whitespace.
+_GAP = st.builds(lambda space, rest: space + b"".join(rest),
+                 st.sampled_from(_SPACES), st.lists(_GAP_PIECE, max_size=2))
+_MAGIC = _mostly(b"P5", [b"P6", b"p5", b"P5#x", b"P55", b"P"])
+# What int() or str.isdigit() would also take around the digits: a sign,
+# "_", leading zeros, non-ASCII digits, and a "#" that is part of the token.
+_ODD = [b"+", b"-", b"_", b"0", b"00", b"#", b"#0",
+        *(c.encode() for c in "\u0663\uff15\u00b2")]
+
+
+def _number(usual, unusual):
+    """A decimal number, now and then with one odd part before or after it."""
+    return st.builds(lambda n, odd, before: odd + n if before else n + odd,
+                     _mostly(usual, unusual).map(lambda n: str(n).encode()),
+                     _mostly(b"", _ODD), st.booleans())
+
+
+def _outcome(decode, data):
+    try:
+        img = decode(data)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return img.shape, img.tobytes(), img.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.lists(_GAP_PIECE, max_size=3),
+    gaps=st.lists(_GAP, min_size=3, max_size=3),
+    magic=_MAGIC,
+    width=_number(2, [0, 1, 3]),
+    height=_number(1, [0, 2]),
+    maxval=_number(255, [0, 254, 65535]),
+    separator=st.sampled_from(_SPACES),
+    samples=st.binary(min_size=6, max_size=8),  # enough for 3x2; prefixes run short
+)
+@example(lead=[], gaps=[b" ", b" ", b" "], magic=b"P5", width=b"2", height=b"2",
+         maxval=b"255", separator=b" ", samples=bytes([0, 64, 128, 255]))
+@example(lead=[b"#c\r"], gaps=[b"\x0b#\n", b"\x0c", b"\t"], magic=b"P5",
+         width=b"01", height=b"1", maxval=b"0255", separator=b"\r", samples=b"\x2a!")
+def test_decode_matches_the_reference_scanner_on_every_prefix(
+        lead, gaps, magic, width, height, maxval, separator, samples):
+    """Every prefix of the stream is decoded too, so the header ends short
+    at every byte, inside a token and inside a comment."""
+    header = b"".join(lead) + magic + b"".join(
+        gap + token for gap, token in zip(gaps, (width, height, maxval)))
+    data = header + separator + samples
+    for end in range(len(data) + 1):
+        assert _outcome(decode_pgm, data[:end]) == _outcome(reference_decode_pgm, data[:end])

@@ -144,6 +144,38 @@ def test_render_config_validation():
         RenderConfig(pupil=250, marker=250)
 
 
+@pytest.mark.parametrize("sigmas, message", [
+    pytest.param(dict(noise_sigma=float("nan")), "blur_sigma and noise_sigma must be finite",
+                 id="nan-noise"),
+    pytest.param(dict(blur_sigma=float("inf")), "blur_sigma and noise_sigma must be finite",
+                 id="inf-blur"),
+    pytest.param(dict(noise_sigma=10**400), "blur_sigma and noise_sigma must be finite",
+                 id="int-beyond-float-noise"),
+    pytest.param(dict(blur_sigma=-0.5), "must be >= 0", id="negative-blur"),
+    # ceil(3 x 1e308) overflowed and 1e300 asked numpy for a kernel too big
+    # to allocate; a radius past the frame's longer side is refused first.
+    pytest.param(dict(blur_sigma=1e308), "at most max(width, height) = 60", id="1e308"),
+    pytest.param(dict(blur_sigma=1e300), "at most max(width, height) = 60", id="1e300"),
+    pytest.param(dict(blur_sigma=20.001), "at most max(width, height) = 60", id="past-bound"),
+])
+def test_render_config_sigmas(sigmas, message):
+    with pytest.raises(ValueError) as info:
+        RenderConfig(width=60, height=50, **sigmas)
+    assert message in str(info.value)
+
+
+def test_render_config_blur_radius_may_reach_the_longer_side():
+    assert RenderConfig(width=60, height=50, blur_sigma=20.0).blur_sigma == 20.0
+
+
+def test_dataset_spec_refuses_a_negative_seed():
+    """numpy's SeedSequence once raised only after generate_dataset had
+    made the output directory."""
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+        DatasetSpec(master_seed=-1)
+    assert DatasetSpec(master_seed=0).master_seed == 0
+
+
 # --- render_scene -------------------------------------------------------------
 
 def test_render_is_deterministic():
