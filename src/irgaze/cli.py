@@ -39,12 +39,13 @@ from .gaze import (
     GRID_NS,
     METRICS,
     WEIGHTINGS,
-    EyeWeights,
+    EyeEstimate,
     ScreenGeometry,
     accuracy_table,
     build_training_set,
     estimate_gaze,
     TrainingSet,
+    check_marker_triangle,
 )
 from .imaging import Point, check_finite, decode_pgm
 from .synth import DatasetSpec, RenderConfig, default_poses, generate_dataset
@@ -89,7 +90,7 @@ STAGE_FLAGS: dict[str, tuple[tuple[str, str, dict], ...]] = {
     "evaluate": (),
 }
 
-_WEIGHT_NAMES = tuple(f.name for f in dataclasses.fields(EyeWeights))
+_WEIGHT_NAMES = tuple(f.name for f in dataclasses.fields(EyeEstimate) if f.name != "point")
 ESTIMATE_COLUMNS = ("frame", "x_g", "y_g", "eyes_used",
                     *(f"{side}_{name}" for side in ("right", "left") for name in _WEIGHT_NAMES),
                     "error")
@@ -290,7 +291,8 @@ def observation_to_row(obs: FaceObservation) -> dict:
 
 def row_to_observation(row: dict) -> FaceObservation:
     """The observation an ok row of an observations file records; a
-    non-finite coordinate raises ValueError naming its field."""
+    non-finite coordinate raises ValueError naming its field, and a marker
+    triangle that a training set refuses raises DegenerateTriangle."""
 
     def point(xy, field: str) -> Point:
         return Point(*check_finite(xy, field))
@@ -303,10 +305,10 @@ def row_to_observation(row: dict) -> FaceObservation:
                               area=d["area"], eccentricity=d["eccentricity"])
 
     m = row["markers"]
+    markers = MarkerTriple(*(point(m[s], f"markers.{s}") for s in ("right", "middle", "left")))
+    check_marker_triangle([*markers.right, *markers.middle, *markers.left])
     return FaceObservation(
-        markers=MarkerTriple(right=point(m["right"], "markers.right"),
-                             middle=point(m["middle"], "markers.middle"),
-                             left=point(m["left"], "markers.left")),
+        markers=markers,
         pupils=PupilPair(right=pupil("right"), left=pupil("left")),
         frame_id=row["frame"],
         pair_consistent=row.get("pair_consistent"),
@@ -398,27 +400,20 @@ def cmd_estimate(args: argparse.Namespace, cfg: dict) -> int:
     rows = sorted(_read_observations(args.observations), key=lambda r: r[0])
     out_rows = []
     for frame_id, obs in rows:
-        record = {c: "" for c in ESTIMATE_COLUMNS}
-        record["frame"] = frame_id
-        if isinstance(obs, str):
-            record["error"] = obs
-            out_rows.append(record)
-            continue
-        try:
-            est = estimate_gaze(obs, ts, weighting=cfg["eq10_variant"])
-        except IrGazeError as exc:
-            record["error"] = type(exc).__name__
-            out_rows.append(record)
-            continue
-        record["x_g"] = repr(est.point.x)
-        record["y_g"] = repr(est.point.y)
-        record["eyes_used"] = est.eyes_used
-        for side in ("right", "left"):
-            eye = getattr(est, side)
-            if eye is not None:
-                for name, value in zip(_WEIGHT_NAMES, dataclasses.astuple(eye.weights)):
-                    record[f"{side}_{name}"] = repr(value)
+        record = {**dict.fromkeys(ESTIMATE_COLUMNS, ""), "frame": frame_id}
         out_rows.append(record)
+        try:
+            est = obs if isinstance(obs, str) else estimate_gaze(
+                obs, ts, weighting=cfg["eq10_variant"])
+        except IrGazeError as exc:
+            est = type(exc).__name__
+        if isinstance(est, str):  # the error class of the failed frame or estimate
+            record["error"] = est
+            continue
+        record.update(x_g=repr(est.point.x), y_g=repr(est.point.y), eyes_used=est.eyes_used)
+        for side in ("right", "left"):
+            if (eye := getattr(est, side)) is not None:
+                record.update({f"{side}_{n}": repr(getattr(eye, n)) for n in _WEIGHT_NAMES})
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=ESTIMATE_COLUMNS)
@@ -556,13 +551,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        flags: dict = {}
         for key in ("seed", *(key for _, key, _ in STAGE_FLAGS[args.command])):
-            value = getattr(args, key)
-            if value is not None:
+            if (value := getattr(args, key)) is not None:
                 section, _, leaf = key.rpartition(".")
-                (cfg[section] if section else cfg)[leaf] = value
-        return args.func(args, cfg)
+                (flags.setdefault(section, {}) if section else flags)[leaf] = value
+        return args.func(args, _merge_config(load_config(args.config), flags))
     except (ConfigError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

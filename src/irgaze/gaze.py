@@ -17,7 +17,10 @@ the four corner pupil positions:
 
 alpha/beta/gamma/delta are per-edge interpolation coefficients from the
 pupil coordinates (left unclamped, so off-screen gaze extrapolates); W and
-W' blend the two parallel edges and are clamped to [0, 1].
+W' blend the two parallel edges and are clamped to [0, 1].  An eye's
+estimate is its point beside these six weights; an eye with a near-zero
+denominator or a point that is not finite is dropped, and the frame's point
+is the mean of the eyes that remain.
 
 Two W' conventions are implemented.  The raw formula grows left-to-right,
 which would let the far edge dominate; the default "corrected" variant
@@ -176,8 +179,7 @@ class TrainingSet:
             for i, vd in enumerate(vector_docs):
                 with reading(f"corners.{c}.{i}"):
                     row = [float(check_finite(vd[k], k)) for k in COORD_KEYS]
-                    if (_edges(np.array(row[MARKER_COLS])) < _EDGE_EPS).any():
-                        raise DegenerateTriangle("marker triangle has an edge under 1e-9")
+                    check_marker_triangle(row[MARKER_COLS])
                     rows.append(row)
                     frames.append(str(vd.get("frame", "")))
             by_corner[c] = np.array(rows, dtype=np.float64).reshape(-1, len(COORD_KEYS))
@@ -228,6 +230,13 @@ def _edges(markers: np.ndarray) -> np.ndarray:
     return np.hypot(d[..., 0], d[..., 1])
 
 
+def check_marker_triangle(markers: Sequence[float]) -> None:
+    """DegenerateTriangle if the six marker coordinates (right, middle, left)
+    span a triangle with an edge under 1e-9: it fails every congruency score."""
+    if (_edges(np.array(markers, dtype=np.float64)) < _EDGE_EPS).any():
+        raise DegenerateTriangle("marker triangle has an edge under 1e-9")
+
+
 def _congruency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3 - (A/A' + B/B' + C/C') for (..., 6) marker rows, with the edges of
     ``a`` in the numerators.  Zero iff the triangles are congruent."""
@@ -267,19 +276,16 @@ def select_closest(ts: TrainingSet, obs: FaceObservation) -> dict[int, int]:
 
 
 @dataclass(frozen=True)
-class EyeWeights:
+class EyeEstimate:
+    """One eye's gaze point and the six weights that interpolated it."""
+
+    point: Point
     alpha: float
     beta: float
     gamma: float
     delta: float
     w: float
     w_prime: float
-
-
-@dataclass(frozen=True)
-class EyeEstimate:
-    point: Point
-    weights: EyeWeights
 
 
 @dataclass(frozen=True)
@@ -290,7 +296,11 @@ class GazeEstimate:
     point: Point
     right: EyeEstimate | None
     left: EyeEstimate | None
-    eyes_used: str  # "right" | "left" | "both"
+
+    @property
+    def eyes_used(self) -> str:
+        """"both", "right" or "left": the eyes whose estimates are present."""
+        return "left" if self.right is None else "right" if self.left is None else "both"
 
 
 def _checked_div(num: float, den: float, what: str) -> float:
@@ -311,7 +321,8 @@ def estimate_gaze_single_eye(
 ) -> EyeEstimate:
     """Interpolate the gaze point from one eye's pupil position against
     that eye's pupil positions in the four (already translated) corner
-    training vectors."""
+    training vectors.  DegenerateTraining if a denominator falls under
+    tolerance or the point is not finite."""
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}")
     p = corner_pupils
@@ -342,11 +353,11 @@ def estimate_gaze_single_eye(
         + (1.0 - w_prime) * (delta * (g[2].y - g[4].y) + g[4].y)
     )
 
-    return EyeEstimate(
-        point=Point(x_g, y_g),
-        weights=EyeWeights(alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-                           w=w, w_prime=w_prime),
-    )
+    try:
+        check_finite([x_g, y_g], "gaze point")
+    except ValueError as exc:
+        raise DegenerateTraining(str(exc)) from None
+    return EyeEstimate(Point(x_g, y_g), alpha, beta, gamma, delta, w, w_prime)
 
 
 def estimate_gaze(
@@ -368,25 +379,16 @@ def estimate_gaze(
         if detection is None:
             continue
         corner_pupils = {c: Point(*row[col:col + 2]) for c, row in zip(CORNERS, pupils)}
-        try:
-            per_eye[side] = estimate_gaze_single_eye(
-                detection.point, corner_pupils, ts.screen, weighting
-            )
-        except DegenerateTraining:
-            per_eye[side] = None
+        with contextlib.suppress(DegenerateTraining):  # the eye is dropped
+            per_eye[side] = estimate_gaze_single_eye(detection.point, corner_pupils,
+                                                     ts.screen, weighting)
 
-    right, left = per_eye["right"], per_eye["left"]
-    if right is not None and left is not None:
-        point = Point(
-            0.5 * (right.point.x + left.point.x),
-            0.5 * (right.point.y + left.point.y),
-        )
-        return GazeEstimate(point=point, right=right, left=left, eyes_used="both")
-    if right is not None:
-        return GazeEstimate(point=right.point, right=right, left=None, eyes_used="right")
-    if left is not None:
-        return GazeEstimate(point=left.point, right=None, left=left, eyes_used="left")
-    raise NoUsableEye(f"no eye produced an estimate for frame {obs.frame_id!r}")
+    eyes = [eye.point for eye in per_eye.values() if eye is not None]
+    if not eyes:
+        raise NoUsableEye(f"no eye produced an estimate for frame {obs.frame_id!r}")
+    # Halving each term first keeps the mean of two finite points finite.
+    point = eyes[0] if len(eyes) == 1 else Point(*(0.5 * a + 0.5 * b for a, b in zip(*eyes)))
+    return GazeEstimate(point=point, **per_eye)
 
 
 def score_accuracy(

@@ -5,7 +5,8 @@ pipeline: a parametric head pose (in-plane similarity transform) and a
 normalized gaze point produce exact feature coordinates, and the renderer
 paints the matching frame (face ellipse, bright pupils, brighter markers,
 Gaussian blur, seeded Gaussian noise).  Identical inputs give bit-identical
-images.
+images.  The blur runs one horizontal pass over the box, then over its
+transpose; rows and Cartesian y convert through ``row_to_y``/``y_to_row``.
 
 The renderer paints and blurs only a box around the face, since every
 shape lies inside it and the canvas beyond the blur radius is plain
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import FeatureOutOfFrame
 from .gaze import COORD_KEYS, CORNERS, ScreenGeometry
-from .imaging import Point, check_finite, encode_pgm
+from .imaging import Point, check_finite, encode_pgm, row_to_y, y_to_row
 
 SCALE_RANGE = (0.5, 2.0)
 MAX_ROTATION = 0.35  # radians
@@ -41,6 +42,7 @@ EVAL_GRID_N = 5  # evaluation gaze points are cell centers of this n-by-n grid
 
 # Training-sweep translation jitter, px (head drift between repeats).
 _JITTER_PX = 12.0
+_MAX_PIXELS = np.iinfo(np.intp).max // 8  # the float64 values one numpy array can hold
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,9 @@ class RenderConfig:
         sigmas = [self.blur_sigma, self.noise_sigma]
         if min(check_finite(sigmas, "blur_sigma and noise_sigma")) < 0:
             raise ValueError("blur_sigma and noise_sigma must be >= 0")
+        if self.width * self.height > _MAX_PIXELS:
+            raise ValueError(f"width x height must be at most {_MAX_PIXELS}, "
+                             f"got {self.width * self.height}")
         if 3.0 * self.blur_sigma > max(self.width, self.height):
             raise ValueError(f"the blur radius, 3 x blur_sigma, must be at most max(width, "
                              f"height) = {max(self.width, self.height)}, got {self.blur_sigma}")
@@ -187,16 +192,13 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
 
-    out = np.zeros_like(a)
-    padded = np.pad(a, ((0, 0), (r, r)), mode="edge")
-    for i, k in enumerate(kernel):
-        out += k * padded[:, i : i + a.shape[1]]
-    a = out
-    out = np.zeros_like(a)
-    padded = np.pad(a, ((r, r), (0, 0)), mode="edge")
-    for i, k in enumerate(kernel):
-        out += k * padded[i : i + a.shape[0], :]
-    return out
+    for _ in range(2):  # the horizontal pass, then the same on the transpose
+        padded = np.pad(a, ((0, 0), (r, r)), mode="edge")
+        out = np.zeros_like(a)
+        for i, k in enumerate(kernel):
+            out += k * padded[:, i : i + a.shape[1]]
+        a = out.T
+    return a
 
 
 def draw_noise(seed: int, sigma: float, out: np.ndarray) -> np.ndarray:
@@ -257,16 +259,16 @@ def render_scene(
     circles = [(Point(truth.pose.tx, truth.pose.ty), max(layout.face_axes) * k)]
     circles += [(center, radius) for center, radius, _ in disks]
     pad = 2 * math.ceil(3.0 * cfg.blur_sigma) + 1
-    top = cfg.height - 1
     col_lo = max(0, math.floor(min(p.x - r for p, r in circles)) - pad)
     col_hi = min(cfg.width - 1, math.ceil(max(p.x + r for p, r in circles)) + pad)
-    row_lo = max(0, math.floor(top - max(p.y + r for p, r in circles)) - pad)
-    row_hi = min(top, math.ceil(top - min(p.y - r for p, r in circles)) + pad)
+    row_lo = max(0, math.floor(y_to_row(max(p.y + r for p, r in circles), cfg.height)) - pad)
+    row_hi = min(cfg.height - 1,
+                 math.ceil(y_to_row(min(p.y - r for p, r in circles), cfg.height)) + pad)
 
     # Open grid over the box, Cartesian (y up); broadcasting evaluates the
     # same per-pixel expressions as a full meshgrid would.
     gx = np.arange(col_lo, col_hi + 1, dtype=np.float64)[np.newaxis, :]
-    gy = (top - np.arange(row_lo, row_hi + 1, dtype=np.float64))[:, np.newaxis]
+    gy = row_to_y(np.arange(row_lo, row_hi + 1, dtype=np.float64), cfg.height)[:, np.newaxis]
     box = np.full((gy.shape[0], gx.shape[1]), float(cfg.background))
 
     # Face ellipse: invert the pose transform and test against the

@@ -997,3 +997,80 @@ def test_synth_huge_blur_sigma_exits_2_before_writing(tmp_path, capsys, blur):
     assert "config synth: the blur radius, 3 x blur_sigma, must be at most" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, key", [
+    *((flag, key) for flags in STAGE_FLAGS.values() for flag, key, options in flags
+      if options.get("type") is int),
+    ("--seed", "seed"),
+])
+def test_flag_beyond_float_range_exits_2_as_its_config_key_does(tmp_path, capsys, flag, key):
+    """Flag values once reached the run settings unchecked: a 400-digit
+    --seed or --training-repeats wrote a dataset, and a 400-digit
+    --training-repeats with poses to render ran without end."""
+    argv = (["detect", str(tmp_path / "x.pgm")] if flag == "--jobs"
+            else ["synth", "--poses", "0"])
+    section, _, leaf = key.rpartition(".")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {leaf: HUGE}} if section else {leaf: HUGE}))
+    errors = []
+    for setting in ([flag, str(HUGE)], ["--config", str(cfg)]):
+        assert main([*argv, *setting, "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+    assert errors == [f"error: config key {key!r} must be finite, got {HUGE!r}\n"] * 2
+
+
+def test_synth_frame_beyond_one_array_exits_2_before_writing(tmp_path, capsys):
+    """numpy once refused the noise buffers with a traceback, exit 1, after
+    --out was made."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"width": 10**17}}))
+    out = tmp_path / "ds"
+    assert main(["synth", "--config", str(cfg), "--out", str(out), "--poses", "1",
+                 "--points", "1", "--training-repeats", "0"]) == 2
+    assert "config synth: width x height must be at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "--metric", "congruency"], id="train-congruency"),
+    pytest.param(["train", "--metric", "euclidean"], id="train-euclidean"),
+    pytest.param(["estimate", "--training-set", "{root}/train.json"], id="estimate"),
+])
+def test_observation_with_a_degenerate_marker_triangle_names_its_line(pipeline, tmp_path,
+                                                                      capsys, argv):
+    """train once wrote such a row into a training set that estimate then
+    refused; estimate made it an error row under congruency only."""
+    rows = read_jsonl(pipeline / "obs.jsonl")
+    lineno = next(i for i, r in enumerate(rows, 1) if r["frame"] == "train_p0_c2_r0")
+    rows[lineno - 1]["markers"]["middle"] = rows[lineno - 1]["markers"]["right"]
+    bad = tmp_path / "obs.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    argv = [a.format(root=pipeline) for a in argv]
+    if argv[0] == "train":
+        argv += ["--manifest", str(pipeline / "ds" / "manifest.json")]
+    assert main([*argv, "--observations", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert (f"{bad}:{lineno}: malformed field: marker triangle has an edge under 1e-9"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_gaze_that_is_not_finite_is_an_error_row(pipeline, tmp_path, capsys):
+    """Once written as x_g = nan and counted as made; evaluate then refused
+    the estimates file."""
+    rows = read_jsonl(pipeline / "obs.jsonl")
+    row = next(r for r in rows if r["frame"].startswith("eval_"))
+    row["pupils"]["right"]["point"] = [1e308, 1e308]
+    row["pupils"]["left"]["point"] = [-1e308, 1e308]
+    obs, est = tmp_path / "obs.jsonl", tmp_path / "est.csv"
+    obs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["estimate", "--observations", str(obs),
+                 "--training-set", str(pipeline / "train.json"), "--out", str(est)]) == 0
+    assert f"{len(rows) - 1}/{len(rows)} estimates" in capsys.readouterr().out
+    with open(est, newline="") as fh:
+        written = {r["frame"]: r for r in csv.DictReader(fh)}[row["frame"]]
+    assert (written["x_g"], written["error"]) == ("", "NoUsableEye")
+    assert main(["evaluate", "--estimates", str(est),
+                 "--manifest", str(pipeline / "ds" / "manifest.json"),
+                 "--out", str(tmp_path / "report")]) == 0

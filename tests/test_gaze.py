@@ -375,9 +375,8 @@ def test_interpolation_center_of_rectangle():
     est = estimate_gaze_single_eye(Point(110, 100), rectangle_pupils(), SCREEN)
     assert est.point.x == pytest.approx(30.0, abs=1e-9)
     assert est.point.y == pytest.approx(30.0, abs=1e-9)
-    w = est.weights
-    assert (w.alpha, w.beta, w.gamma, w.delta) == (0.5, 0.5, 0.5, 0.5)
-    assert (w.w, w.w_prime) == (0.5, 0.5)
+    assert (est.alpha, est.beta, est.gamma, est.delta) == (0.5, 0.5, 0.5, 0.5)
+    assert (est.w, est.w_prime) == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("weighting", ["corrected", "literal"])
@@ -392,14 +391,14 @@ def test_interpolation_reproduces_corners(weighting, corner):
 
 def test_interpolation_extrapolates_past_the_edge():
     est = estimate_gaze_single_eye(Point(130, 100), rectangle_pupils(), SCREEN)
-    assert est.weights.alpha == pytest.approx(1.5)
-    assert est.weights.beta == pytest.approx(1.5)
+    assert est.alpha == pytest.approx(1.5)
+    assert est.beta == pytest.approx(1.5)
     assert est.point.x == pytest.approx(90.0, abs=1e-9)
 
 
 def test_interpolation_blend_weights_clamped():
     est = estimate_gaze_single_eye(Point(110, 150), rectangle_pupils(), SCREEN)
-    assert est.weights.w == 1.0  # far above the rectangle clamps the blend
+    assert est.w == 1.0  # far above the rectangle clamps the blend
 
 
 def test_interpolation_degenerate_denominator():
@@ -527,6 +526,31 @@ def test_estimate_gaze_no_usable_eye():
     )
     with pytest.raises(NoUsableEye):
         estimate_gaze(obs, degenerate)
+
+
+def test_interpolation_rejects_a_point_that_is_not_finite():
+    """A pupil near the end of float range once gave the point nan, which
+    estimate wrote to est.csv and counted as made."""
+    with pytest.raises(DegenerateTraining, match=r"gaze point must be finite, got \[nan, nan\]"):
+        estimate_gaze_single_eye(Point(1e308, 1e308), rectangle_pupils(), SCREEN)
+
+
+def test_estimate_gaze_mean_of_two_huge_eyes_stays_finite(monkeypatch):
+    """0.5 * (a + b) once overflowed to inf for finite a and b beyond half
+    of float range."""
+    huge = gaze.EyeEstimate(Point(1.5e308, -1.5e308), *[0.0] * 6)
+    monkeypatch.setattr(gaze, "estimate_gaze_single_eye", lambda *args: huge)
+    est = estimate_gaze(synthetic_observation(HeadPose(320, 240), (0.5, 0.5)), full_ts())
+    assert (est.point, est.eyes_used) == (huge.point, "both")
+
+
+@pytest.mark.parametrize("sides, used", [
+    (("right",), "right"), (("left",), "left"), (("right", "left"), "both")])
+def test_eyes_used_names_the_eyes_present(sides, used):
+    eye = gaze.EyeEstimate(Point(1.0, 2.0), *[0.5] * 6)
+    est = gaze.GazeEstimate(eye.point, **{s: eye if s in sides else None
+                                          for s in ("right", "left")})
+    assert est.eyes_used == used
 
 
 # --- grid + scoring --------------------------------------------------------------

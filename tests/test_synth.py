@@ -168,6 +168,15 @@ def test_render_config_blur_radius_may_reach_the_longer_side():
     assert RenderConfig(width=60, height=50, blur_sigma=20.0).blur_sigma == 20.0
 
 
+def test_render_config_frame_must_fit_one_float64_array():
+    """A wider frame once passed, and numpy refused its noise buffers with
+    a traceback after generate_dataset had made the output directory."""
+    limit = np.iinfo(np.intp).max // 8
+    assert RenderConfig(width=limit // 20, height=20).width == limit // 20
+    with pytest.raises(ValueError, match=f"width x height must be at most {limit}, got"):
+        RenderConfig(width=limit // 20 + 1, height=20)
+
+
 def test_dataset_spec_refuses_a_negative_seed():
     """numpy's SeedSequence once raised only after generate_dataset had
     made the output directory."""
