@@ -291,8 +291,9 @@ def observation_to_row(obs: FaceObservation) -> dict:
 
 def row_to_observation(row: dict) -> FaceObservation:
     """The observation an ok row of an observations file records; a
-    non-finite coordinate raises ValueError naming its field, and a marker
-    triangle that a training set refuses raises DegenerateTriangle."""
+    non-finite coordinate, a pupil area that is not a positive int or an
+    eccentricity outside [0, 1] raises ValueError naming its field, and a
+    marker triangle that a training set refuses raises DegenerateTriangle."""
 
     def point(xy, field: str) -> Point:
         return Point(*check_finite(xy, field))
@@ -301,8 +302,13 @@ def row_to_observation(row: dict) -> FaceObservation:
         d = row["pupils"][side]
         if d is None:
             return None
+        area, ecc = d["area"], check_finite(d["eccentricity"], f"pupils.{side}.eccentricity")
+        if not (isinstance(area, int) and not isinstance(area, bool) and area > 0):
+            raise ValueError(f"pupils.{side}.area must be a positive int, got {area!r}")
+        if not 0 <= ecc <= 1:
+            raise ValueError(f"pupils.{side}.eccentricity must lie in [0, 1], got {ecc!r}")
         return PupilDetection(point=point(d["point"], f"pupils.{side}.point"),
-                              area=d["area"], eccentricity=d["eccentricity"])
+                              area=area, eccentricity=ecc)
 
     m = row["markers"]
     markers = MarkerTriple(*(point(m[s], f"markers.{s}") for s in ("right", "middle", "left")))

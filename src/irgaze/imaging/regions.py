@@ -5,25 +5,22 @@ stack of independent planes, such as one plane per threshold.  Labeling
 covers only the bounding box of the foreground of all planes, in one pass:
 one flat scan of the zero-padded box finds every run of foreground pixels
 at once, and a vectorized union-find merges runs that touch across
-adjacent rows of one plane, so the Python-level cost scales with the
-number of distinct region areas, not the planes, rows or regions.  The
-result is one table of read-only columns, with each region's plane, plus
-the label image of the foreground box.  Area, bounding box, border flag
-and the centroid's exact coordinate sums are integer reductions over each
+adjacent rows of one plane, with no Python-level loop over planes, rows,
+regions or areas.  The result is one table of read-only columns, with
+each region's plane, plus the label image of the foreground box.  Area,
+bounding box, border flag and centroid are integer reductions over each
 region's runs, in its plane's frame coordinates, the border taken against
 the frame.
 
 Eccentricity comes from the second-order central moments of the pixel
 coordinates: with covariance eigenvalues l1 >= l2,
 ecc = sqrt(1 - l2/l1), and 0 when l1 = 0 (single pixel).  A filled disk
-gives ~0, a 1-pixel-wide line gives exactly 1.  The moments are summed
-over per-pixel deviations from the centroid, not derived from raw run
-sums, whose cancellation would change the last bits.  Their bits depend
-on the order of summation, and each must equal the region's own 1-D
-``ndarray.sum()`` over its pixels in raster order: the pixels are laid out
-region by region, smallest first, and the products of all regions of one
-area are summed along the last axis of one contiguous (regions, area)
-block, which numpy reduces row by row exactly as it reduces each row alone.
+gives ~0, a 1-pixel-wide line gives exactly 1.  Each run's raw sums of x,
+x^2, y, y^2 and xy have a closed form, so one reduction gives each
+region's exact integer moments, and each central moment
+(n*sum(x^2) - sum(x)^2) / n^2 is rounded once.  That holds in int64 while
+area * box extent is at most 2^26, which keeps every product under 2^53;
+beyond it the same sums are taken in Python ints.
 """
 
 from __future__ import annotations
@@ -34,9 +31,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .image import Point, check_mask, row_to_y
+from .image import Point, check_mask
 
-_EIG_EPS = 1e-12
+# The largest area * box extent for which every moment product, at most its
+# square, stays under 2^53: exact in int64, and rounded once when divided.
+_EXACT_IN_INT64 = 2**26
 
 
 class Region(NamedTuple):
@@ -88,35 +87,6 @@ class Regions:
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(first[i], first[i] + count[i])`` over i."""
     return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
-
-
-def _moments(coords: np.ndarray, area: np.ndarray, offsets: np.ndarray,
-             sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centroids (2, regions) and eccentricities of regions whose Cartesian
-    pixel coordinates lie back to back in the columns of ``coords``, region
-    i in ``offsets[i]:offsets[i] + area[i]``, in ascending area; ``sums``
-    holds each region's exact coordinate sums."""
-    centroid = sums / area
-    dev = coords - np.repeat(centroid, area, axis=1)
-    prods = dev[[0, 1, 0]] * dev[[0, 1, 1]]  # dx*dx, dy*dy, dx*dy
-
-    # One reduction per distinct area, over its regions' (k, area) blocks
-    # (none when there are no regions).
-    second = np.empty((3, area.size))
-    cuts = ((area[1:] != area[:-1]).nonzero()[0] + 1).tolist()
-    for i, j in zip([0, *cuts][: area.size], [*cuts, area.size]):
-        n_px, start = int(area[i]), int(offsets[i])
-        block = prods[:, start : start + (j - i) * n_px]
-        second[:, i:j] = block.reshape(3, j - i, n_px).sum(axis=-1)
-
-    mu20, mu02, mu11 = second / area
-    mid = 0.5 * (mu20 + mu02)
-    spread = np.hypot(0.5 * (mu20 - mu02), mu11)
-    l1 = mid + spread
-    l2 = np.maximum(mid - spread, 0.0)
-    flat = l1 < _EIG_EPS
-    ecc = np.where(flat, 0.0, np.sqrt(np.maximum(0.0, 1.0 - l2 / np.where(flat, 1.0, l1))))
-    return centroid, ecc
 
 
 def connected_components(mask: np.ndarray) -> Regions:
@@ -174,39 +144,49 @@ def connected_components(mask: np.ndarray) -> Regions:
                 break
             root = hop
 
-    # Group the runs by region, smallest first (so that the regions of one
-    # area lie side by side for _moments) and, within one area, by root,
-    # keeping raster order within each group: a group's first run is its
-    # root.  Reduce each group's runs to its region's area, bbox and
-    # coordinate sums, in its plane's frame.
-    order = np.lexsort((root, np.bincount(root, weights=lengths)[root]))
+    # Group the runs by region with a stable sort on the root, which keeps
+    # raster order within each group: a group's first run is its root.
+    # Reduce each group's runs to its region's area, bbox and coordinate
+    # sums, with each run at box column b and box row r.
+    order = np.argsort(root, kind="stable")
     heads = (root[order] == order).nonzero()[0]
-    plane, rows, lengths = plane[order], rows[order], lengths[order]
-    flat_starts = (plane * bh + rows) * bw + starts[order]  # in the label image
-    rows, starts = rows + top, starts[order] + left
-    ends = starts + lengths
+    plane, rows, starts, lengths = plane[order], rows[order], starts[order], lengths[order]
+    flat_starts = (plane * bh + rows) * bw + starts  # in the label image
     area = np.add.reduceat(lengths, heads)
-    min_col = np.minimum.reduceat(starts, heads)
-    max_col = np.maximum.reduceat(ends, heads) - 1
-    min_row = np.minimum.reduceat(rows, heads)
-    max_row = np.maximum.reduceat(rows, heads)
+    min_col = np.minimum.reduceat(starts, heads) + left
+    max_col = np.maximum.reduceat(starts + lengths, heads) + (left - 1)
+    min_row = np.minimum.reduceat(rows, heads) + top
+    max_row = np.maximum.reduceat(rows, heads) + top
     border = (min_row == 0) | (max_row == h - 1) | (min_col == 0) | (max_col == w - 1)
-    ys = row_to_y(rows, h)
-    sums = np.add.reduceat([lengths * (starts + ends - 1) // 2, lengths * ys], heads, axis=1)
 
-    cols = _ranges(starts, lengths)
-    coords = np.array((cols, np.repeat(ys, lengths)), dtype=np.float64)
-    centroid, ecc = _moments(coords, area, np.cumsum(area) - area, sums)
+    # A run of length L has sum(x) = L*b + L(L-1)/2, sum(x^2) = L*b^2 +
+    # b*L(L-1) + (L-1)L(2L-1)/6, sum(y) = L*r, sum(y^2) = L*r^2 and sum(xy)
+    # = r*sum(x), y taken down the rows (which only negates mu11, and the
+    # eigenvalues ignore its sign).  Past _EXACT_IN_INT64 the sums are taken
+    # in Python ints.
+    wide = int(area.max(initial=0)) * max(bh, bw) > _EXACT_IN_INT64
+    n, run, b, r = (v.astype(object) if wide else v for v in (area, lengths, starts, rows))
+    sx = run * b + run * (run - 1) // 2
+    sxx = run * b * b + b * run * (run - 1) + (run - 1) * run * (2 * run - 1) // 6
+    sx, sy, sxx, syy, sxy = np.add.reduceat(np.array([sx, run * r, sxx, run * r * r, r * sx]),
+                                            heads, axis=1)
+    x, y = (np.array([sx + n * left, n * (h - 1 - top) - sy]) / n).astype(np.float64)
+    mu20, mu02, mu11 = (np.array([n * sxx - sx * sx, n * syy - sy * sy, n * sxy - sx * sy])
+                        / (n * n)).astype(np.float64)
+    mid = 0.5 * (mu20 + mu02)
+    spread = np.hypot(0.5 * (mu20 - mu02), mu11)
+    l1 = mid + spread
+    l2 = np.maximum(mid - spread, 0.0)
+    ecc = np.sqrt(1.0 - np.divide(l2, l1, out=np.ones_like(l1), where=l1 > 0))
 
     # A stable sort by (plane, bbox origin, area) keeps first-run order for
     # ties; each pixel of the box is labeled with its region's rank + 1.
     plane = plane[heads]
     ranked = np.lexsort((area, min_col, min_row, plane))
     labels = np.zeros(k * bh * bw, dtype=np.int32)
-    labels[cols + np.repeat(flat_starts - starts, lengths)] = np.repeat(
-        np.argsort(ranked) + 1, area)
+    labels[_ranges(flat_starts, lengths)] = np.repeat(np.argsort(ranked) + 1, area)
     bbox = np.array((min_col, min_row, max_col, max_row)).T[ranked]
     return Regions(area=area[ranked], bbox=bbox, touches_border=border[ranked],
-                   x=centroid[0, ranked], y=centroid[1, ranked], eccentricity=ecc[ranked],
+                   x=x[ranked], y=y[ranked], eccentricity=ecc[ranked],
                    plane=plane[ranked], labels=labels.reshape(*mask.shape[:-2], bh, bw),
                    origin=(top, left))

@@ -43,6 +43,10 @@ EVAL_GRID_N = 5  # evaluation gaze points are cell centers of this n-by-n grid
 # Training-sweep translation jitter, px (head drift between repeats).
 _JITTER_PX = 12.0
 _MAX_PIXELS = np.iinfo(np.intp).max // 8  # the float64 values one numpy array can hold
+# generate_dataset plans every frame, about 1 KB of ground truth each, in
+# memory before it writes the first; this keeps that plan near 100 MB (and
+# a 640x480 dataset near 31 GB of frames).
+_MAX_FRAMES = 100_000
 
 
 @dataclass(frozen=True)
@@ -344,6 +348,9 @@ class DatasetSpec:
             raise ValueError(f"eval_points must lie in [0, {EVAL_GRID_N ** 2}]")
         if self.training_repeats < 0:
             raise ValueError("training_repeats must be >= 0")
+        frames = len(self.poses) * (len(CORNERS) * self.training_repeats + self.eval_points)
+        if frames > _MAX_FRAMES:
+            raise ValueError(f"the dataset must plan at most {_MAX_FRAMES} frames, got {frames}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
 

@@ -8,10 +8,11 @@ the reference scene renderer paints and blurs the whole frame, and the
 reference closest-vector selection scores one vector at a time on Points.
 The reference labeler walks the whole mask row by row with a union-find
 over run indices and builds each region from its own pixel arrays, with
-centroid and eccentricity summed over that region alone
-(``reference_moments``), so its rows must equal the package's bit for
-bit, and its pixel lists those read off the package's label image.  The
-reference marker mask equalizes the whole frame and partitions it.  The
+centroid and eccentricity from that region's exact Python-int coordinate
+sums, each divided once (``reference_moments``), so its rows must equal
+the package's bit for bit, and its pixel lists those read off the
+package's label image.  The reference marker mask equalizes the whole
+frame and partitions it.  The
 reference pupil ladder is the step-by-step loop ``detect_pupil`` replaced:
 it cuts, opens and labels one 2-D mask per threshold, with the 2-D calls
 that the morphology and labeling oracles check.  The reference PGM
@@ -353,24 +354,22 @@ def reference_marker_mask(img: np.ndarray, top_n: int) -> np.ndarray:
 
 def reference_moments(pixels: np.ndarray, height: int) -> tuple[Point, float]:
     """Centroid and eccentricity of one region from its own (row, col)
-    pixels in raster order, summed one region at a time: the bits
-    ``connected_components`` must reproduce."""
-    xs = pixels[:, 1].astype(np.float64)
-    ys = (height - 1) - pixels[:, 0].astype(np.float64)
-    n = xs.size
-    cx = float(xs.mean())
-    cy = float(ys.mean())
-    dx = xs - cx
-    dy = ys - cy
-    mu20 = float((dx * dx).sum()) / n
-    mu02 = float((dy * dy).sum()) / n
-    mu11 = float((dx * dy).sum()) / n
+    pixels: exact Python-int sums over those pixels, each centroid
+    coordinate and central moment rounded once by a single division, then
+    the eigen formula ``connected_components`` applies."""
+    xs = pixels[:, 1].tolist()
+    ys = [(height - 1) - row for row in pixels[:, 0].tolist()]
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    mu20 = (n * sum(x * x for x in xs) - sx * sx) / (n * n)
+    mu02 = (n * sum(y * y for y in ys) - sy * sy) / (n * n)
+    mu11 = (n * sum(x * y for x, y in zip(xs, ys)) - sx * sy) / (n * n)
     mid = 0.5 * (mu20 + mu02)
     spread = np.hypot(0.5 * (mu20 - mu02), mu11)
     l1 = mid + spread
     l2 = max(mid - spread, 0.0)
-    ecc = 0.0 if l1 < 1e-12 else float(np.sqrt(max(0.0, 1.0 - l2 / l1)))
-    return Point(cx, cy), ecc
+    ecc = 0.0 if l1 == 0 else float(np.sqrt(max(0.0, 1.0 - l2 / l1)))
+    return Point(sx / n, sy / n), ecc
 
 
 def _reference_region(rows: np.ndarray, cols: np.ndarray, width: int,

@@ -503,12 +503,26 @@ def _fail_without_an_error(row):
     row.update(ok=False, error=None)
 
 
+def _left_pupil(field, value):
+    """Set the left pupil's ``field``; an area or eccentricity like these was
+    once read without a check, and train and estimate exited 0."""
+    def spoil(row):
+        row["pupils"]["left"][field] = value
+    return spoil
+
+
 @pytest.mark.parametrize("spoil, named", [
     (_drop_middle_marker, "missing field 'middle'"),
     (_number_the_frame, "frame must be a string"),
     (_nan_middle_marker, "malformed field: markers.middle must be finite"),
     (_infinite_left_pupil, "malformed field: pupils.left.point must be finite"),
     (_fail_without_an_error, "malformed field: error of a failed frame must be a string"),
+    *((_left_pupil("area", bad), f"malformed field: pupils.left.area must be a positive int, "
+       f"got {bad!r}") for bad in ("x", None, float("nan"), -3, 0, 2.0, True)),
+    *((_left_pupil("eccentricity", bad), f"malformed field: pupils.left.eccentricity must be "
+       f"finite, got {bad!r}") for bad in ("x", None, float("nan"), float("inf"), True)),
+    *((_left_pupil("eccentricity", bad), f"malformed field: pupils.left.eccentricity must lie "
+       f"in [0, 1], got {bad!r}") for bad in (-3, -0.5, 1.5)),
 ])
 def test_estimate_bad_observation_names_line_and_field(pipeline, tmp_path, capsys,
                                                         spoil, named):
@@ -856,10 +870,10 @@ def test_training_set_and_estimate_bytes_are_pinned(observed, tmp_path, metric, 
     assert hashlib.sha256(est.read_bytes()).hexdigest() == est_digest
 
 
-# Digests taken with the row-by-row labeler; detect must keep these bytes.
+# Digests taken with exact integer region moments; detect must keep these bytes.
 def test_observation_bytes_are_pinned(observed):
     digest = hashlib.sha256((observed / "obs.jsonl").read_bytes()).hexdigest()
-    assert digest == "e44538893a0ab4e89188c2b3cf0837cbbcc3ac039e45f64d41208c0dcb1bbf17"
+    assert digest == "c42da5ccfedc5d618c0274ccffda76afb01c5b8ceaf9e65f2ac1f39e9cd5e2ee"
 
 
 def test_hires_observation_bytes_are_pinned(tmp_path):
@@ -870,7 +884,7 @@ def test_hires_observation_bytes_are_pinned(tmp_path):
                  "--points", "3", "--training-repeats", "1", "--seed", "5"]) == 0
     assert main(["detect", "--manifest", str(ds / "manifest.json"), "--out", str(obs)]) == 0
     digest = hashlib.sha256(obs.read_bytes()).hexdigest()
-    assert digest == "7a21f72d4dd2c3f5e97e21a5d4a35fc32ecb9b2f50cf539c4b05018d785b821d"
+    assert digest == "3e7c9d0bff6983682237af2f5665de8b118576282650200cade051aef63b797c"
 
 
 def test_non_default_screen_bytes_are_pinned(tmp_path):
@@ -1030,6 +1044,17 @@ def test_synth_frame_beyond_one_array_exits_2_before_writing(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg), "--out", str(out), "--poses", "1",
                  "--points", "1", "--training-repeats", "0"]) == 2
     assert "config synth: width x height must be at most" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_beyond_the_frame_bound_exits_2_before_writing(tmp_path, capsys):
+    """A huge but finite --training-repeats once built the frame plan
+    without end after --out was made."""
+    out = tmp_path / "ds"
+    assert main(["synth", "--out", str(out), "--poses", "1", "--points", "0",
+                 "--training-repeats", "1000000000000"]) == 2
+    assert ("config synth: the dataset must plan at most 100000 frames, got 4000000000000"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

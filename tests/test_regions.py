@@ -216,8 +216,7 @@ def test_each_regions_moments_match_the_oracle(w, h, density, seed):
 def _stamp(rng: np.random.Generator) -> np.ndarray:
     """A speck of up to 3x3 px (a few tiny regions), or a rectangle of up to
     24x24 px with about a tenth of its inner pixels cleared: mostly one
-    region of up to 576 px, at times over 128 and over 256 px, where numpy's
-    pairwise summation changes blocks."""
+    region of up to 576 px, with many runs per region."""
     if rng.random() < 0.3:
         speck = rng.random(tuple(rng.integers(1, 4, size=2))) < 0.6
         speck[0, 0] = True
@@ -232,9 +231,8 @@ def _stamp(rng: np.random.Generator) -> np.ndarray:
 @given(n_stamps=st.integers(1, 4), copies=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_tiled_stamps_match_the_reference_moments_exactly(n_stamps, copies, seed):
     """Copies of a few stamps in shuffled grid cells: many regions share an
-    area, and those of one area are reduced as one block, which must give
-    each region the bits of its own sum (rows compare centroid and
-    eccentricity with ==)."""
+    area and a shape, and each must get the exactly rounded moments of its
+    own pixels (rows compare centroid and eccentricity with ==)."""
     rng = np.random.default_rng(seed)
     stamps = [_stamp(rng) for _ in range(n_stamps)]
     tiles = [s for s in stamps for _ in range(copies)]
@@ -355,18 +353,26 @@ def test_each_plane_of_a_stack_labels_as_that_plane_alone(k, w, h, densities, se
         assert np.array_equal(ours, theirs)
 
 
-def test_numpy_sums_each_row_of_a_block_as_it_sums_the_row_alone():
-    """connected_components sums the moments of all regions of one area as
-    rows of one (3, k, area) block; its bits equal per-region sums only
-    while numpy reduces each contiguous row with the pairwise summation a
-    1-D ``sum()`` uses.  A numpy that changes that fails here by name."""
-    rng = np.random.default_rng(0)
-    for n in range(1, 601):
-        k = 1 + n % 5
-        a = rng.standard_normal(k * n)
-        rows = a.reshape(k, n).sum(axis=1)
-        assert all(rows[i] == a[i * n : (i + 1) * n].sum() for i in range(k)), n
-        three = rng.standard_normal((3, 2 + k * n))
-        block = three[:, 1 : 1 + k * n].reshape(3, k, n).sum(axis=-1)
-        assert all(block[j, i] == three[j, 1 + i * n : 1 + (i + 1) * n].sum()
-                   for j in range(3) for i in range(k)), n
+def _staircase(rows: int, step: int, run: int) -> np.ndarray:
+    """One region of ``rows`` runs of ``run`` px, each ``step`` px right of
+    the one above, overlapping it."""
+    mask = np.zeros((rows, step * (rows - 1) + run), dtype=bool)
+    for r in range(rows):
+        mask[r, r * step : r * step + run] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask", [
+    np.ones((4, 4096), dtype=bool),  # area * extent = 2**26: int64
+    np.ones((4, 4097), dtype=bool),  # just past it: Python ints
+    _staircase(4, 7000, 9000),  # thin and slanted, far past it
+    np.ones((2, 80000), dtype=bool),  # n * sum(x^2) overflows int64
+], ids=["4x4096", "4x4097", "staircase", "2x80000"])
+def test_moments_stay_exact_past_the_int64_bound(mask):
+    """Regions whose area times box extent reaches or passes 2^26, where
+    the moment products no longer fit under 2^53, still get the exactly
+    rounded moments of the reference (rows compare with ==)."""
+    regions = labeled_as_the_reference(mask)
+    assert len(regions) == 1
+    if mask.shape == (2, 80000):
+        assert regions.eccentricity[0] == 0.9999999997656249
