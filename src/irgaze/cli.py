@@ -50,21 +50,20 @@ from .gaze import (
 from .imaging import Point, check_finite, decode_pgm
 from .synth import DatasetSpec, RenderConfig, default_poses, generate_dataset
 
+_SPEC = DatasetSpec()
 CONFIG_DEFAULTS: dict = {
-    "seed": 1234,
+    "seed": _SPEC.master_seed,
     "metric": "congruency",
     "eq10_variant": "corrected",
     "jobs": 1,
     "screen": dataclasses.asdict(ScreenGeometry()),
     "detect": dataclasses.asdict(DetectConfig()),
     "synth": {
-        "width": 640,
-        "height": 480,
-        "noise_sigma": 2.0,
-        "blur_sigma": 0.8,
-        "poses": 6,
-        "points": 25,
-        "training_repeats": 2,
+        **{key: getattr(_SPEC.render, key)
+           for key in ("width", "height", "noise_sigma", "blur_sigma")},
+        "poses": len(_SPEC.poses),
+        "points": _SPEC.eval_points,
+        "training_repeats": _SPEC.training_repeats,
     },
 }
 
@@ -184,6 +183,8 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
     with _reading(path):
         doc = json.loads(Path(path).read_text())
         screen_doc, frame_docs = doc["screen"], doc["frames"]
+        if not isinstance(frame_docs, list):
+            raise TypeError(f"frames must be an array, got {frame_docs!r}")
     with _reading(f"{path}: screen"):
         screen = ScreenGeometry.from_dict(screen_doc)
     frames = []
@@ -219,6 +220,8 @@ def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
                 row = json.loads(line)
                 if not isinstance(row["frame"], str):
                     raise TypeError("frame must be a string")
+                if not isinstance(row["ok"], bool):
+                    raise TypeError(f"ok must be true or false, got {row['ok']!r}")
                 if not (row["ok"] or isinstance(row["error"], str)):
                     raise TypeError("error of a failed frame must be a string")
                 _claim(seen, row["frame"], f"{path}:{lineno}")
@@ -291,9 +294,10 @@ def observation_to_row(obs: FaceObservation) -> dict:
 
 def row_to_observation(row: dict) -> FaceObservation:
     """The observation an ok row of an observations file records; a
-    non-finite coordinate, a pupil area that is not a positive int or an
-    eccentricity outside [0, 1] raises ValueError naming its field, and a
-    marker triangle that a training set refuses raises DegenerateTriangle."""
+    non-finite coordinate, a pupil area that is not a positive int, an
+    eccentricity outside [0, 1] or a pair_consistent other than true, false
+    or null raises ValueError naming its field, and a marker triangle that
+    a training set refuses raises DegenerateTriangle."""
 
     def point(xy, field: str) -> Point:
         return Point(*check_finite(xy, field))
@@ -310,6 +314,9 @@ def row_to_observation(row: dict) -> FaceObservation:
         return PupilDetection(point=point(d["point"], f"pupils.{side}.point"),
                               area=area, eccentricity=ecc)
 
+    pair_consistent = row.get("pair_consistent")
+    if not (pair_consistent is None or isinstance(pair_consistent, bool)):
+        raise ValueError(f"pair_consistent must be true, false or null, got {pair_consistent!r}")
     m = row["markers"]
     markers = MarkerTriple(*(point(m[s], f"markers.{s}") for s in ("right", "middle", "left")))
     check_marker_triangle([*markers.right, *markers.middle, *markers.left])
@@ -317,7 +324,7 @@ def row_to_observation(row: dict) -> FaceObservation:
         markers=markers,
         pupils=PupilPair(right=pupil("right"), left=pupil("left")),
         frame_id=row["frame"],
-        pair_consistent=row.get("pair_consistent"),
+        pair_consistent=pair_consistent,
     )
 
 

@@ -92,14 +92,15 @@ class DetectConfig:
 @dataclass(frozen=True)
 class MarkerTriple:
     """The three marker centroids; right/left refer to image sides, so
-    right.x >= left.x.  ``outer_pixels`` holds the right and left blobs'
-    frame (row, col) pixels as read-only (n, 2) arrays when the triple came
-    from :func:`detect_markers`.  Equality compares the centroids only."""
+    right.x >= left.x.  ``blobs`` is a read-only bool mask, the shape of the
+    frame, of the right and left blobs' pixels when the triple came from
+    :func:`detect_markers`, and None otherwise.  Equality compares the
+    centroids only."""
 
     right: Point
     middle: Point
     left: Point
-    outer_pixels: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
+    blobs: np.ndarray | None = field(default=None, compare=False)
 
     def outer_distance(self) -> float:
         return self.right.distance_to(self.left)
@@ -196,23 +197,19 @@ def detect_markers(img: np.ndarray, cfg: DetectConfig) -> MarkerTriple:
             f"outer markers only {separation:.1f} px apart, expected at "
             f"least {2.0 * cfg.expected_marker_diameter:.1f}"
         )
-    # Each outer blob's pixels, read off the label image within its bbox.
-    box_row, box_col = regions.origin
-    outer = []
-    for i in (by_x[2], by_x[0]):  # right, left
-        c0, r0, c1, r1 = regions.bbox[i].tolist()
-        labels = regions.labels[r0 - box_row : r1 - box_row + 1, c0 - box_col : c1 - box_col + 1]
-        pixels = np.argwhere(labels == i + 1) + (r0, c0)
-        pixels.setflags(write=False)
-        outer.append(pixels)
-    return MarkerTriple(right=right, middle=middle, left=left, outer_pixels=tuple(outer))
+    # The outer blobs' pixels, read off the label image into the frame.
+    (row, col), (rows, cols) = regions.origin, regions.labels.shape
+    blobs = np.zeros(img.shape, dtype=bool)
+    blobs[row : row + rows, col : col + cols] = np.isin(regions.labels, [by_x[0] + 1, by_x[2] + 1])
+    blobs.setflags(write=False)
+    return MarkerTriple(right=right, middle=middle, left=left, blobs=blobs)
 
 
 def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi:
     """Crop the rectangle spanned by the chosen outer marker and the middle
     marker as diagonal corners.
 
-    Pixels belonging to the right/left marker blobs are replaced with the
+    The pixels of ``markers.blobs``, the right/left marker blobs, become the
     mean of the remaining ROI pixels so they cannot skew the pupil
     threshold; middle-marker pixels are retained (the border rule removes
     them later).
@@ -235,12 +232,9 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
 
     row_lo = y_to_row(y_hi, height)
     row_hi = y_to_row(y_lo, height)
-    crop = img[row_lo : row_hi + 1, col_lo : col_hi + 1].copy()
-
-    mask = np.zeros(crop.shape, dtype=bool)
-    for rows, cols in (pixels.T for pixels in markers.outer_pixels or ()):
-        inside = (cols >= col_lo) & (cols <= col_hi) & (rows >= row_lo) & (rows <= row_hi)
-        mask[rows[inside] - row_lo, cols[inside] - col_lo] = True
+    window = np.s_[row_lo : row_hi + 1, col_lo : col_hi + 1]
+    crop = img[window].copy()
+    mask = markers.blobs[window] if markers.blobs is not None else np.zeros(crop.shape, bool)
     if mask.any():
         # The mean is a float64 sum of uint8 values, which is exact.
         crop[mask] = np.floor(crop[~mask].mean() + 0.5) if (~mask).any() else 0

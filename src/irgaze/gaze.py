@@ -175,6 +175,8 @@ class TrainingSet:
         for c in CORNERS:
             with reading("corners"):
                 vector_docs = corner_docs[str(c)]
+                if not isinstance(vector_docs, list):
+                    raise TypeError(f"corners.{c} must be an array, got {vector_docs!r}")
             rows, frames = [], []
             for i, vd in enumerate(vector_docs):
                 with reading(f"corners.{c}.{i}"):

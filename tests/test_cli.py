@@ -9,6 +9,7 @@ import pytest
 
 from irgaze.cli import CONFIG_DEFAULTS, STAGE_FLAGS, main
 from irgaze.imaging import encode_pgm
+from irgaze.synth import DatasetSpec
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +451,20 @@ def test_detect_starts_no_more_workers_than_frames(pipeline, tmp_path, monkeypat
     assert pooled.read_bytes() == serial.read_bytes()
 
 
+def test_synth_without_a_config_plans_the_default_dataset(tmp_path, monkeypatch):
+    """The seed and synth defaults are read off DatasetSpec(), so the plain
+    command plans DatasetSpec() itself."""
+    planned = []
+
+    def plan_only(spec, out):
+        planned.append(spec)
+        return {"frames": [], "skipped": []}
+
+    monkeypatch.setattr("irgaze.cli.generate_dataset", plan_only)
+    assert main(["synth", "--out", str(tmp_path / "ds")]) == 0
+    assert planned == [DatasetSpec()]
+
+
 def test_config_accepts_an_int_where_a_float_is_expected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"synth": {"noise_sigma": 0, "blur_sigma": 1}}))
@@ -498,6 +513,14 @@ def _infinite_left_pupil(row):
     row["pupils"]["left"]["point"][1] = float("-inf")
 
 
+def _set_field(field, value):
+    """Set a top-level ``field``; an ok or pair_consistent like these was
+    once read without a check, and estimate exited 0."""
+    def spoil(row):
+        row[field] = value
+    return spoil
+
+
 def _fail_without_an_error(row):
     """Once read, estimate and train stopped on an AttributeError traceback."""
     row.update(ok=False, error=None)
@@ -517,6 +540,10 @@ def _left_pupil(field, value):
     (_nan_middle_marker, "malformed field: markers.middle must be finite"),
     (_infinite_left_pupil, "malformed field: pupils.left.point must be finite"),
     (_fail_without_an_error, "malformed field: error of a failed frame must be a string"),
+    *((_set_field("ok", bad), f"malformed field: ok must be true or false, got {bad!r}")
+      for bad in ("no", None, 1, 0)),
+    *((_set_field("pair_consistent", bad), f"malformed field: pair_consistent must be true, false "
+       f"or null, got {bad!r}") for bad in ("no", 1, 0, [])),
     *((_left_pupil("area", bad), f"malformed field: pupils.left.area must be a positive int, "
        f"got {bad!r}") for bad in ("x", None, float("nan"), -3, 0, 2.0, True)),
     *((_left_pupil("eccentricity", bad), f"malformed field: pupils.left.eccentricity must be "
@@ -564,6 +591,12 @@ def _left_marker_onto_middle(doc):
                  "corners.3.0: missing field 'y_pl'", id="vector-y_pl"),
     pytest.param(lambda doc: doc["corners"].pop("2"), "corners: missing field '2'",
                  id="corner-2"),
+    pytest.param(lambda doc: doc["corners"].update({"1": None}),
+                 "corners: malformed field: corners.1 must be an array, got None",
+                 id="null-corner-1"),
+    pytest.param(lambda doc: doc["corners"].update({"3": 5}),
+                 "corners: malformed field: corners.3 must be an array, got 5",
+                 id="number-corner-3"),
     pytest.param(_left_marker_onto_middle,
                  "corners.2.0: malformed field: marker triangle has an edge under 1e-9",
                  id="degenerate-2.0"),
@@ -662,6 +695,21 @@ def test_manifest_with_an_infinite_screen_names_the_field(pipeline, tmp_path, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}: screen: malformed field: screen extents must be finite" in err
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+@pytest.mark.parametrize("frames", [None, 5, {}])
+def test_manifest_whose_frames_is_no_array_names_the_field(pipeline, tmp_path, capsys, stage,
+                                                          frames):
+    """A null or numeric frames once stopped both stages on a TypeError
+    traceback, and an object was read as no frames at all."""
+    bad = _spoiled_manifest(pipeline, tmp_path, lambda doc: doc.update(frames=frames))
+    argv = [*_stage_argv(pipeline, stage), "--out", str(tmp_path / "out")]
+    argv[argv.index("--manifest") + 1] = str(bad)
+    assert main(argv) == 2
+    assert (f"{bad}: malformed field: frames must be an array, got {frames!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("stage", ["train", "evaluate"])

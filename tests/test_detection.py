@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (as_image, blank, paint_disk, paint_ellipse, reference_detect_pupil,
-                     reference_marker_mask)
+from helpers import (as_image, blank, flood_fill_components, paint_disk, paint_ellipse,
+                     reference_detect_pupil, reference_marker_mask)
 from irgaze.detection import (
     MAX_RETRIES,
     PAIR_TOLERANCE_FLOOR,
@@ -180,9 +180,8 @@ def test_detect_markers_on_rendered_frame():
     assert markers.right.distance_to(feats.marker_right) < 1.5
     assert markers.middle.distance_to(feats.marker_middle) < 1.5
     assert markers.left.distance_to(feats.marker_left) < 1.5
-    right, left = markers.outer_pixels
-    assert right.shape[1] == left.shape[1] == 2
-    assert not right.flags.writeable and not left.flags.writeable
+    assert markers.blobs.shape == img.shape and markers.blobs.dtype == bool
+    assert not markers.blobs.flags.writeable
 
 
 def test_detect_markers_two_blobs_is_too_few():
@@ -228,11 +227,8 @@ def test_roi_masks_outer_marker_pixels():
     cfg = DetectConfig()
     markers = detect_markers(img, cfg)
     roi = extract_eye_roi(img, markers, "right")
-    mask = np.zeros(roi.image.shape, dtype=bool)
-    for row, col in markers.outer_pixels[0]:  # the right marker's blob
-        r, c = row - roi.row_origin, col - roi.col_origin
-        if 0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]:
-            mask[r, c] = True
+    mask = markers.blobs[roi.row_origin : roi.row_origin + roi.image.shape[0],
+                         roi.col_origin : roi.col_origin + roi.image.shape[1]]
     assert mask.any(), "outer marker blob should overlap the ROI corner"
     masked_values = roi.image[mask]
     unmasked_mean = roi.image[~mask].mean()
@@ -254,7 +250,8 @@ def test_roi_masks_only_the_marker_blobs_own_pixels():
     canvas[speck[0], speck[1]] = 250
     img = as_image(canvas)
     markers = detect_markers(img, DetectConfig())
-    blob = markers.outer_pixels[0]
+    blob = np.argwhere(markers.blobs)
+    blob = blob[blob[:, 1] > 320]  # the right marker's pixels
     assert (blob.min(axis=0) <= speck).all() and (speck <= blob.max(axis=0)).all()
     assert np.abs(blob - speck).max(axis=1).min() > 1, "speck must not touch the marker"
 
@@ -272,6 +269,34 @@ def test_roi_masks_only_the_marker_blobs_own_pixels():
     fill = np.floor(crop[~mask].mean() + 0.5)
     assert (roi.image[mask] == fill).all()
     assert np.array_equal(roi.image[~mask], crop[~mask])
+
+
+@pytest.mark.parametrize("width, height", [(640, 480), (1280, 1024)])
+def test_blobs_and_rois_match_the_flood_fill_components(width, height):
+    """``blobs`` is the union of the flood-fill components of the marker
+    mask that hold the outer markers' true centers, and each eye region is
+    its crop with those pixels set to the rounded mean of the rest, also
+    where the mask saturates into thousands of regions at 1280x1024."""
+    img, feats = rendered_frame(pose=default_poses(width, height)[0],
+                                cfg=RenderConfig(width=width, height=height))
+    components = flood_fill_components(marker_mask(img, DetectConfig().top_n))
+    assert (len(components) > 1000) == (width == 1280)
+    expected = np.zeros(img.shape, dtype=bool)
+    for center in (feats.marker_right, feats.marker_left):
+        pixel = (height - 1 - round(center.y), round(center.x))
+        rows, cols = zip(*next(c for c in components if pixel in c))
+        expected[rows, cols] = True
+
+    markers = detect_markers(img, DetectConfig())
+    assert np.array_equal(markers.blobs, expected)
+    for side in ("right", "left"):
+        roi = extract_eye_roi(img, markers, side)
+        window = np.s_[roi.row_origin : roi.row_origin + roi.image.shape[0],
+                       roi.col_origin : roi.col_origin + roi.image.shape[1]]
+        crop, mask = img[window].copy(), expected[window]
+        assert mask.any(), f"the {side} marker blob should overlap its eye region"
+        crop[mask] = np.floor(crop[~mask].mean() + 0.5)
+        assert np.array_equal(roi.image, crop)
 
 
 def test_roi_degenerate_when_corners_coincide():
@@ -482,8 +507,7 @@ def test_observe_face_is_deterministic():
     cfg = DetectConfig()
     first, second = observe_face(img, cfg), observe_face(img, cfg)
     assert first == second
-    for a, b in zip(first.markers.outer_pixels, second.markers.outer_pixels, strict=True):
-        assert np.array_equal(a, b)
+    assert np.array_equal(first.markers.blobs, second.markers.blobs)
 
 
 # --- DetectConfig -------------------------------------------------------------
