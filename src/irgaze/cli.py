@@ -207,6 +207,14 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
     return screen, frames
 
 
+def _object(value, field: str):
+    """``value`` itself, if it is a JSON object; TypeError naming ``field``
+    otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{field} must be an object, got {value!r}")
+    return value
+
+
 def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
     """(frame id, observation) per line of an observations file; a failed
     frame carries its error class name in place of the observation."""
@@ -217,7 +225,7 @@ def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
     for lineno, line in enumerate(lines, 1):
         if line.strip():
             with _reading(f"{path}:{lineno}"):
-                row = json.loads(line)
+                row = _object(json.loads(line), "row")
                 if not isinstance(row["frame"], str):
                     raise TypeError("frame must be a string")
                 if not isinstance(row["ok"], bool):
@@ -294,18 +302,23 @@ def observation_to_row(obs: FaceObservation) -> dict:
 
 def row_to_observation(row: dict) -> FaceObservation:
     """The observation an ok row of an observations file records; a
-    non-finite coordinate, a pupil area that is not a positive int, an
-    eccentricity outside [0, 1] or a pair_consistent other than true, false
-    or null raises ValueError naming its field, and a marker triangle that
-    a training set refuses raises DegenerateTriangle."""
+    ``markers``, ``pupils`` or pupil that is not an object, a point that is
+    not a pair of finite numbers, a pupil area that is not a positive int,
+    an eccentricity outside [0, 1] or a pair_consistent other than true,
+    false or null raises TypeError or ValueError naming its field, and a
+    marker triangle that a training set refuses raises DegenerateTriangle."""
 
     def point(xy, field: str) -> Point:
+        if not (isinstance(xy, list) and len(xy) == 2):
+            raise ValueError(f"{field} must be an [x, y] pair, got {xy!r}")
         return Point(*check_finite(xy, field))
 
     def pupil(side):
-        d = row["pupils"][side]
+        d = _object(row["pupils"], "pupils")[side]
         if d is None:
             return None
+        if not isinstance(d, dict):
+            raise TypeError(f"pupils.{side} must be an object or null, got {d!r}")
         area, ecc = d["area"], check_finite(d["eccentricity"], f"pupils.{side}.eccentricity")
         if not (isinstance(area, int) and not isinstance(area, bool) and area > 0):
             raise ValueError(f"pupils.{side}.area must be a positive int, got {area!r}")
@@ -317,7 +330,7 @@ def row_to_observation(row: dict) -> FaceObservation:
     pair_consistent = row.get("pair_consistent")
     if not (pair_consistent is None or isinstance(pair_consistent, bool)):
         raise ValueError(f"pair_consistent must be true, false or null, got {pair_consistent!r}")
-    m = row["markers"]
+    m = _object(row["markers"], "markers")
     markers = MarkerTriple(*(point(m[s], f"markers.{s}") for s in ("right", "middle", "left")))
     check_marker_triangle([*markers.right, *markers.middle, *markers.left])
     return FaceObservation(

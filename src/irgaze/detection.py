@@ -5,11 +5,13 @@ Markers are found globally: equalize, keep the N brightest pixels, threshold
 at the dimmest of them, label, and pick the three largest plausibly-sized
 blobs.  The equalized frame is never built: its 256-entry remap, read off
 the raw histogram, gives the raw level at which to cut the same mask.
+The histogram that picks the cut counts the frame's bytes in pairs.
 Pupils are found per eye inside the rectangle spanned by the outer marker
 and the middle marker; a weighted-average threshold is raised geometrically
-toward the maximum until exactly one clean candidate remains.  The region
-is cut at every threshold of that ladder at once, and the stack of cuts is
-opened and labeled in one pass each.
+toward the maximum until exactly one clean candidate remains.  Each region
+is cut at every threshold of that ladder at once and its stack of cuts
+opened; the stacks of both eyes are placed in one stack, bottom-left, and
+labeled in one pass per frame.
 
 A detected pupil pair must also be vertically consistent: the squared
 vertical pupil gap may not exceed a quarter of |(y_mr - y_ml) * (y_mm -
@@ -21,6 +23,7 @@ level-headed frames from being rejected wholesale.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -152,8 +155,15 @@ def marker_mask(img: np.ndarray, top_n: int) -> np.ndarray:
     for the ``top_n``-th brightest raw level ``nth``, and ``lut[raw] >=
     lut[nth]`` holds exactly where ``raw`` reaches the lowest level that
     the remap sends to ``lut[nth]`` or above: the raw frame is cut there.
+
+    The histogram counts the bytes as uint16 pairs in 65536 bins, half the
+    elements to cast and count, and folds each pair bin onto both its
+    bytes' levels; an odd last byte is counted on its own.
     """
-    counts = np.bincount(check_image(img).ravel(), minlength=256)
+    flat = check_image(img).ravel()
+    even = flat[: flat.size - flat.size % 2]
+    pairs = np.bincount(even.view(np.uint16), minlength=65536).reshape(256, 256)
+    counts = pairs.sum(0) + pairs.sum(1) + np.bincount(flat[even.size :], minlength=256)
     lut = equalize_lut(counts)
     n = min(top_n, img.size)
     at_least = np.cumsum(counts[::-1])[::-1]  # pixels at or above each level
@@ -218,6 +228,9 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     outer = markers.right if side == "right" else markers.left
     height, width = check_image(img).shape
+    if markers.blobs is not None and markers.blobs.shape != img.shape:
+        raise ValueError(f"markers.blobs has shape {markers.blobs.shape}, "
+                         f"the frame {img.shape}")
 
     col_lo = max(math.floor(min(outer.x, markers.middle.x)), 0)
     col_hi = min(math.ceil(max(outer.x, markers.middle.x)), width - 1)
@@ -252,40 +265,61 @@ def pupil_threshold(roi: np.ndarray, weight: float) -> float:
     return float((w * vals).sum() / w.sum())
 
 
-def detect_pupil(roi: EyeRoi, pupil_diameter: float) -> PupilDetection:
-    """Find the single bright-pupil blob inside an eye region.
+def detect_pupil(rois: Sequence[EyeRoi],
+                 pupil_diameter: float) -> list[PupilDetection | DetectionError]:
+    """Find the single bright-pupil blob inside each eye region: per region,
+    the detection, or the DetectionError that region failed with.
 
-    The region is equalized, thresholded at the weighted average, opened
-    with a small disk (element diameter = 10% of ``pupil_diameter``, the
-    expected pupil diameter in pixels), stripped of border-touching and
-    elongated blobs, and the threshold is moved halfway toward the maximum
-    whenever more than one candidate survives.  All MAX_RETRIES + 1 steps
-    are cut, opened and labeled as one stack; the first step left with at
-    most one candidate decides.
+    A region is equalized, thresholded at the weighted average, opened with
+    a small disk (element diameter = 10% of ``pupil_diameter``, the expected
+    pupil diameter in pixels), stripped of border-touching and elongated
+    blobs, and the threshold is moved halfway toward the maximum whenever
+    more than one candidate survives.  All MAX_RETRIES + 1 steps are cut and
+    opened as one stack per region; the first step left with at most one
+    candidate decides.  Every region's opened stack is placed bottom-left in
+    one zero stack, which keeps each pixel's Cartesian (x, y), and labeled
+    once; border contact is taken against the region's own extent.
     """
-    eq = histogram_equalize(roi.image)
-    element_diameter = max(1, round(0.10 * pupil_diameter))
-    i_max = float(eq.max())
-    thresholds = list(accumulate(range(MAX_RETRIES), lambda t, _: t + 0.5 * (i_max - t),
-                                 initial=pupil_threshold(eq, HIGH_MEAN_WEIGHT)))
-    stack = eq >= np.array(thresholds)[:, None, None]
-    regions = connected_components(morphology(stack, "open", element_diameter // 2))
-    clean = ~regions.touches_border & (regions.eccentricity < ECCENTRICITY_MAX)
-    counts = np.bincount(regions.plane[clean], minlength=MAX_RETRIES + 1)
-    if (counts > 1).all():
-        raise AmbiguousPupil(f"{counts[-1]} candidates left after {MAX_RETRIES} retries")
-    attempt = int(np.argmax(counts <= 1))
-    if counts[attempt] == 0:
-        raise NoPupilFound(
-            f"no pupil candidate at threshold {thresholds[attempt]:.1f} "
-            f"(attempt {attempt + 1})"
-        )
-    i = int(np.flatnonzero(clean & (regions.plane == attempt))[0])
-    col = regions.x[i].item() + roi.col_origin
-    roi_row = y_to_row(regions.y[i].item(), roi.image.shape[0])
-    y = row_to_y(roi_row + roi.row_origin, roi.frame_height)
-    return PupilDetection(point=Point(col, y), area=regions.area[i].item(),
-                          eccentricity=regions.eccentricity[i].item())
+    if not rois:
+        return []
+    steps = MAX_RETRIES + 1
+    radius = max(1, round(0.10 * pupil_diameter)) // 2
+    heights, widths = np.array([roi.image.shape for roi in rois]).T
+    rows, cols = heights.max(), widths.max()
+    stack = np.zeros((len(rois) * steps, rows, cols), dtype=bool)
+    ladders = []
+    for e, roi in enumerate(rois):
+        eq = histogram_equalize(roi.image)
+        i_max = float(eq.max())
+        thresholds = list(accumulate(range(MAX_RETRIES), lambda t, _: t + 0.5 * (i_max - t),
+                                     initial=pupil_threshold(eq, HIGH_MEAN_WEIGHT)))
+        ladders.append(thresholds)
+        stack[e * steps : (e + 1) * steps, rows - heights[e] :, : widths[e]] = morphology(
+            eq >= np.array(thresholds)[:, None, None], "open", radius)
+    regions = connected_components(stack)
+    roi_of = regions.plane // steps
+    min_col, min_row, max_col, max_row = regions.bbox.T
+    border = ((min_row == rows - heights[roi_of]) | (max_row == rows - 1) | (min_col == 0)
+              | (max_col == widths[roi_of] - 1))
+    clean = ~border & (regions.eccentricity < ECCENTRICITY_MAX)
+    counts = np.bincount(regions.plane[clean], minlength=stack.shape[0]).reshape(-1, steps)
+
+    found: list[PupilDetection | DetectionError] = []
+    for e, (roi, thresholds, n) in enumerate(zip(rois, ladders, counts)):
+        attempt = int(np.argmax(n <= 1))  # 0 when every step is ambiguous
+        if n[attempt] > 1:
+            found.append(AmbiguousPupil(f"{n[-1]} candidates left after {MAX_RETRIES} retries"))
+        elif n[attempt] == 0:
+            found.append(NoPupilFound(f"no pupil candidate at threshold "
+                                      f"{thresholds[attempt]:.1f} (attempt {attempt + 1})"))
+        else:
+            i = int(np.flatnonzero(clean & (regions.plane == e * steps + attempt))[0])
+            col = regions.x[i].item() + roi.col_origin
+            roi_row = y_to_row(regions.y[i].item(), roi.image.shape[0])
+            y = row_to_y(roi_row + roi.row_origin, roi.frame_height)
+            found.append(PupilDetection(point=Point(col, y), area=regions.area[i].item(),
+                                        eccentricity=regions.eccentricity[i].item()))
+    return found
 
 
 def validate_pupil_pair(pupils: PupilPair, markers: MarkerTriple) -> bool:
@@ -310,13 +344,16 @@ def observe_face(img: np.ndarray, cfg: DetectConfig, frame_id: str = "") -> Face
     markers = detect_markers(img, cfg)
     pupil_diameter = PUPIL_DIAMETER_FRACTION * markers.outer_distance()
 
-    found: dict[str, PupilDetection | None] = {}
+    rois: dict[str, EyeRoi] = {}
     for side in ("right", "left"):
         try:
-            roi = extract_eye_roi(img, markers, side)
-            found[side] = detect_pupil(roi, pupil_diameter)
+            rois[side] = extract_eye_roi(img, markers, side)
         except DetectionError:
-            found[side] = None
+            pass
+    found: dict[str, PupilDetection | None] = dict.fromkeys(("right", "left"))
+    for side, pupil in zip(rois, detect_pupil(list(rois.values()), pupil_diameter)):
+        if isinstance(pupil, PupilDetection):
+            found[side] = pupil
 
     pair_consistent = None
     if found["right"] is not None and found["left"] is not None:

@@ -456,8 +456,9 @@ def reference_detect_pupil(roi: EyeRoi, pupil_diameter: float) -> tuple[PupilDet
     """The threshold ladder as ``detect_pupil`` ran it one step at a time:
     binarize, open and label a 2-D mask per threshold, raising the threshold
     halfway toward the maximum while more than one candidate survives.
-    Returns the detection and the number of steps taken, or raises what
-    ``detect_pupil`` must raise, with the same message."""
+    Returns the detection and the number of steps taken, or raises the
+    error ``detect_pupil`` must return for the region, with the same
+    message."""
     eq = histogram_equalize(roi.image)
     element_diameter = max(1, round(0.10 * pupil_diameter))
     cleanup_radius = element_diameter // 2

@@ -513,17 +513,29 @@ def _infinite_left_pupil(row):
     row["pupils"]["left"]["point"][1] = float("-inf")
 
 
-def _set_field(field, value):
-    """Set a top-level ``field``; an ok or pair_consistent like these was
-    once read without a check, and estimate exited 0."""
+def _set_field(path, value):
+    """Set the field at ``path``, a dotted path into the row.  An ok or
+    pair_consistent like these was once read without a check, and estimate
+    exited 0; a markers, pupils or point like these once exited 2 on a
+    message that named no field."""
+    *parents, last = path.split(".")
+
     def spoil(row):
-        row[field] = value
+        for key in parents:
+            row = row[key]
+        row[last] = value
     return spoil
 
 
 def _fail_without_an_error(row):
     """Once read, estimate and train stopped on an AttributeError traceback."""
     row.update(ok=False, error=None)
+
+
+def _line(text):
+    """Line 2 becomes ``text``, a JSON value that is no object; it once exited
+    2 on a message that named no field."""
+    return lambda row: text
 
 
 def _left_pupil(field, value):
@@ -550,13 +562,24 @@ def _left_pupil(field, value):
        f"finite, got {bad!r}") for bad in ("x", None, float("nan"), float("inf"), True)),
     *((_left_pupil("eccentricity", bad), f"malformed field: pupils.left.eccentricity must lie "
        f"in [0, 1], got {bad!r}") for bad in (-3, -0.5, 1.5)),
+    *((_set_field(field, bad), f"malformed field: {field} must be an object, got {bad!r}")
+      for field in ("markers", "pupils") for bad in (None, [], [1.0, 2.0])),
+    *((_set_field(field, bad), f"malformed field: {field} must be an [x, y] pair, got {bad!r}")
+      for field in ("markers.middle", "pupils.left.point")
+      for bad in (5, 2.5, [], [1.0], [1.0, 2.0, 3.0], "ab", {"x": 1.0})),
+    *((_set_field("pupils.left", bad), f"malformed field: pupils.left must be an object or null, "
+       f"got {bad!r}") for bad in (5, [], [1.0, 2.0], "x", True)),
+    *((_line(text), f"malformed field: row must be an object, got {value!r}")
+      for text, value in (("null", None), ("5", 5), ('"f"', "f"), ("[1, 2]", [1, 2]))),
 ])
 def test_estimate_bad_observation_names_line_and_field(pipeline, tmp_path, capsys,
                                                         spoil, named):
     rows = read_jsonl(pipeline / "obs.jsonl")
-    spoil(rows[1])
+    line = spoil(rows[1])  # the text of line 2, or None to write the edited row
+    lines = [json.dumps(r) for r in rows]
+    lines[1] = lines[1] if line is None else line
     bad = tmp_path / "obs.jsonl"
-    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    bad.write_text("".join(text + "\n" for text in lines))
     assert main(["estimate", "--observations", str(bad),
                  "--training-set", str(pipeline / "train.json"),
                  "--out", str(tmp_path / "e.csv")]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (as_image, blank, flood_fill_components, paint_disk, paint_ellipse,
                      reference_detect_pupil, reference_marker_mask)
+from irgaze import detection
 from irgaze.detection import (
     MAX_RETRIES,
     PAIR_TOLERANCE_FLOOR,
@@ -35,7 +37,7 @@ from irgaze.errors import (
     NoPupilFound,
     TooFewComponents,
 )
-from irgaze.imaging import Point, binarize, decode_pgm
+from irgaze.imaging import Point, binarize, connected_components, decode_pgm
 from irgaze.synth import (
     DatasetSpec,
     FaceLayout,
@@ -174,6 +176,31 @@ def test_marker_mask_matches_on_rendered_frames(width, height):
         assert expected.sum() > 5 * top_n
 
 
+def _mask_inputs():
+    """Frames whose bytes do not pair up evenly or do not lie in one run."""
+    rng = np.random.default_rng(23)
+    big = _frame("noise", 61, 47, rng)
+    return {
+        "odd-count": _frame("noise", 37, 21, rng),
+        "odd-count-levels": _frame("levels", 3, 5, rng),
+        "one-pixel": big[:1, :1].copy(),
+        "one-pixel-view": big[5:6, 7:8],
+        "strided": big[::2, ::3],
+        "column-cut": big[:, 1:],
+        "transposed": big.T,
+        "odd-offset": big.ravel()[1 : 1 + 45 * 47].reshape(45, 47),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mask_inputs()))
+@pytest.mark.parametrize("top_n", [1, 3, 462, 10**6])
+def test_marker_mask_counts_odd_and_strided_frames(name, top_n):
+    """The pixel-pair histogram counts an odd last byte on its own and
+    takes strided or misaligned views as they are."""
+    img = _mask_inputs()[name]
+    assert np.array_equal(marker_mask(img, top_n), reference_marker_mask(img, top_n))
+
+
 def test_detect_markers_on_rendered_frame():
     img, feats = rendered_frame()
     markers = detect_markers(img, DetectConfig())
@@ -306,6 +333,19 @@ def test_roi_degenerate_when_corners_coincide():
         extract_eye_roi(img, markers, "right")
 
 
+@pytest.mark.parametrize("width, height", [(300, 400), (1280, 1024)])
+def test_roi_rejects_blobs_of_another_frame(width, height):
+    """A triple detected on a 640x480 frame, applied to a frame of another
+    shape, once masked that frame's pixels at the wrong place, or none."""
+    img, _ = rendered_frame()
+    markers = detect_markers(img, DetectConfig())
+    other = np.zeros((height, width), dtype=np.uint8)
+    shapes = re.escape(f"shape {(480, 640)}, the frame {(height, width)}")
+    for side in ("right", "left"):
+        with pytest.raises(ValueError, match=shapes):
+            extract_eye_roi(other, markers, side)
+
+
 def test_roi_rejects_unknown_side():
     img = np.zeros((50, 50), dtype=np.uint8)
     markers = MarkerTriple(right=Point(40, 40), middle=Point(20, 10), left=Point(0, 40))
@@ -324,7 +364,7 @@ def whole_roi(canvas, col_origin=0, row_origin=0, frame_height=None):
 def test_detect_pupil_single_round_blob():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 20, 5, 170)
-    found = detect_pupil(whole_roi(canvas), 10.0)
+    (found,) = detect_pupil([whole_roi(canvas)], 10.0)
     assert found.point.distance_to(Point(30, 20)) < 0.5
     assert found.eccentricity < 0.9
     assert found.area > 50
@@ -334,7 +374,7 @@ def test_detect_pupil_offsets_map_to_frame_coordinates():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 20, 5, 170)
     roi = whole_roi(canvas, col_origin=100, row_origin=200, frame_height=480)
-    found = detect_pupil(roi, 10.0)
+    (found,) = detect_pupil([roi], 10.0)
     # ROI row of the blob center: (40-1)-20 = 19 -> frame row 219 -> y = 479-219
     assert found.point.x == pytest.approx(130, abs=0.5)
     assert found.point.y == pytest.approx(479 - 219, abs=0.5)
@@ -343,16 +383,16 @@ def test_detect_pupil_offsets_map_to_frame_coordinates():
 def test_detect_pupil_border_blob_rejected():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 30, 38, 5, 170)  # pokes past the top edge
-    with pytest.raises(NoPupilFound):
-        detect_pupil(whole_roi(canvas), 10.0)
+    (found,) = detect_pupil([whole_roi(canvas)], 10.0)
+    assert isinstance(found, NoPupilFound)
 
 
 def test_detect_pupil_two_persistent_blobs_ambiguous():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 20, 20, 5, 170)
     paint_disk(canvas, 40, 20, 5, 170)
-    with pytest.raises(AmbiguousPupil):
-        detect_pupil(whole_roi(canvas), 10.0)
+    (found,) = detect_pupil([whole_roi(canvas)], 10.0)
+    assert isinstance(found, AmbiguousPupil)
 
 
 def test_detect_pupil_retry_raises_threshold_until_unique():
@@ -360,8 +400,12 @@ def test_detect_pupil_retry_raises_threshold_until_unique():
     canvas = blank(60, 40, 80)
     paint_disk(canvas, 20, 20, 5, 140)
     paint_disk(canvas, 42, 20, 5, 235)
-    found = detect_pupil(whole_roi(canvas), 10.0)
+    (found,) = detect_pupil([whole_roi(canvas)], 10.0)
     assert found.point.distance_to(Point(42, 20)) < 0.5
+
+
+def test_detect_pupil_of_no_region_is_empty():
+    assert detect_pupil([], 10.0) == []
 
 
 def test_threshold_raising_shrinks_foreground():
@@ -372,21 +416,21 @@ def test_threshold_raising_shrinks_foreground():
     assert (hi <= lo).all()
 
 
-def ladder_exit(roi, pupil_diameter):
+def ladder_exit(roi, pupil_diameter, found=None):
     """Where the reference ladder left: ("unique", step), ("NoPupilFound",
-    step) or ("AmbiguousPupil", MAX_RETRIES + 1); with ``detect_pupil``'s
-    outcome checked against the reference's on the way: the detection's
-    point, area and eccentricity with ==, or the exception class and
-    message."""
+    step) or ("AmbiguousPupil", MAX_RETRIES + 1); with ``found``, the
+    outcome ``detect_pupil`` gave for ``roi`` (by default from a call on
+    ``roi`` alone), checked against the reference's on the way: the
+    detection's point, area and eccentricity with ==, or the error's class
+    and message."""
+    if found is None:
+        (found,) = detect_pupil([roi], pupil_diameter)
     try:
         expected, steps = reference_detect_pupil(roi, pupil_diameter)
     except DetectionError as exc:
-        with pytest.raises(type(exc)) as raised:
-            detect_pupil(roi, pupil_diameter)
-        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        assert type(found) is type(exc) and str(found) == str(exc)
         attempt = re.search(r"\(attempt (\d+)\)$", str(exc))
         return type(exc).__name__, int(attempt[1]) if attempt else MAX_RETRIES + 1
-    found = detect_pupil(roi, pupil_diameter)
     assert (found.point, found.area, found.eccentricity) == (
         expected.point, expected.area, expected.eccentricity)
     assert type(found.area) is int and type(found.eccentricity) is float
@@ -452,6 +496,44 @@ def test_detect_pupil_matches_the_reference_ladder_on_random_rois(w, h, disks, d
     ladder_exit(roi, diameter)
 
 
+def _shaped_exit_rois():
+    """ROIs of five shapes, built to leave the ladder at each of its exits,
+    two of them with a blob cut by the ROI's top or right edge."""
+    one_disk, two_disks, distractor = blank(52, 36, 80), blank(70, 44, 80), blank(64, 50, 80)
+    paint_disk(one_disk, 26, 18, 5, 170)
+    paint_disk(two_disks, 22, 22, 5, 170)
+    paint_disk(two_disks, 46, 22, 5, 170)
+    paint_disk(distractor, 20, 25, 5, 140)
+    paint_disk(distractor, 42, 25, 5, 235)
+    top_cut, right_cut = blank(40, 30, 80), blank(40, 30, 80)
+    paint_disk(top_cut, 20, 28, 5, 170)
+    paint_disk(right_cut, 38, 15, 5, 170)
+    return [*((whole_roi(canvas), 10.0)
+              for canvas in (one_disk, two_disks, distractor, top_cut, right_cut)),
+            _two_ridged_disks()]
+
+
+def test_detect_pupil_matches_the_reference_for_each_region_of_one_call():
+    """Two regions of different shapes share one stack, the smaller one's
+    top and right edges inside it: each must leave the ladder as the
+    reference does on that region alone, with a 640x480 frame's two eye
+    regions among them."""
+    img, _ = rendered_frame()
+    markers = detect_markers(img, DetectConfig())
+    rois = [*_shaped_exit_rois(),
+            *((extract_eye_roi(img, markers, side), 10.0) for side in ("right", "left"))]
+    exits = set()
+    for (a, diameter), (b, _) in itertools.permutations(rois, 2):
+        if a.image.shape == b.image.shape:
+            continue
+        found = detect_pupil([a, b], diameter)
+        assert len(found) == 2
+        exits |= {(kind, step > 1) for kind, step in (ladder_exit(a, diameter, found[0]),
+                                                       ladder_exit(b, diameter, found[1]))}
+    assert {("unique", False), ("unique", True), ("NoPupilFound", False),
+            ("NoPupilFound", True), ("AmbiguousPupil", True)} <= exits
+
+
 # --- observe_face ------------------------------------------------------------
 
 def test_observe_face_recovers_all_features():
@@ -500,6 +582,22 @@ def test_observe_face_fails_when_no_eye_usable():
     paint_disk(canvas, feats.pupil_right.x, feats.pupil_right.y, 9, 80)
     with pytest.raises(NoPupilFound):
         observe_face(as_image(canvas), DetectConfig())
+
+
+def test_observe_face_labels_twice_per_frame(monkeypatch):
+    """Once for the markers, once for both eyes' ladders together."""
+    shapes = []
+
+    def counting(mask):
+        shapes.append(mask.shape)
+        return connected_components(mask)
+
+    monkeypatch.setattr(detection, "connected_components", counting)
+    img, _ = rendered_frame()
+    obs = observe_face(img, DetectConfig())
+    assert obs.pupils.right is not None and obs.pupils.left is not None
+    assert len(shapes) == 2
+    assert shapes[0] == img.shape and shapes[1][0] == 2 * (MAX_RETRIES + 1)
 
 
 def test_observe_face_is_deterministic():
