@@ -47,7 +47,7 @@ from .gaze import (
     TrainingSet,
     check_marker_triangle,
 )
-from .imaging import Point, check_finite, decode_pgm
+from .imaging import Point, check_finite, check_type, decode_pgm
 from .synth import DatasetSpec, RenderConfig, default_poses, generate_dataset
 
 _SPEC = DatasetSpec()
@@ -181,38 +181,28 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
     (frame id, file, role, label): the label is the corner of a training
     frame and the gaze point of an evaluation frame."""
     with _reading(path):
-        doc = json.loads(Path(path).read_text())
-        screen_doc, frame_docs = doc["screen"], doc["frames"]
-        if not isinstance(frame_docs, list):
-            raise TypeError(f"frames must be an array, got {frame_docs!r}")
+        doc = check_type(json.loads(Path(path).read_text()), dict, "manifest")
+        screen_doc = check_type(doc["screen"], dict, "screen")
+        frame_docs = check_type(doc["frames"], list, "frames")
     with _reading(f"{path}: screen"):
         screen = ScreenGeometry.from_dict(screen_doc)
     frames = []
     seen: dict[str, str] = {}
     for i, entry in enumerate(frame_docs):
         with _reading(f"{path}: frames.{i}"):
-            role = entry["role"]
+            role = check_type(entry, dict, "entry")["role"]
             if role == "training":
-                label = entry["corner"]
-                if type(label) is not int:
-                    raise TypeError(f"corner must be an integer, got {label!r}")
+                label = check_type(entry["corner"], int, "corner")
             else:
-                label = Point(*map(float, check_finite(entry["gaze"], "gaze")))
+                label = _point(entry["gaze"], "gaze")
             if role != "evaluation" and label not in CORNERS:
                 raise ValueError(
                     f"need role 'evaluation', or 'training' with a corner in {CORNERS}")
-            frame_id = Path(entry["file"]).stem
-            _claim(seen, frame_id, f"{path}: frames.{i} ({entry['file']})")
-            frames.append((frame_id, entry["file"], role, label))
+            file = check_type(entry["file"], str, "file")
+            frame_id = Path(file).stem
+            _claim(seen, frame_id, f"{path}: frames.{i} ({file})")
+            frames.append((frame_id, file, role, label))
     return screen, frames
-
-
-def _object(value, field: str):
-    """``value`` itself, if it is a JSON object; TypeError naming ``field``
-    otherwise."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{field} must be an object, got {value!r}")
-    return value
 
 
 def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
@@ -225,16 +215,11 @@ def _read_observations(path: str) -> list[tuple[str, FaceObservation | str]]:
     for lineno, line in enumerate(lines, 1):
         if line.strip():
             with _reading(f"{path}:{lineno}"):
-                row = _object(json.loads(line), "row")
-                if not isinstance(row["frame"], str):
-                    raise TypeError("frame must be a string")
-                if not isinstance(row["ok"], bool):
-                    raise TypeError(f"ok must be true or false, got {row['ok']!r}")
-                if not (row["ok"] or isinstance(row["error"], str)):
-                    raise TypeError("error of a failed frame must be a string")
-                _claim(seen, row["frame"], f"{path}:{lineno}")
-                rows.append((row["frame"],
-                             row_to_observation(row) if row["ok"] else row["error"]))
+                row = check_type(json.loads(line), dict, "row")
+                _claim(seen, check_type(row["frame"], str, "frame"), f"{path}:{lineno}")
+                ok = check_type(row["ok"], bool, "ok")
+                rows.append((row["frame"], row_to_observation(row) if ok else
+                             check_type(row["error"], str, "error of a failed frame")))
     return rows
 
 
@@ -300,6 +285,13 @@ def observation_to_row(obs: FaceObservation) -> dict:
     }
 
 
+def _point(xy, field: str) -> Point:
+    """The point an [x, y] pair of finite numbers gives; else ValueError naming ``field``."""
+    if not (isinstance(xy, list) and len(xy) == 2):
+        raise ValueError(f"{field} must be an [x, y] pair, got {xy!r}")
+    return Point(*map(float, check_finite(xy, field)))
+
+
 def row_to_observation(row: dict) -> FaceObservation:
     """The observation an ok row of an observations file records; a
     ``markers``, ``pupils`` or pupil that is not an object, a point that is
@@ -308,30 +300,22 @@ def row_to_observation(row: dict) -> FaceObservation:
     false or null raises TypeError or ValueError naming its field, and a
     marker triangle that a training set refuses raises DegenerateTriangle."""
 
-    def point(xy, field: str) -> Point:
-        if not (isinstance(xy, list) and len(xy) == 2):
-            raise ValueError(f"{field} must be an [x, y] pair, got {xy!r}")
-        return Point(*check_finite(xy, field))
-
     def pupil(side):
-        d = _object(row["pupils"], "pupils")[side]
+        pupils = check_type(row["pupils"], dict, "pupils")
+        d = check_type(pupils[side], dict, f"pupils.{side}", null=True)
         if d is None:
             return None
-        if not isinstance(d, dict):
-            raise TypeError(f"pupils.{side} must be an object or null, got {d!r}")
         area, ecc = d["area"], check_finite(d["eccentricity"], f"pupils.{side}.eccentricity")
-        if not (isinstance(area, int) and not isinstance(area, bool) and area > 0):
+        if not (type(area) is int and area > 0):
             raise ValueError(f"pupils.{side}.area must be a positive int, got {area!r}")
         if not 0 <= ecc <= 1:
             raise ValueError(f"pupils.{side}.eccentricity must lie in [0, 1], got {ecc!r}")
-        return PupilDetection(point=point(d["point"], f"pupils.{side}.point"),
+        return PupilDetection(point=_point(d["point"], f"pupils.{side}.point"),
                               area=area, eccentricity=ecc)
 
-    pair_consistent = row.get("pair_consistent")
-    if not (pair_consistent is None or isinstance(pair_consistent, bool)):
-        raise ValueError(f"pair_consistent must be true, false or null, got {pair_consistent!r}")
-    m = _object(row["markers"], "markers")
-    markers = MarkerTriple(*(point(m[s], f"markers.{s}") for s in ("right", "middle", "left")))
+    pair_consistent = check_type(row.get("pair_consistent"), bool, "pair_consistent", null=True)
+    m = check_type(row["markers"], dict, "markers")
+    markers = MarkerTriple(*(_point(m[s], f"markers.{s}") for s in ("right", "middle", "left")))
     check_marker_triangle([*markers.right, *markers.middle, *markers.left])
     return FaceObservation(
         markers=markers,
@@ -460,11 +444,12 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
         for row in reader:
             where = f"{path}:{reader.line_num}"
             _claim(seen, row["frame"], where)
-            if row["error"] or not row["x_g"]:
+            if row["error"] or row["x_g"] == "":
                 continue
             with _reading(where):
+                given = {k: v for k, v in row.items() if v is not None}  # None past a short row
                 points[row["frame"]] = Point(
-                    *(check_finite(float(row[field]), field) for field in ("x_g", "y_g")))
+                    *(check_finite(float(given[field]), field) for field in ("x_g", "y_g")))
     return points
 
 

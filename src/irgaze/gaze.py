@@ -48,7 +48,7 @@ from .errors import (
     IncompleteObservation,
     NoUsableEye,
 )
-from .imaging import Point, check_finite
+from .imaging import Point, check_finite, check_type
 
 CORNERS = (1, 2, 3, 4)  # 1 up-left, 2 up-right, 3 down-left, 4 down-right
 METRICS = ("congruency", "euclidean")
@@ -164,30 +164,30 @@ class TrainingSet:
     def from_dict(cls, d: dict, reading=contextlib.nullcontext) -> "TrainingSet":
         """Parse ``to_dict`` output.  ``reading(section)`` is entered around
         the parse of each section ("screen", "corners", "corners.3.0"), so a
-        caller can name the section in the errors raised inside it.  A row
-        with a coordinate that is not a finite JSON number raises ValueError,
-        and one whose marker triangle has a near-zero edge raises
-        DegenerateTriangle, since it would fail every congruency score."""
-        screen_doc, corner_docs = d["screen"], d["corners"]
+        caller can name the section in the errors raised inside it.  A value
+        of the wrong JSON type raises TypeError and a coordinate that is not
+        a finite JSON number ValueError; a row whose marker triangle has a
+        near-zero edge raises DegenerateTriangle, since it would fail every
+        congruency score."""
+        check_type(d, dict, "training set")
+        screen_doc, corner_docs = (check_type(d[key], dict, key) for key in ("screen", "corners"))
         with reading("screen"):
             screen = ScreenGeometry.from_dict(screen_doc)
         by_corner, frame_ids = {}, {}
         for c in CORNERS:
             with reading("corners"):
-                vector_docs = corner_docs[str(c)]
-                if not isinstance(vector_docs, list):
-                    raise TypeError(f"corners.{c} must be an array, got {vector_docs!r}")
+                vector_docs = check_type(corner_docs[str(c)], list, f"corners.{c}")
             rows, frames = [], []
             for i, vd in enumerate(vector_docs):
                 with reading(f"corners.{c}.{i}"):
+                    check_type(vd, dict, "vector")
                     row = [float(check_finite(vd[k], k)) for k in COORD_KEYS]
                     check_marker_triangle(row[MARKER_COLS])
                     rows.append(row)
-                    frames.append(str(vd.get("frame", "")))
+                    frames.append(check_type(vd["frame"], str, "frame"))
             by_corner[c] = np.array(rows, dtype=np.float64).reshape(-1, len(COORD_KEYS))
             frame_ids[c] = tuple(frames)
-        return cls(by_corner=by_corner, frame_ids=frame_ids, screen=screen,
-                   metric=d.get("metric", "congruency"))
+        return cls(by_corner=by_corner, frame_ids=frame_ids, screen=screen, metric=d["metric"])
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")

@@ -2,7 +2,7 @@
 thresholding, binary morphology, and connected-component analysis; the
 last two also take a (k, h, w) stack of masks and treat each plane alone."""
 
-from .image import Point, check_finite, check_image, row_to_y, y_to_row
+from .image import Point, check_finite, check_image, check_type, row_to_y, y_to_row
 from .ops import (MORPHOLOGY_OPS, binarize, disk_offsets, equalize_lut, histogram_equalize,
                   morphology)
 from .pgm import decode_pgm, encode_pgm
@@ -16,6 +16,7 @@ __all__ = [
     "binarize",
     "check_finite",
     "check_image",
+    "check_type",
     "connected_components",
     "decode_pgm",
     "disk_offsets",

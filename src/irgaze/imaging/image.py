@@ -5,16 +5,17 @@ top scanline); a binary mask is a plain 2-D bool array in the same
 layout.  Every function that returns either hands back a fresh read-only
 array, so values can be shared freely across threads; other dtypes are
 rejected, never converted.  ``check_finite`` is the package's one rule
-for a number from outside (a config value, a file field, a threshold).
-All geometry elsewhere in the package uses mathematical Cartesian
-coordinates: x is the column index and y grows upward, so
-``y = (height - 1) - row``.  The converters at the bottom of this module
-are the only place that mapping is written out.
+for a number from outside (a config value, a file field, a threshold),
+and ``check_type`` its one rule for the JSON type of a file field.  All
+other geometry uses mathematical Cartesian coordinates: x is the column
+index and y grows upward, so ``y = (height - 1) - row``, a mapping written
+out only by the converters at the bottom of this module.
 """
 
 from __future__ import annotations
 
 import numbers
+import reprlib
 import sys
 from typing import NamedTuple
 
@@ -62,6 +63,25 @@ def check_finite(value, name: str):
                 and abs(v) <= sys.float_info.max):
             raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+# The name of each JSON type, keyed by the Python type json.loads reads it as.
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               bool: "true or false"}
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 2  # a whole document in a field's place shows its top level only
+
+
+def check_type(value, kind: type, name: str, null: bool = False):
+    """``value`` itself, if json.loads reads it as a ``kind`` (dict, list,
+    str, int or bool, so a bool is no int), or if it is None and ``null``
+    is set; else TypeError naming ``name``, the value shortened."""
+    if type(value) is kind or null and value is None:
+        return value
+    wanted = _JSON_TYPES[kind]
+    if null:
+        wanted = "true, false or null" if kind is bool else f"{wanted} or null"
+    raise TypeError(f"{name} must be {wanted}, got {_SHORT.repr(value)}")
 
 
 def row_to_y(row, height: int):

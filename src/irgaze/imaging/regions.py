@@ -8,9 +8,8 @@ at once, and a vectorized union-find merges runs that touch across
 adjacent rows of one plane, with no Python-level loop over planes, rows,
 regions or areas.  The result is one table of read-only columns, with
 each region's plane, plus the label image of the foreground box.  Area,
-bounding box, border flag and centroid are integer reductions over each
-region's runs, in its plane's frame coordinates, the border taken against
-the frame.
+bounding box and centroid are integer reductions over each region's runs,
+in its plane's frame coordinates.
 
 Eccentricity comes from the second-order central moments of the pixel
 coordinates: with covariance eigenvalues l1 >= l2,
@@ -43,7 +42,6 @@ class Region(NamedTuple):
 
     area: int
     bbox: tuple[int, int, int, int]
-    touches_border: bool
     centroid: Point
     eccentricity: float
 
@@ -61,7 +59,6 @@ class Regions:
 
     area: np.ndarray
     bbox: np.ndarray
-    touches_border: np.ndarray
     x: np.ndarray
     y: np.ndarray
     eccentricity: np.ndarray
@@ -70,8 +67,7 @@ class Regions:
     origin: tuple[int, int]
 
     def __post_init__(self):
-        for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity", "plane",
-                     "labels"):
+        for name in ("area", "bbox", "x", "y", "eccentricity", "plane", "labels"):
             getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
@@ -79,7 +75,6 @@ class Regions:
 
     def __iter__(self) -> Iterator[Region]:
         return map(Region, self.area.tolist(), map(tuple, self.bbox.tolist()),
-                   self.touches_border.tolist(),
                    map(Point, self.x.tolist(), self.y.tolist()),
                    self.eccentricity.tolist())
 
@@ -100,7 +95,7 @@ def connected_components(mask: np.ndarray) -> Regions:
     Regions with the same plane, bbox origin and area keep first-run order.
     """
     stack = check_mask(mask).reshape(-1, *mask.shape[-2:])
-    k, h, w = stack.shape
+    k, h = stack.shape[:2]
     on_rows = stack.any(axis=(0, 2)).nonzero()[0]
     top, bottom = (int(on_rows[0]), int(on_rows[-1]) + 1) if on_rows.size else (0, 0)
     on_cols = stack[:, top:bottom].any(axis=(0, 1)).nonzero()[0]
@@ -157,7 +152,6 @@ def connected_components(mask: np.ndarray) -> Regions:
     max_col = np.maximum.reduceat(starts + lengths, heads) + (left - 1)
     min_row = np.minimum.reduceat(rows, heads) + top
     max_row = np.maximum.reduceat(rows, heads) + top
-    border = (min_row == 0) | (max_row == h - 1) | (min_col == 0) | (max_col == w - 1)
 
     # A run of length L has sum(x) = L*b + L(L-1)/2, sum(x^2) = L*b^2 +
     # b*L(L-1) + (L-1)L(2L-1)/6, sum(y) = L*r, sum(y^2) = L*r^2 and sum(xy)
@@ -186,7 +180,6 @@ def connected_components(mask: np.ndarray) -> Regions:
     labels = np.zeros(k * bh * bw, dtype=np.int32)
     labels[_ranges(flat_starts, lengths)] = np.repeat(np.argsort(ranked) + 1, area)
     bbox = np.array((min_col, min_row, max_col, max_row)).T[ranked]
-    return Regions(area=area[ranked], bbox=bbox, touches_border=border[ranked],
-                   x=x[ranked], y=y[ranked], eccentricity=ecc[ranked],
-                   plane=plane[ranked], labels=labels.reshape(*mask.shape[:-2], bh, bw),
-                   origin=(top, left))
+    return Regions(area=area[ranked], bbox=bbox, x=x[ranked], y=y[ranked],
+                   eccentricity=ecc[ranked], plane=plane[ranked],
+                   labels=labels.reshape(*mask.shape[:-2], bh, bw), origin=(top, left))

@@ -372,7 +372,7 @@ def reference_moments(pixels: np.ndarray, height: int) -> tuple[Point, float]:
     return Point(sx / n, sy / n), ecc
 
 
-def _reference_region(rows: np.ndarray, cols: np.ndarray, width: int,
+def _reference_region(rows: np.ndarray, cols: np.ndarray,
                       height: int) -> tuple[Region, np.ndarray]:
     min_col, max_col = int(cols.min()), int(cols.max())
     min_row, max_row = int(rows.min()), int(rows.max())
@@ -381,9 +381,6 @@ def _reference_region(rows: np.ndarray, cols: np.ndarray, width: int,
     return Region(
         area=int(cols.size),
         bbox=(min_col, min_row, max_col, max_row),
-        touches_border=(
-            min_row == 0 or max_row == height - 1 or min_col == 0 or max_col == width - 1
-        ),
         centroid=centroid,
         eccentricity=eccentricity,
     ), pixels
@@ -439,7 +436,7 @@ def reference_components(a: np.ndarray) -> tuple[list[Region], list[np.ndarray]]
         rows = np.concatenate(
             [np.full(runs[i][2] - runs[i][1], runs[i][0]) for i in members]
         )
-        regions.append(_reference_region(rows, cols, w, h))
+        regions.append(_reference_region(rows, cols, h))
 
     regions.sort(key=lambda reg: (reg[0].bbox[1], reg[0].bbox[0], reg[0].area))
     return [row for row, _ in regions], [pixels for _, pixels in regions]
@@ -456,9 +453,9 @@ def reference_detect_pupil(roi: EyeRoi, pupil_diameter: float) -> tuple[PupilDet
     """The threshold ladder as ``detect_pupil`` ran it one step at a time:
     binarize, open and label a 2-D mask per threshold, raising the threshold
     halfway toward the maximum while more than one candidate survives.
-    Returns the detection and the number of steps taken, or raises the
-    error ``detect_pupil`` must return for the region, with the same
-    message."""
+    A region touching the ROI's edge is no candidate.  Returns the
+    detection and the number of steps taken, or raises the error
+    ``detect_pupil`` must return for the region, with the same message."""
     eq = histogram_equalize(roi.image)
     element_diameter = max(1, round(0.10 * pupil_diameter))
     cleanup_radius = element_diameter // 2
@@ -469,8 +466,10 @@ def reference_detect_pupil(roi: EyeRoi, pupil_diameter: float) -> tuple[PupilDet
     for attempt in range(MAX_RETRIES + 1):
         regions = connected_components(
             morphology(binarize(eq, threshold), "open", cleanup_radius))
-        candidates = (~regions.touches_border
-                      & (regions.eccentricity < ECCENTRICITY_MAX)).nonzero()[0]
+        min_col, min_row, max_col, max_row = regions.bbox.T
+        border = ((min_row == 0) | (max_row == eq.shape[0] - 1) | (min_col == 0)
+                  | (max_col == eq.shape[1] - 1))
+        candidates = (~border & (regions.eccentricity < ECCENTRICITY_MAX)).nonzero()[0]
         if candidates.size == 1:
             (i,) = candidates.tolist()
             col = regions.x[i].item() + roi.col_origin

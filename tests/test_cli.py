@@ -606,6 +606,46 @@ def _left_marker_onto_middle(doc):
     vector["x_ml"], vector["y_ml"] = vector["x_mm"], vector["y_mm"]
 
 
+def _vector_field(field, value):
+    return lambda doc: doc["corners"]["4"][0].update({field: value})
+
+
+def _drop(*path):
+    """Delete the field at ``path``."""
+    def spoil(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return spoil
+
+
+# Each spoil edits the document in place or returns the file's text.  The
+# first six shapes once exited 2 on a message that named no field ("list
+# indices must be integers or slices, not str", "'int' object is not
+# subscriptable", "string indices must be integers, not 'str'"); a frame of 5
+# or null was read as "5" or "None", and a missing metric or frame as
+# "congruency" or "", though the schema requires both.
+_TRAINING_SET_SHAPES = [
+    pytest.param(lambda doc: json.dumps([doc]), "malformed field: training set must be an "
+                 "object, got [{'corners': {...}, 'metric': 'congruency', 'screen': {...}}]",
+                 id="array-doc"),
+    pytest.param(lambda doc: doc.update(screen="x"),
+                 "malformed field: screen must be an object, got 'x'", id="string-screen"),
+    *(pytest.param(lambda doc, bad=bad: doc.update(corners=bad),
+                   f"malformed field: corners must be an object, got {bad!r}",
+                   id=f"corners-{bad}") for bad in (5, [])),
+    *(pytest.param(lambda doc, bad=bad: doc["corners"].update({"1": [bad]}),
+                   f"corners.1.0: malformed field: vector must be an object, got {bad!r}",
+                   id=f"vector-{bad}") for bad in (5, [1.0, 2.0])),
+    *(pytest.param(_vector_field("frame", bad), f"corners.4.0: malformed field: frame must be "
+                   f"a string, got {bad!r}", id=f"frame-{bad}") for bad in (5, None)),
+    pytest.param(_drop("metric"), "missing field 'metric'", id="no-metric"),
+    pytest.param(_drop("corners", "2", 0, "frame"), "corners.2.0: missing field 'frame'",
+                 id="no-frame"),
+]
+
+
 @pytest.mark.parametrize("spoil, named", [
     pytest.param(_keep_an_empty_screen, "missing field 'corners'", id="doc0-corners"),
     pytest.param(lambda doc: doc["screen"].pop("Lx"), "screen: missing field 'Lx'",
@@ -640,12 +680,11 @@ def _left_marker_onto_middle(doc):
     pytest.param(lambda doc: doc["screen"]["corners"][3].__setitem__(1, float("nan")),
                  "screen: malformed field: corner targets must be the screen's corners",
                  id="nan-corner"),
+    *_TRAINING_SET_SHAPES,
 ])
 def test_estimate_bad_training_set_names_the_field(pipeline, tmp_path, capsys, spoil, named):
-    doc = json.loads((pipeline / "train.json").read_text())
-    spoil(doc)
     bad = tmp_path / "ts.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(_spoiled_text(pipeline / "train.json", spoil))
     assert main(["estimate", "--observations", str(pipeline / "obs.jsonl"),
                  "--training-set", str(bad), "--out", str(tmp_path / "e.csv")]) == 2
     assert f"{bad}: {named}" in capsys.readouterr().err
@@ -783,26 +822,31 @@ def test_evaluate_manifest_nan_gaze_names_the_frame(pipeline, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("field, value", [("x_g", "nan"), ("y_g", "inf")])
+@pytest.mark.parametrize("field, value", [("x_g", "nan"), ("y_g", "inf"), ("y_g", None),
+                                          ("x_g", None)])
 def test_evaluate_non_finite_estimate_names_the_line(pipeline, tmp_path, capsys, field,
                                                      value):
     """A nan x_g on one row and an inf y_g on another once made evaluate
-    report 98.7% at every N, exit 0."""
+    report 98.7% at every N, exit 0.  A None value cuts the row short just
+    before the field: cut before y_g, it once exited 2 on "float() argument
+    must be a string or a real number, not 'NoneType'", and cut before x_g,
+    it was skipped as a failed frame, exit 0."""
     with open(pipeline / "est.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    i = next(i for i, row in enumerate(rows) if row["x_g"] and not row["error"])
-    rows[i][field] = value
+        header, *rows = csv.reader(fh)
+    i = next(i for i, row in enumerate(rows)
+             if row[header.index("x_g")] and not row[header.index("error")])
+    col = header.index(field)
+    rows[i] = rows[i][:col] if value is None else [*rows[i][:col], value, *rows[i][col + 1:]]
     bad = tmp_path / "est.csv"
     with open(bad, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
     out = tmp_path / "r"
     assert main(["evaluate", "--estimates", str(bad),
                  "--manifest", str(pipeline / "ds" / "manifest.json"),
                  "--out", str(out)]) == 2
-    assert (f"{bad}:{i + 2}: malformed field: {field} must be finite, got {value}"
-            in capsys.readouterr().err)
+    named = (f"missing field {field!r}" if value is None else
+             f"malformed field: {field} must be finite, got {value}")
+    assert f"{bad}:{i + 2}: {named}" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
 
 
@@ -892,11 +936,86 @@ def test_evaluate_estimates_without_columns_names_the_file(pipeline, tmp_path, c
 def test_artifacts_match_their_schemas(pipeline):
     import jsonschema
 
-    schemas = Path(__file__).resolve().parent.parent / "schemas"
     for doc, schema in (("ds/manifest.json", "manifest.schema.json"),
                         ("train.json", "training_set.schema.json")):
-        jsonschema.validate(json.loads((pipeline / doc).read_text()),
-                            json.loads((schemas / schema).read_text()))
+        jsonschema.validate(json.loads((pipeline / doc).read_text()), _schema(schema))
+
+
+def _spoiled_text(path, spoil):
+    """The text of the JSON file at ``path`` after ``spoil``, which edits the
+    document in place or returns the text to use."""
+    doc = json.loads(Path(path).read_text())
+    text = spoil(doc)
+    return text if isinstance(text, str) else json.dumps(doc)
+
+
+def _evaluation_frame(doc):
+    """The manifest's first evaluation frame; messages read its index as {i}."""
+    return next(f for f in doc["frames"] if f["role"] == "evaluation")
+
+
+def _frame_field(field, value):
+    return lambda doc: _evaluation_frame(doc).update({field: value})
+
+
+def _frame_entry(value):
+    def spoil(doc):
+        doc["frames"][doc["frames"].index(_evaluation_frame(doc))] = value
+    return spoil
+
+
+# Each once exited 2 on a message that named no field: "list indices must be
+# integers or slices, not str", "'int' object is not subscriptable", "expected
+# str, bytes or os.PathLike object, not int", "Point.__new__() takes 3
+# positional arguments" and the like.
+_MANIFEST_SHAPES = [
+    pytest.param(lambda doc: json.dumps([doc]), "malformed field: manifest must be an object, "
+                 "got [{'frames': [...], 'screen': {...}, 'skipped': []}]", id="array-manifest"),
+    *(pytest.param(lambda doc, bad=bad: doc.update(screen=bad),
+                   f"malformed field: screen must be an object, got {bad!r}",
+                   id=f"screen-{bad}") for bad in ("x", [60.0, 60.0])),
+    *(pytest.param(_frame_entry(bad), f"frames.{{i}}: malformed field: entry must be an "
+                   f"object, got {bad!r}", id=f"entry-{bad}") for bad in (5, None, ["a.pgm"])),
+    *(pytest.param(_frame_field("file", bad), f"frames.{{i}}: malformed field: file must be "
+                   f"a string, got {bad!r}", id=f"file-{bad}") for bad in (5, None)),
+    *(pytest.param(_frame_field("gaze", bad), f"frames.{{i}}: malformed field: gaze must be "
+                   f"an [x, y] pair, got {bad!r}", id=f"gaze-{bad}")
+      for bad in ([1, 2, 3], [1], 5)),
+]
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+@pytest.mark.parametrize("spoil, named", _MANIFEST_SHAPES)
+def test_manifest_of_the_wrong_shape_names_the_field(pipeline, tmp_path, capsys, stage,
+                                                     spoil, named):
+    manifest = pipeline / "ds" / "manifest.json"
+    frames = json.loads(manifest.read_text())["frames"]
+    i = next(i for i, f in enumerate(frames) if f["role"] == "evaluation")
+    bad = tmp_path / "manifest.json"
+    bad.write_text(_spoiled_text(manifest, spoil))
+    argv = [*_stage_argv(pipeline, stage), "--out", str(tmp_path / "out")]
+    argv[argv.index("--manifest") + 1] = str(bad)
+    assert main(argv) == 2
+    assert f"{bad}: {named.replace('{i}', str(i))}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, schema, spoil", [
+    *(pytest.param("ds/manifest.json", "manifest.schema.json", p.values[0],
+                   id=f"manifest-{p.id}") for p in _MANIFEST_SHAPES),
+    *(pytest.param("train.json", "training_set.schema.json", p.values[0], id=f"ts-{p.id}")
+      for p in _TRAINING_SET_SHAPES),
+])
+def test_schemas_refuse_every_shape_the_readers_refuse(pipeline, doc, schema, spoil):
+    """The published format and the readers agree on each malformed shape."""
+    import jsonschema
+
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(json.loads(_spoiled_text(pipeline / doc, spoil)), _schema(schema))
+
+
+def _schema(name):
+    return json.loads((Path(__file__).resolve().parent.parent / "schemas" / name).read_text())
 
 
 @pytest.fixture(scope="module")

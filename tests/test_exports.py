@@ -45,3 +45,18 @@ def test_the_finiteness_rule_is_written_once():
              if isinstance(node, ast.Attribute)
              and ast.unparse(node) in ("math.isfinite", "sys.float_info.max")]
     assert not found
+
+
+def test_the_json_type_rule_is_written_once():
+    """``check_type`` in imaging/image.py is the one place that raises
+    TypeError: every reader gets a field's JSON type check from it."""
+    root = Path(irgaze.__file__).parent
+    image = root / "imaging" / "image.py"
+    sources = sorted(root.rglob("*.py"))
+    assert image in sources
+    found = [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
+             for path in sources if path != image
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "TypeError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
+    assert not found

@@ -20,6 +20,7 @@ from irgaze.imaging import (
     Point,
     binarize,
     check_finite,
+    check_type,
     connected_components,
     decode_pgm,
     encode_pgm,
@@ -150,6 +151,56 @@ def test_check_finite_passes_finite_numbers_and_raises_only_value_error(value):
     else:
         with pytest.raises(ValueError, match="^v must be finite, got "):
             check_finite(value, "v")
+
+
+# --- check_type ---------------------------------------------------------------
+
+@pytest.mark.parametrize("value, kind", [
+    ({}, dict), ({"a": [1]}, dict), ([], list), ([1, "x"], list), ("", str), ("f", str),
+    (0, int), (-7, int), (10**400, int), (True, bool), (False, bool),
+])
+def test_check_type_returns_a_value_of_the_kind_itself(value, kind):
+    assert check_type(value, kind, "v") is value
+    assert check_type(value, kind, "v", null=True) is value
+
+
+@pytest.mark.parametrize("value, kind, wanted", [
+    (True, int, "an integer"), (False, int, "an integer"), (1.0, int, "an integer"),
+    ("1", int, "an integer"), (1, bool, "true or false"), (0, bool, "true or false"),
+    ("no", bool, "true or false"), ([], dict, "an object"), ({}, list, "an array"),
+    ("ab", list, "an array"), (5, str, "a string"), (b"f", str, "a string"),
+    *((None, kind, wanted) for kind, wanted in ((dict, "an object"), (list, "an array"),
+                                                 (str, "a string"), (int, "an integer"),
+                                                 (bool, "true or false"))),
+])
+def test_check_type_raises_type_error_naming_the_field(value, kind, wanted):
+    """A bool is no integer, and null passes only when the field allows it."""
+    with pytest.raises(TypeError) as info:
+        check_type(value, kind, "frames.3")
+    assert str(info.value) == f"frames.3 must be {wanted}, got {value!r}"
+
+
+@pytest.mark.parametrize("kind, wanted", [(dict, "an object or null"),
+                                          (bool, "true, false or null")])
+def test_check_type_null_passes_only_when_allowed(kind, wanted):
+    assert check_type(None, kind, "v", null=True) is None
+    with pytest.raises(TypeError) as info:
+        check_type(5, kind, "pupils.left", null=True)
+    assert str(info.value) == f"pupils.left must be {wanted}, got 5"
+
+
+@pytest.mark.parametrize("value, shown", [
+    pytest.param(list(range(10_000)), "[0, 1, 2, 3, 4, 5, ...]", id="array"),
+    pytest.param("x" * 10_000, "'" + "x" * 12 + "..." + "x" * 13 + "'", id="string"),
+    pytest.param([{"frames": [{"file": "a.pgm"}] * 1000, "screen": {"Lx": 60.0}}],
+                 "[{'frames': [...], 'screen': {...}}]", id="document"),
+])
+def test_check_type_shortens_a_long_value(value, shown):
+    """A long array or string, or a whole document in the wrong place, is
+    not printed whole."""
+    with pytest.raises(TypeError) as info:
+        check_type(value, dict, "row")
+    assert str(info.value) == f"row must be an object, got {shown}"
 
 
 # --- morphology ---------------------------------------------------------------

@@ -42,7 +42,6 @@ def test_single_pixel_region():
     assert region.eccentricity == 0.0
     assert region.centroid == (3.0, 2.0)
     assert region.bbox == (3, 2, 3, 2)
-    assert not region.touches_border
 
 
 def test_horizontal_run_has_eccentricity_one():
@@ -69,15 +68,13 @@ def test_diagonal_pixels_are_one_region():
     assert region.area == 2
 
 
-def test_touches_border_flags():
+def test_bbox_is_min_col_min_row_max_col_max_row():
     regions = connected_components(binary([
         [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 0],
+        [0, 0, 1, 1],
+        [0, 0, 0, 1],
     ]))
-    flags = {r.bbox[:2]: r.touches_border for r in regions}
-    assert flags[(0, 0)] is True
-    assert flags[(2, 1)] is False
+    assert [r.bbox for r in regions] == [(0, 0, 0, 0), (2, 1, 3, 2)]
 
 
 def test_centroid_is_mean_of_cartesian_coordinates():
@@ -181,7 +178,7 @@ def test_region_columns_and_labels_are_read_only():
     mask = np.zeros((4, 6), dtype=bool)
     mask[0, 0:2] = mask[2:4, 3:6] = True
     regions = connected_components(binary(mask))
-    for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity", "labels"):
+    for name in ("area", "bbox", "x", "y", "eccentricity", "labels"):
         column = getattr(regions, name)
         assert not column.flags.writeable, name
         with pytest.raises(ValueError):
@@ -256,21 +253,19 @@ def test_all_false_mask_has_no_regions(shape):
     assert list(connected_components(mask)) == reference_components(mask)[0] == []
 
 
-@pytest.mark.parametrize("row, col, border", [
-    (0, 0, True), (0, 8, True), (6, 0, True), (6, 8, True), (3, 4, False)])
-def test_single_pixel_at_a_corner_or_the_centre(row, col, border):
+@pytest.mark.parametrize("row, col", [(0, 0), (0, 8), (6, 0), (6, 8), (3, 4)])
+def test_single_pixel_at_a_corner_or_the_centre(row, col):
     mask = np.zeros((7, 9), dtype=bool)
     mask[row, col] = True
     (region,) = labeled_as_the_reference(mask)
     assert region.bbox == (col, row, col, row)
-    assert region.touches_border is border
     assert region.centroid == (col, 6 - row)
 
 
 @pytest.mark.parametrize("last", ["row", "col"])
-def test_foreground_only_on_the_last_row_or_column_touches_the_border(last):
-    """The foreground box is a single row or column at the far edge: the
-    border is taken against the frame, not the box."""
+def test_foreground_only_on_the_last_row_or_column_keeps_frame_coordinates(last):
+    """The foreground box is a single row or column at the far edge: every
+    bbox is in frame coordinates, not the box's."""
     rng = np.random.default_rng(5)
     mask = np.zeros((30, 40), dtype=bool)
     if last == "row":
@@ -278,7 +273,8 @@ def test_foreground_only_on_the_last_row_or_column_touches_the_border(last):
     else:
         mask[4:26, -1] = rng.random(22) < 0.5
     regions = labeled_as_the_reference(mask)
-    assert len(regions) and regions.touches_border.all()
+    edge = regions.bbox[:, 1::2] if last == "row" else regions.bbox[:, 0::2]
+    assert len(regions) and (edge == (29 if last == "row" else 39)).all()
 
 
 @pytest.mark.parametrize("vertical", [False, True])
@@ -291,7 +287,8 @@ def test_thin_foreground_box_inside_a_large_frame(vertical):
         mask[123, 45:250:3] = True
         mask[123, 251:270] = True
     regions = labeled_as_the_reference(mask)
-    assert not regions.touches_border.any()
+    line = regions.bbox[:, 0::2] if vertical else regions.bbox[:, 1::2]
+    assert (line == (211 if vertical else 123)).all()
     assert regions.eccentricity[-1] == 1.0
 
 
@@ -339,7 +336,7 @@ def test_each_plane_of_a_stack_labels_as_that_plane_alone(k, w, h, densities, se
         alone = connected_components(stack[p])
         assert not alone.plane.any()
         rows = regions.plane == p
-        for name in ("area", "bbox", "touches_border", "x", "y", "eccentricity"):
+        for name in ("area", "bbox", "x", "y", "eccentricity"):
             column = getattr(regions, name)[rows]
             assert column.dtype == getattr(alone, name).dtype, name
             assert column.tolist() == getattr(alone, name).tolist(), name
