@@ -15,7 +15,7 @@ import copy
 import csv
 import dataclasses
 import json
-import math
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -83,9 +83,9 @@ STAGE_FLAGS: dict[str, tuple[tuple[str, str, dict], ...]] = {
          dict(type=int, help="training frames per pose and corner")),
     ),
     "detect": (("--jobs", "jobs", dict(type=int, help="parallel worker count")),),
-    "train": (("--metric", "metric", dict(choices=METRICS, help="head-orientation metric")),),
+    "train": (("--metric", "metric", dict(help=f"head-orientation metric: {'|'.join(METRICS)}")),),
     "estimate": (("--eq10-variant", "eq10_variant",
-                  dict(choices=WEIGHTINGS, help="vertical-interpolation weighting")),),
+                  dict(help=f"vertical-interpolation weighting: {'|'.join(WEIGHTINGS)}")),),
     "evaluate": (),
 }
 
@@ -263,24 +263,14 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
 # --- detect ---------------------------------------------------------------
 
 def observation_to_row(obs: FaceObservation) -> dict:
-    def pupil_dict(p: PupilDetection | None):
-        if p is None:
-            return None
-        return {"point": [p.point.x, p.point.y], "area": p.area,
-                "eccentricity": p.eccentricity}
-
+    """The observations-file row of ``obs``; json writes each Point as [x, y]."""
     return {
         "frame": obs.frame_id,
         "ok": True,
-        "markers": {
-            "right": [obs.markers.right.x, obs.markers.right.y],
-            "middle": [obs.markers.middle.x, obs.markers.middle.y],
-            "left": [obs.markers.left.x, obs.markers.left.y],
-        },
-        "pupils": {
-            "right": pupil_dict(obs.pupils.right),
-            "left": pupil_dict(obs.pupils.left),
-        },
+        "markers": {s: getattr(obs.markers, s) for s in ("right", "middle", "left")},
+        "pupils": {s: None if (p := getattr(obs.pupils, s)) is None else
+                   {"point": p.point, "area": p.area, "eccentricity": p.eccentricity}
+                   for s in ("right", "left")},
         "pair_consistent": obs.pair_consistent,
     }
 
@@ -443,13 +433,15 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{path}:{reader.line_num}"
+            with _reading(where):
+                if None in row.values():  # DictReader's filler past a short row's end
+                    raise KeyError(next(k for k, v in row.items() if v is None))
             _claim(seen, row["frame"], where)
             if row["error"] or row["x_g"] == "":
                 continue
             with _reading(where):
-                given = {k: v for k, v in row.items() if v is not None}  # None past a short row
                 points[row["frame"]] = Point(
-                    *(check_finite(float(given[field]), field) for field in ("x_g", "y_g")))
+                    *(check_finite(float(row[field]), field) for field in ("x_g", "y_g")))
     return points
 
 
@@ -499,11 +491,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
         for i, n in enumerate(GRID_NS):
             pct = [100.0 * col[i] for col in columns]
             avg = sum(pct) / len(pct)
-            if len(pct) > 1:
-                var = sum((p - avg) ** 2 for p in pct) / (len(pct) - 1)
-                std = math.sqrt(var)
-            else:
-                std = 0.0
+            std = statistics.stdev(pct) if len(pct) > 1 else 0.0
             writer.writerow([n, *(f"{p:.1f}" for p in pct), f"{avg:.1f}", f"{std:.1f}"])
 
     print(report_path)

@@ -10,10 +10,10 @@ is selected (triangle congruency of the marker triples, or summed marker
 distance), scored over the whole corner at once.  The chosen vectors'
 pupils are translated by the input's middle marker minus the vector's, and
 the gaze point is linearly interpolated from the pupil position relative to
-the four corner pupil positions:
+the four corner pupil positions, over the screen's extents Lx and Ly:
 
-    x_G = W  * (alpha * (x1 -> x2 span) + x1) + (1 - W)  * (beta  * (x3 -> x4 span) + x3)
-    y_G = W' * (gamma * (y3 -> y1 span) + y3) + (1 - W') * (delta * (y4 -> y2 span) + y4)
+    x_G = W  * (alpha * Lx) + (1 - W)  * (beta  * Lx)
+    y_G = W' * (gamma * Ly) + (1 - W') * (delta * Ly)
 
 alpha/beta/gamma/delta are per-edge interpolation coefficients from the
 pupil coordinates (left unclamped, so off-screen gaze extrapolates); W and
@@ -328,7 +328,7 @@ def estimate_gaze_single_eye(
     if weighting not in WEIGHTINGS:
         raise ValueError(f"weighting must be one of {WEIGHTINGS}")
     p = corner_pupils
-    g = {c: screen.corner(c) for c in CORNERS}
+    lx, ly = screen.width_cm, screen.height_cm
 
     alpha = _checked_div(pupil.x - p[1].x, p[2].x - p[1].x, "alpha")
     beta = _checked_div(pupil.x - p[3].x, p[4].x - p[3].x, "beta")
@@ -337,10 +337,7 @@ def estimate_gaze_single_eye(
         0.5 * (p[1].y + p[2].y) - 0.5 * (p[3].y + p[4].y),
         "top/bottom blend",
     ))
-    x_g = (
-        w * (alpha * (g[2].x - g[1].x) + g[1].x)
-        + (1.0 - w) * (beta * (g[4].x - g[3].x) + g[3].x)
-    )
+    x_g = w * (alpha * lx) + (1.0 - w) * (beta * lx)
 
     gamma = _checked_div(pupil.y - p[3].y, p[1].y - p[3].y, "gamma")
     delta = _checked_div(pupil.y - p[4].y, p[2].y - p[4].y, "delta")
@@ -350,10 +347,7 @@ def estimate_gaze_single_eye(
         "left/right blend",
     ))
     w_prime = 1.0 - w_prime_raw if weighting == "corrected" else w_prime_raw
-    y_g = (
-        w_prime * (gamma * (g[1].y - g[3].y) + g[3].y)
-        + (1.0 - w_prime) * (delta * (g[2].y - g[4].y) + g[4].y)
-    )
+    y_g = w_prime * (gamma * ly) + (1.0 - w_prime) * (delta * ly)
 
     try:
         check_finite([x_g, y_g], "gaze point")

@@ -1,15 +1,24 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from irgaze.cli import CONFIG_DEFAULTS, STAGE_FLAGS, main
+from irgaze.cli import (
+    CONFIG_CHOICES,
+    CONFIG_DEFAULTS,
+    STAGE_FLAGS,
+    _read_observations,
+    main,
+    observation_to_row,
+)
 from irgaze.imaging import encode_pgm
-from irgaze.synth import DatasetSpec
+from irgaze.synth import DatasetSpec, default_poses
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +385,8 @@ def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
     ({"detect": {"expected_marker_area": 1e308}}, "config detect: expected_marker_area"),
     # An int key had no range test: 10**400 reached synth as a traceback.
     ({"synth": {"width": 10**400}}, "config key 'synth.width' must be finite"),
+    ({"synth": 5}, "config key 'synth' must be an object"),
+    ([1, 2], "must hold a JSON object"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
     cfg = tmp_path / "cfg.json"
@@ -405,9 +416,14 @@ def test_readme_stage_flags_table_lists_every_flag():
     table = re.split(r"^\| stage +\| own flags.*$", readme, flags=re.MULTILINE)[1]
     table = table.split("\n\n")[0]
     rows = re.findall(r"^\| (\w+) +\|(.*)\|$", table, flags=re.MULTILINE)
-    documented = {stage: re.findall(r"`(--[\w-]+)", flags) for stage, flags in rows}
-    assert documented == {stage: [flag for flag, _, _ in flags]
-                          for stage, flags in STAGE_FLAGS.items()}
+    cells = {stage: re.findall(r"`(--[\w-]+) ?([^`]*)`", flags) for stage, flags in rows}
+    assert {stage: [flag for flag, _ in cell] for stage, cell in cells.items()} == {
+        stage: [flag for flag, _, _ in flags] for stage, flags in STAGE_FLAGS.items()}
+    # A value list such as `--metric congruency\|euclidean` names the key's choices.
+    listed = {flag: tuple(values.split("\\|")) for cell in cells.values()
+              for flag, values in cell if re.fullmatch(r"\w+(\\\|\w+)*", values)}
+    assert listed == {flag: CONFIG_CHOICES[key] for flags in STAGE_FLAGS.values()
+                      for flag, key, _ in flags if key in CONFIG_CHOICES}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -823,14 +839,15 @@ def test_evaluate_manifest_nan_gaze_names_the_frame(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("x_g", "nan"), ("y_g", "inf"), ("y_g", None),
-                                          ("x_g", None)])
+                                          ("x_g", None), ("error", None)])
 def test_evaluate_non_finite_estimate_names_the_line(pipeline, tmp_path, capsys, field,
                                                      value):
     """A nan x_g on one row and an inf y_g on another once made evaluate
     report 98.7% at every N, exit 0.  A None value cuts the row short just
     before the field: cut before y_g, it once exited 2 on "float() argument
-    must be a string or a real number, not 'NoneType'", and cut before x_g,
-    it was skipped as a failed frame, exit 0."""
+    must be a string or a real number, not 'NoneType'"; cut before x_g, it
+    was skipped as a failed frame, and cut before the trailing error, it was
+    scored, both with exit 0."""
     with open(pipeline / "est.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     i = next(i for i, row in enumerate(rows)
@@ -1289,3 +1306,103 @@ def test_estimate_gaze_that_is_not_finite_is_an_error_row(pipeline, tmp_path, ca
     assert main(["evaluate", "--estimates", str(est),
                  "--manifest", str(pipeline / "ds" / "manifest.json"),
                  "--out", str(tmp_path / "report")]) == 0
+
+
+@pytest.mark.parametrize("argv, flag, key", [
+    (["train", "--manifest", "manifest.json"], "--metric", "metric"),
+    (["estimate", "--training-set", "ts.json"], "--eq10-variant", "eq10_variant"),
+])
+def test_choice_flag_fails_as_its_config_key_does(tmp_path, capsys, argv, flag, key):
+    """argparse once checked a choice flag first, with its own usage error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "foo"}))
+    errors = []
+    for setting in ([flag, "foo"], ["--config", str(cfg)]):
+        assert main([*argv, "--observations", "obs.jsonl", *setting,
+                     "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: config key {key!r} must be one of {CONFIG_CHOICES[key]}\n"] * 2
+
+
+@pytest.mark.parametrize("config, stage, code, named", [
+    (None, "synth", 2, "error: cannot read config {cfg}: "),
+    (json.dumps({"synth": {"poses": len(default_poses()) + 1}}), "synth", 2,
+     f"error: synth.poses must lie in [0, {len(default_poses())}]"),
+    ("{}", "detect", 1, "error: no input frames (give --manifest or PGM paths)"),
+])
+def test_bad_invocation_exits_naming_the_file_or_key(tmp_path, capsys, config, stage, code,
+                                                     named):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    if config is not None:
+        cfg.write_text(config)
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == code
+    assert named.format(cfg=cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_offset_estimates(path, manifest: dict, offsets: list[float]) -> None:
+    """Estimates of the manifest's evaluation frames, frame i off by
+    offsets[i] cm in x."""
+    frames = [f for f in manifest["frames"] if f["role"] == "evaluation"]
+    assert len(frames) == len(offsets)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "x_g", "y_g", "eyes_used", "error"])
+        for f, dx in zip(frames, offsets):
+            writer.writerow([Path(f["file"]).stem, f["gaze"][0] + dx, f["gaze"][1], "both", ""])
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c")])
+def test_evaluate_multi_dataset_report_averages_and_spreads(pipeline, tmp_path, names):
+    """The paper's three-user table: one column per dataset, then the mean
+    and sample standard deviation of the columns at each N."""
+    manifest_path = pipeline / "ds" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    half_lx = manifest["screen"]["Lx"] / 2  # the half cell is half_lx / n
+    offsets = {"a": [0.0] * 8,  # 100% at every N
+               "b": [6.5] * 4 + [0.0] * 4,  # half wrong from N = 5 (half cell 6.0)
+               "c": [4.0] * 8}  # all wrong from N = 8 (half cell 3.75)
+    argv = ["evaluate", "--out", str(tmp_path / "r")]
+    for name in names:
+        _write_offset_estimates(tmp_path / f"{name}.csv", manifest, offsets[name])
+        argv += ["--estimates", str(tmp_path / f"{name}.csv"), "--manifest", str(manifest_path)]
+    assert main(argv) == 0
+    with open(tmp_path / "r" / "report.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["N", *names, "AVG", "STD"]
+    assert [int(row[0]) for row in rows] == list(range(2, 11))
+    for row in rows:
+        n = int(row[0])
+        pct = [100 * sum(abs(dx) < half_lx / n for dx in offsets[name]) / 8 for name in names]
+        avg = sum(pct) / len(pct)
+        std = (abs(pct[0] - pct[1]) / math.sqrt(2) if len(pct) == 2 else
+               math.sqrt(sum((p - avg) ** 2 for p in pct) / (len(pct) - 1)))
+        assert row[1:] == [*(f"{p:.1f}" for p in pct), f"{avg:.1f}", f"{std:.1f}"]
+    assert any(row[-1] != "0.0" for row in rows)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_one_pupil_row_round_trips_and_train_skips_it(pipeline, tmp_path, capsys, side):
+    rows = _read_observations(str(pipeline / "obs.jsonl"))
+    i, (frame, obs) = next((i, (f, o)) for i, (f, o) in enumerate(rows) if f.startswith("train_")
+                           and not isinstance(o, str) and o.pupils.right and o.pupils.left)
+    one_eyed = dataclasses.replace(obs, pupils=dataclasses.replace(obs.pupils, **{side: None}))
+    line = json.dumps(observation_to_row(one_eyed))
+    assert f'"{side}": null' in line
+    lines = (pipeline / "obs.jsonl").read_text().splitlines()
+    lines[i] = line
+    bad = tmp_path / "obs.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert _read_observations(str(bad))[i] == (frame, one_eyed)
+
+    argv = ["--manifest", str(pipeline / "ds" / "manifest.json"), "--out"]
+    assert main(["train", "--observations", str(pipeline / "obs.jsonl"), *argv,
+                 str(tmp_path / "base.json")]) == 0
+    skipped = re.findall(r"skipped (\d+) unusable", capsys.readouterr().err)
+    assert main(["train", "--observations", str(bad), *argv, str(tmp_path / "ts.json")]) == 0
+    base = int(skipped[0]) if skipped else 0
+    assert f"skipped {base + 1} unusable training frames" in capsys.readouterr().err
+    trained = json.loads((tmp_path / "ts.json").read_text())["corners"]
+    assert frame not in {v["frame"] for vectors in trained.values() for v in vectors}
+    assert frame in {v["frame"] for vectors in json.loads(
+        (tmp_path / "base.json").read_text())["corners"].values() for v in vectors}
