@@ -63,4 +63,5 @@ def decode_pgm(data: bytes) -> np.ndarray:
 def encode_pgm(img: np.ndarray) -> bytes:
     """Serialize to a canonical binary PGM stream."""
     height, width = check_image(img).shape
-    return f"P5\n{width} {height}\n255\n".encode("ascii") + img.tobytes()
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    return b"".join((header, np.ascontiguousarray(img)))  # one copy of the samples

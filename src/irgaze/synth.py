@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -196,12 +196,16 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
 
+    # Each pass drops its input once padded, and its padded copy and tap
+    # buffer before the next pass, so few box-sized arrays live at once.
     for _ in range(2):  # the horizontal pass, then the same on the transpose
         padded = np.pad(a, ((0, 0), (r, r)), mode="edge")
-        out = np.zeros_like(a)
+        a = np.zeros_like(a)
+        tap = np.empty_like(a)
         for i, k in enumerate(kernel):
-            out += k * padded[:, i : i + a.shape[1]]
-        a = out.T
+            a += np.multiply(k, padded[:, i : i + a.shape[1]], out=tap)
+        del padded, tap
+        a = a.T
     return a
 
 
@@ -280,13 +284,29 @@ def render_scene(
     c, s = math.cos(truth.pose.theta), math.sin(truth.pose.theta)
     rx = (gx - truth.pose.tx) / k
     ry = (gy - truth.pose.ty) / k
+    # In place, (local_x / ax) ** 2 + (local_y / ay) ** 2 in the same bits;
+    # both arrays go before the blur.
     local_x = c * rx + s * ry
     local_y = -s * rx + c * ry
     ax, ay = layout.face_axes
-    box[(local_x / ax) ** 2 + (local_y / ay) ** 2 <= 1.0] = float(cfg.face)
+    local_x /= ax
+    local_x *= local_x
+    local_y /= ay
+    local_y *= local_y
+    local_x += local_y
+    box[local_x <= 1.0] = float(cfg.face)
+    del local_x, local_y
 
+    # Each disk is tested over its own bounding rows and columns only; a
+    # pixel beyond them lies more than a pixel outside the radius.
     for center, radius, level in disks:
-        box[(gx - center.x) ** 2 + (gy - center.y) ** 2 <= radius * radius] = float(level)
+        disk_rows = slice(max(math.floor(y_to_row(center.y + radius, cfg.height)) - row_lo, 0),
+                          math.ceil(y_to_row(center.y - radius, cfg.height)) - row_lo + 1)
+        disk_cols = slice(max(math.floor(center.x - radius) - col_lo, 0),
+                          math.ceil(center.x + radius) - col_lo + 1)
+        inside = ((gx[:, disk_cols] - center.x) ** 2 + (gy[disk_rows] - center.y) ** 2
+                  <= radius * radius)
+        box[disk_rows, disk_cols][inside] = float(level)
 
     shape = (cfg.height, cfg.width)
     if noise is None:
@@ -365,10 +385,11 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     written as manifest.json).  Frames whose features would leave the frame
     are skipped and logged under "skipped".
 
-    While the main thread paints, encodes and writes frame i, one worker
-    thread draws frame i+1's noise (numpy releases the GIL while it fills
-    the array) into the other of two frame buffers, which ``render_scene``
-    then uses as its canvas.  The worker calls only ``draw_noise``.
+    One worker thread renders every odd frame of the plan, noise and all,
+    on the second of two frame buffers, while the main thread renders the
+    even frame before it on the first (numpy releases the GIL in the noise
+    draw and the array passes).  The main thread encodes and writes every
+    frame, and lists frames and skips, in plan order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -401,40 +422,51 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
 
     sigma = spec.render.noise_sigma
     shape = (spec.render.height, spec.render.width)
-    buffers = (np.empty(shape), np.empty(shape)) if sigma > 0 else ()
+    buffers = (np.empty(shape), np.empty(shape))
 
-    def draw_ahead(index: int) -> Future | None:
-        if not buffers or index == len(plan):
-            return None
-        return pool.submit(draw_noise, plan[index][3].seed, sigma, buffers[index % 2])
+    def render(index: int) -> np.ndarray | FeatureOutOfFrame:
+        # Frame i paints on buffers[i % 2]. Each thread renders its frames
+        # in plan order, so frame i - 2 has returned its image, a copy.
+        truth, noise = plan[index][3], buffers[index % 2]
+        if sigma > 0:
+            draw_noise(truth.seed, sigma, noise)
+        else:
+            noise.fill(0.0)
+        try:
+            return render_scene(truth, spec.layout, spec.render, noise=noise)
+        except FeatureOutOfFrame as exc:
+            return exc
 
     frames = []
     skipped = []
-    # The pool starts its thread on the first submit, so none starts when
-    # sigma is 0; leaving the block joins it.
+
+    def write(index: int, img: np.ndarray | FeatureOutOfFrame) -> None:
+        frame_id, role, corner, truth = plan[index]
+        file_name = frame_id + ".pgm"
+        if isinstance(img, FeatureOutOfFrame):
+            skipped.append({"file": file_name, "role": role, "error": str(img)})
+            return
+        (out / file_name).write_bytes(encode_pgm(img))
+        entry = {
+            "file": file_name,
+            "role": role,
+            "gaze": list(truth.gaze_cm),
+            "pose": truth.pose.to_dict(),
+            "truth": truth.coords_dict(),
+            "seed": truth.seed,
+        }
+        if corner is not None:
+            entry["corner"] = corner
+        frames.append(entry)
+
+    # The pool starts its thread on the first submit, so a one-frame plan
+    # starts none; leaving the block joins it.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = draw_ahead(0)
-        for index, (frame_id, role, corner, truth) in enumerate(plan):
-            noise = ahead.result() if ahead else None
-            ahead = draw_ahead(index + 1)
-            file_name = frame_id + ".pgm"
-            try:
-                img = render_scene(truth, spec.layout, spec.render, noise=noise)
-            except FeatureOutOfFrame as exc:
-                skipped.append({"file": file_name, "role": role, "error": str(exc)})
-                continue
-            (out / file_name).write_bytes(encode_pgm(img))
-            entry = {
-                "file": file_name,
-                "role": role,
-                "gaze": list(truth.gaze_cm),
-                "pose": truth.pose.to_dict(),
-                "truth": truth.coords_dict(),
-                "seed": truth.seed,
-            }
-            if corner is not None:
-                entry["corner"] = corner
-            frames.append(entry)
+        for index in range(0, len(plan), 2):
+            odd = pool.submit(render, index + 1) if index + 1 < len(plan) else None
+            write(index, render(index))
+            if odd:
+                write(index + 1, odd.result())
 
     manifest = {
         "screen": spec.screen.to_dict(),

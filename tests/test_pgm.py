@@ -19,6 +19,20 @@ def test_decode_newline_separators_and_comment():
     assert_same_image(img, np.array([[1, 2], [3, 4]], dtype=np.uint8))
 
 
+@pytest.mark.parametrize("view", ["strided", "read-only"])
+def test_encode_takes_a_strided_or_read_only_frame(view):
+    frame = np.arange(6 * 8, dtype=np.uint8).reshape(6, 8)
+    if view == "strided":
+        img = frame[:, ::2]
+        assert not img.flags.c_contiguous
+    else:
+        img = frame
+        img.setflags(write=False)
+    data = encode_pgm(img)
+    assert data == f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode() + img.tobytes()
+    assert_same_image(decode_pgm(data), img)
+
+
 def test_decode_bad_magic():
     with pytest.raises(BadMagic):
         decode_pgm(b"P7 2 2 255 " + bytes(4))

@@ -380,6 +380,28 @@ def test_dataset_skip_between_good_poses_keeps_plan_order(tmp_path):
         assert_same_image(stored, want, entry["file"])
 
 
+@pytest.mark.parametrize("noise", [0.7, 0.0])
+def test_dataset_worker_and_main_thread_frames_keep_plan_order(tmp_path, noise):
+    """The worker renders the odd plan positions and the main thread the
+    even ones.  Nine frames put the out-of-frame pose at positions 3, 4
+    and 5, so skips come back from both; every written frame matches the
+    full-frame reference, and frames and skips keep plan order."""
+    good = default_poses()
+    spec = DatasetSpec(poses=(good[2], HeadPose(60.0, 240.0), good[5]), eval_points=3,
+                       training_repeats=0, render=RenderConfig(noise_sigma=noise),
+                       master_seed=11)
+    manifest = generate_dataset(spec, tmp_path / "ds")
+    plan = [f"eval_p{p}_k{k:02d}.pgm" for p in range(3) for k in (1, 2, 3)]
+    assert [f["file"] for f in manifest["frames"]] == plan[:3] + plan[6:]
+    assert [f["file"] for f in manifest["skipped"]] == plan[3:6]
+    assert {p.name for p in (tmp_path / "ds").glob("*.pgm")} == set(plan[:3] + plan[6:])
+    for entry in manifest["frames"]:
+        stored = decode_pgm((tmp_path / "ds" / entry["file"]).read_bytes())
+        want = reference_render(truth_from_manifest_entry(entry), spec.layout, spec.render,
+                                entry["seed"])
+        assert_same_image(stored, want, entry["file"])
+
+
 def test_dataset_without_noise_starts_no_thread(tmp_path, monkeypatch):
     def refuse(thread):
         raise AssertionError(f"started {thread.name}")
