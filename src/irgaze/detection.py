@@ -34,7 +34,6 @@ from .errors import (
     DegenerateRoi,
     DetectionError,
     MarkerGeometryInvalid,
-    MissingPupil,
     NoPupilFound,
     TooFewComponents,
 )
@@ -174,8 +173,8 @@ def marker_mask(img: np.ndarray, top_n: int) -> np.ndarray:
 def detect_markers(img: np.ndarray, cfg: DetectConfig) -> MarkerTriple:
     """Locate the three retro-reflective markers.
 
-    Equalizes, takes the lowest intensity among the top-N brightest pixels
-    as the threshold (see :func:`marker_mask`), labels the binary image,
+    Cuts the frame where its equalized image would hold the top-N
+    brightest pixels (see :func:`marker_mask`), labels the binary image,
     keeps blobs whose area is within MARKER_AREA_BAND of the expected
     marker area, and picks the three largest.  Right/left are assigned by
     descending centroid x; the remaining blob must sit below the outer
@@ -322,14 +321,13 @@ def detect_pupil(rois: Sequence[EyeRoi],
     return found
 
 
-def validate_pupil_pair(pupils: PupilPair, markers: MarkerTriple) -> bool:
+def validate_pupil_pair(right: PupilDetection, left: PupilDetection,
+                        markers: MarkerTriple) -> bool:
     """Vertical-consistency check on a detected pupil pair."""
-    if pupils.right is None or pupils.left is None:
-        raise MissingPupil("both pupils are required for the pair check")
     y_mr, y_ml, y_mm = markers.right.y, markers.left.y, markers.middle.y
     bound = 0.25 * abs((y_mr - y_ml) * (y_mm - 0.5 * (y_mr + y_ml)))
     floor = (PAIR_TOLERANCE_FLOOR * markers.outer_distance()) ** 2
-    gap_sq = (pupils.right.point.y - pupils.left.point.y) ** 2
+    gap_sq = (right.point.y - left.point.y) ** 2
     return bool(gap_sq <= max(bound, floor))
 
 
@@ -357,8 +355,7 @@ def observe_face(img: np.ndarray, cfg: DetectConfig, frame_id: str = "") -> Face
 
     pair_consistent = None
     if found["right"] is not None and found["left"] is not None:
-        pair = PupilPair(right=found["right"], left=found["left"])
-        pair_consistent = validate_pupil_pair(pair, markers)
+        pair_consistent = validate_pupil_pair(found["right"], found["left"], markers)
         if not pair_consistent:
             worse = max(("right", "left"), key=lambda s: found[s].eccentricity)
             found[worse] = None

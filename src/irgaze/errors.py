@@ -60,10 +60,6 @@ class AmbiguousPupil(DetectionError):
     """More than one pupil candidate remained after all threshold retries."""
 
 
-class MissingPupil(DetectionError):
-    """An operation that needs both pupils was given an incomplete pair."""
-
-
 # --- gaze estimation ---------------------------------------------------------
 
 class TrainingError(IrGazeError):
@@ -83,7 +79,7 @@ class IncompleteObservation(TrainingError):
 
 
 class DegenerateTriangle(IrGazeError):
-    """Marker triangle has a near-zero edge; congruency is undefined."""
+    """Marker triangle has an edge under 1e-9; congruency is undefined."""
 
 
 class DegenerateTraining(IrGazeError):

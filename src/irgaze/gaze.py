@@ -166,8 +166,8 @@ class TrainingSet:
         the parse of each section ("screen", "corners", "corners.3.0"), so a
         caller can name the section in the errors raised inside it.  A value
         of the wrong JSON type raises TypeError and a coordinate that is not
-        a finite JSON number ValueError; a row whose marker triangle has a
-        near-zero edge raises DegenerateTriangle, since it would fail every
+        a finite JSON number ValueError; a row whose marker triangle has an
+        edge under 1e-9 raises DegenerateTriangle, since it would fail every
         congruency score."""
         check_type(d, dict, "training set")
         screen_doc, corner_docs = (check_type(d[key], dict, key) for key in ("screen", "corners"))
@@ -224,30 +224,24 @@ def _marker_row(t: MarkerTriple) -> np.ndarray:
     return np.array([*t.right, *t.middle, *t.left], dtype=np.float64)
 
 
-def _edges(markers: np.ndarray) -> np.ndarray:
-    """Triangle edge lengths of (..., 6) marker rows, paired by role:
-    right-middle, middle-left, left-right."""
+def check_marker_triangle(markers: np.ndarray | Sequence[float]) -> np.ndarray:
+    """Triangle edge lengths of (..., 6) marker rows (right, middle, left),
+    paired by role: right-middle, middle-left, left-right.  Raises
+    DegenerateTriangle if any edge is under 1e-9: it fails every congruency
+    score."""
+    markers = np.asarray(markers, dtype=np.float64)
     points = markers.reshape(*markers.shape[:-1], 3, 2)
     d = points - points[..., [1, 2, 0], :]
-    return np.hypot(d[..., 0], d[..., 1])
-
-
-def check_marker_triangle(markers: Sequence[float]) -> None:
-    """DegenerateTriangle if the six marker coordinates (right, middle, left)
-    span a triangle with an edge under 1e-9: it fails every congruency score."""
-    if (_edges(np.array(markers, dtype=np.float64)) < _EDGE_EPS).any():
+    edges = np.hypot(d[..., 0], d[..., 1])
+    if (edges < _EDGE_EPS).any():
         raise DegenerateTriangle("marker triangle has an edge under 1e-9")
+    return edges
 
 
 def _congruency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3 - (A/A' + B/B' + C/C') for (..., 6) marker rows, with the edges of
     ``a`` in the numerators.  Zero iff the triangles are congruent."""
-    ea = _edges(a)
-    eb = _edges(b)
-    for name, edges in (("a", ea), ("b", eb)):
-        if (edges < _EDGE_EPS).any():
-            raise DegenerateTriangle(f"triangle {name} has a near-zero edge")
-    r = ea / eb
+    r = check_marker_triangle(a) / check_marker_triangle(b)
     return 3.0 - (r[..., 0] + r[..., 1] + r[..., 2])
 
 

@@ -31,7 +31,6 @@ _STEPS = {
     "open": (np.logical_and, np.logical_or),
     "close": (np.logical_or, np.logical_and),
 }
-MORPHOLOGY_OPS = tuple(_STEPS)
 
 
 def equalize_lut(counts: np.ndarray) -> np.ndarray:
@@ -77,7 +76,7 @@ def disk_offsets(radius: float) -> list[tuple[int, int]]:
 def morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray:
     """The read-only result of eroding, dilating, opening or closing
     ``mask``, or each plane of a (k, h, w) stack, with the disk of ``radius``."""
-    if op not in MORPHOLOGY_OPS:
+    if op not in _STEPS:
         raise ValueError(f"unknown morphology op {op!r}")
     steps = _STEPS[op]
     offsets = disk_offsets(radius)

@@ -225,7 +225,7 @@ def render_scene(
     layout: FaceLayout = FaceLayout(),
     cfg: RenderConfig = RenderConfig(),
     *,
-    noise: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Paint the read-only frame for a ground-truth record.
 
@@ -233,11 +233,11 @@ def render_scene(
     Deterministic: the same (truth, layout, cfg) give byte-identical
     images.
 
-    ``noise``, if given, is a float64 (height, width) buffer holding the
-    frame's ``draw_noise`` draws; it becomes the canvas and is overwritten.
-    Without it the buffer is drawn here from ``truth.seed`` (or is zero when
-    ``cfg.noise_sigma`` is 0).  The scene is added onto the noise, which
-    gives the same bits as adding the noise onto the scene.
+    The frame's noise is drawn here, from ``truth.seed`` by
+    :func:`draw_noise` (zero when ``cfg.noise_sigma`` is 0), onto the
+    canvas: ``out`` if given, a float64 (height, width) scratch buffer that
+    is overwritten, else a new array.  The scene is added onto the noise,
+    which gives the same bits as adding the noise onto the scene.
 
     Painting and blurring run only on the face box: the face's bounding
     circle and every feature disk, padded by more than the blur radius and
@@ -254,6 +254,17 @@ def render_scene(
                 f"{name} at ({p.x:.1f}, {p.y:.1f}) violates the "
                 f"{RENDER_MARGIN} px margin in a {cfg.width}x{cfg.height} frame"
             )
+
+    shape = (cfg.height, cfg.width)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
+    canvas = np.empty(shape) if out is None else out
+    if cfg.noise_sigma > 0:
+        if truth.seed is None:
+            raise ValueError("noisy rendering needs a seed")
+        draw_noise(truth.seed, cfg.noise_sigma, canvas)
+    else:
+        canvas.fill(0.0)
 
     k = truth.pose.scale
     f = truth.features
@@ -308,17 +319,6 @@ def render_scene(
                   <= radius * radius)
         box[disk_rows, disk_cols][inside] = float(level)
 
-    shape = (cfg.height, cfg.width)
-    if noise is None:
-        noise = np.zeros(shape)
-        if cfg.noise_sigma > 0:
-            if truth.seed is None:
-                raise ValueError("noisy rendering needs a seed")
-            draw_noise(truth.seed, cfg.noise_sigma, noise)
-    elif noise.shape != shape:
-        raise ValueError(f"noise must have shape {shape}, got {noise.shape}")
-
-    canvas = noise
     rows, cols = slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)
     canvas[rows, cols] += _gaussian_blur(box, cfg.blur_sigma)
     outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)
@@ -385,11 +385,12 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     written as manifest.json).  Frames whose features would leave the frame
     are skipped and logged under "skipped".
 
-    One worker thread renders every odd frame of the plan, noise and all,
-    on the second of two frame buffers, while the main thread renders the
-    even frame before it on the first (numpy releases the GIL in the noise
-    draw and the array passes).  The main thread encodes and writes every
-    frame, and lists frames and skips, in plan order.
+    One worker thread renders every odd frame of the plan on the second of
+    two frame buffers, passed to :func:`render_scene` as ``out``, which
+    draws the frame's noise there, while the main thread renders the even
+    frame before it on the first (numpy releases the GIL in the noise draw
+    and the array passes).  The main thread encodes and writes every frame,
+    and lists frames and skips, in plan order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -420,20 +421,15 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
             add(f"eval_p{pi}_k{label:02d}", "evaluation", None,
                 spec.screen.cell_center(EVAL_GRID_N, label), pose, False)
 
-    sigma = spec.render.noise_sigma
     shape = (spec.render.height, spec.render.width)
     buffers = (np.empty(shape), np.empty(shape))
 
     def render(index: int) -> np.ndarray | FeatureOutOfFrame:
         # Frame i paints on buffers[i % 2]. Each thread renders its frames
         # in plan order, so frame i - 2 has returned its image, a copy.
-        truth, noise = plan[index][3], buffers[index % 2]
-        if sigma > 0:
-            draw_noise(truth.seed, sigma, noise)
-        else:
-            noise.fill(0.0)
         try:
-            return render_scene(truth, spec.layout, spec.render, noise=noise)
+            return render_scene(plan[index][3], spec.layout, spec.render,
+                                out=buffers[index % 2])
         except FeatureOutOfFrame as exc:
             return exc
 

@@ -19,7 +19,6 @@ from irgaze.detection import (
     EyeRoi,
     MarkerTriple,
     PupilDetection,
-    PupilPair,
     detect_markers,
     detect_pupil,
     extract_eye_roi,
@@ -33,7 +32,6 @@ from irgaze.errors import (
     DegenerateRoi,
     DetectionError,
     MarkerGeometryInvalid,
-    MissingPupil,
     NoPupilFound,
     TooFewComponents,
 )
@@ -89,44 +87,35 @@ def test_pupil_threshold_never_below_mean():
 # --- validate_pupil_pair -----------------------------------------------------
 
 def pair_at(y_right, y_left):
-    return PupilPair(
-        right=PupilDetection(Point(150.0, y_right), 50, 0.1),
-        left=PupilDetection(Point(50.0, y_left), 50, 0.1),
-    )
+    return (PupilDetection(Point(150.0, y_right), 50, 0.1),
+            PupilDetection(Point(50.0, y_left), 50, 0.1))
 
 
 def test_pair_check_bound_from_marker_geometry():
     markers = MarkerTriple(right=Point(200, 98), middle=Point(100, 130), left=Point(0, 102))
     # bound = 0.25 * |(98-102) * (130-100)| = 30; floor = (0.02*~200)^2 ~ 16
-    assert validate_pupil_pair(pair_at(105, 100), markers) is True
-    assert validate_pupil_pair(pair_at(106, 100), markers) is False
+    assert validate_pupil_pair(*pair_at(105, 100), markers) is True
+    assert validate_pupil_pair(*pair_at(106, 100), markers) is False
 
 
 def test_pair_check_level_markers_fall_to_floor():
     markers = MarkerTriple(right=Point(200, 100), middle=Point(100, 60), left=Point(0, 100))
     floor = (PAIR_TOLERANCE_FLOOR * 200.0) ** 2
     ok_gap = np.sqrt(floor) - 0.1
-    assert validate_pupil_pair(pair_at(100 + ok_gap, 100), markers) is True
-    assert validate_pupil_pair(pair_at(100 + np.sqrt(floor) + 0.1, 100), markers) is False
+    assert validate_pupil_pair(*pair_at(100 + ok_gap, 100), markers) is True
+    assert validate_pupil_pair(*pair_at(100 + np.sqrt(floor) + 0.1, 100), markers) is False
 
 
 def test_pair_check_equal_heights_always_pass():
     markers = MarkerTriple(right=Point(200, 100), middle=Point(100, 60), left=Point(0, 100))
-    assert validate_pupil_pair(pair_at(123.4, 123.4), markers) is True
+    assert validate_pupil_pair(*pair_at(123.4, 123.4), markers) is True
 
 
 def test_pair_check_symmetric_under_swap():
     markers = MarkerTriple(right=Point(200, 98), middle=Point(100, 130), left=Point(0, 102))
-    a = validate_pupil_pair(pair_at(105, 101), markers)
-    b = validate_pupil_pair(pair_at(101, 105), markers)
+    a = validate_pupil_pair(*pair_at(105, 101), markers)
+    b = validate_pupil_pair(*pair_at(101, 105), markers)
     assert a == b
-
-
-def test_pair_check_needs_both_pupils():
-    markers = MarkerTriple(right=Point(200, 100), middle=Point(100, 60), left=Point(0, 100))
-    incomplete = PupilPair(right=PupilDetection(Point(1, 1), 5, 0.1), left=None)
-    with pytest.raises(MissingPupil):
-        validate_pupil_pair(incomplete, markers)
 
 
 # --- detect_markers -----------------------------------------------------------

@@ -60,3 +60,21 @@ def test_the_json_type_rule_is_written_once():
              if isinstance(node, ast.Raise) and node.exc is not None
              and "TypeError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
     assert not found
+
+
+def test_every_error_class_is_raised_or_a_base():
+    """Failure counts are keyed by the classes in errors.py, so each one is
+    either constructed somewhere else in the package or is the base of
+    another class there: a class that nothing raises would count nothing."""
+    root = Path(irgaze.__file__).parent
+    errors = root / "errors.py"
+    classes = [node for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    constructed = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for path in sorted(root.rglob("*.py")) if path != errors
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert len(classes) > 10
+    assert [node.name for node in classes if node.name not in constructed | bases] == []

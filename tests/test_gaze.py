@@ -99,10 +99,15 @@ def test_congruency_uniform_scale(k):
     assert congruency(a, scaled(a, k)) == pytest.approx(3.0 - 3.0 / k, abs=1e-12)
 
 
-def test_congruency_degenerate_edge():
+@pytest.mark.parametrize("degenerate", ["a", "b"])
+def test_congruency_degenerate_edge(degenerate):
+    """Either triangle with an edge under 1e-9 raises, with the one message
+    that a training-set row or an observation row would also get."""
     collapsed = MarkerTriple(right=Point(1, 1), middle=Point(1, 1), left=Point(0, 0))
-    with pytest.raises(DegenerateTriangle):
-        congruency(collapsed, triple_with_edges_equilateral(5.0))
+    good = triple_with_edges_equilateral(5.0)
+    a, b = (collapsed, good) if degenerate == "a" else (good, collapsed)
+    with pytest.raises(DegenerateTriangle, match="^marker triangle has an edge under 1e-9$"):
+        congruency(a, b)
 
 
 # --- training set -------------------------------------------------------------

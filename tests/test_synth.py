@@ -242,14 +242,17 @@ def test_draw_noise_equals_rng_normal_bit_for_bit(sigma, shape):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_render_on_given_noise_equals_render_drawing_it():
-    cfg = RenderConfig(noise_sigma=0.7)
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.7])
+def test_render_onto_a_dirty_out_buffer_equals_render_without_it(noise_sigma):
+    """``out`` is scratch: whatever it holds, the noise draw or the zero
+    fill overwrites it."""
+    cfg = RenderConfig(noise_sigma=noise_sigma)
     truth = truth_for(HeadPose(300, 250, 0.03, 0.95), (0.2, 0.6), seed=31)
-    noise = draw_noise(31, cfg.noise_sigma, np.empty((cfg.height, cfg.width)))
-    assert_same_image(render_scene(truth, LAYOUT, cfg, noise=noise),
+    dirty = np.full((cfg.height, cfg.width), 1e9)
+    assert_same_image(render_scene(truth, LAYOUT, cfg, out=dirty),
                       render_scene(truth, LAYOUT, cfg))
-    with pytest.raises(ValueError):
-        render_scene(truth, LAYOUT, cfg, noise=np.zeros((cfg.width, cfg.height)))
+    with pytest.raises(ValueError, match="out must have shape"):
+        render_scene(truth, LAYOUT, cfg, out=np.zeros((cfg.width, cfg.height)))
 
 
 # Largest distance of any feature center from the face center in the default
@@ -402,13 +405,14 @@ def test_dataset_worker_and_main_thread_frames_keep_plan_order(tmp_path, noise):
         assert_same_image(stored, want, entry["file"])
 
 
-def test_dataset_without_noise_starts_no_thread(tmp_path, monkeypatch):
+@pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
+def test_one_frame_dataset_starts_no_thread(tmp_path, monkeypatch, noise_sigma):
     def refuse(thread):
         raise AssertionError(f"started {thread.name}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     spec = DatasetSpec(poses=default_poses()[:1], eval_points=1, training_repeats=0,
-                       render=RenderConfig(noise_sigma=0.0), master_seed=4)
+                       render=RenderConfig(noise_sigma=noise_sigma), master_seed=4)
     entry = generate_dataset(spec, tmp_path / "ds")["frames"][0]
     stored = decode_pgm((tmp_path / "ds" / entry["file"]).read_bytes())
     assert_same_image(stored, reference_render(truth_from_manifest_entry(entry), spec.layout,
