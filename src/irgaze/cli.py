@@ -29,6 +29,7 @@ from .detection import (
     observe_face,
 )
 from .errors import (
+    ConfigError,
     DegenerateTriangle,
     EmptyCorner,
     InputFileError,
@@ -95,33 +96,23 @@ ESTIMATE_COLUMNS = ("frame", "x_g", "y_g", "eyes_used",
                     "error")
 
 
-class ConfigError(IrGazeError):
-    """Bad run-configuration file."""
-
-
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        default = base[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where!r} must be an object")
-            out[key] = _merge_config(default, value, where)
-            continue
-        want = (int, float) if isinstance(default, float) else type(default)
-        if isinstance(value, bool) or not isinstance(value, want):
-            raise ConfigError(f"config key {where!r} must be {type(default).__name__}, "
-                              f"got {value!r}")
-        if isinstance(value, (int, float)):
-            try:
-                check_finite(value, where)
-            except ValueError:
-                raise ConfigError(f"config key {where!r} must be finite, got {value!r}") from None
-        if value not in CONFIG_CHOICES.get(where, (value,)):
-            raise ConfigError(f"config key {where!r} must be one of {CONFIG_CHOICES[where]}")
+        name = f"config key {where!r}"
+        try:
+            check_type(value, type(base[key]), name)
+            if isinstance(value, dict):
+                value = _merge_config(base[key], value, where)
+            elif not isinstance(value, str):
+                check_finite(value, name)
+            elif value not in CONFIG_CHOICES.get(where, (value,)):
+                raise ValueError(f"{name} must be one of {CONFIG_CHOICES[where]}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         out[key] = value
     return out
 
@@ -285,25 +276,27 @@ def _point(xy, field: str) -> Point:
 def row_to_observation(row: dict) -> FaceObservation:
     """The observation an ok row of an observations file records; a
     ``markers``, ``pupils`` or pupil that is not an object, a point that is
-    not a pair of finite numbers, a pupil area that is not a positive int,
-    an eccentricity outside [0, 1] or a pair_consistent other than true,
-    false or null raises TypeError or ValueError naming its field, and a
-    marker triangle that a training set refuses raises DegenerateTriangle."""
+    not a pair of finite numbers, a pupil area that is not a positive
+    integer, an eccentricity that is not a number in [0, 1] or a
+    pair_consistent other than true, false or null raises TypeError or
+    ValueError naming its field, and a marker triangle that a training set
+    refuses raises DegenerateTriangle."""
 
     def pupil(side):
-        pupils = check_type(row["pupils"], dict, "pupils")
-        d = check_type(pupils[side], dict, f"pupils.{side}", null=True)
+        at = f"pupils.{side}"
+        d = check_type(check_type(row["pupils"], dict, "pupils")[side], dict, at, null=True)
         if d is None:
             return None
-        area, ecc = d["area"], check_finite(d["eccentricity"], f"pupils.{side}.eccentricity")
-        if not (type(area) is int and area > 0):
-            raise ValueError(f"pupils.{side}.area must be a positive int, got {area!r}")
+        area = check_type(d["area"], int, f"{at}.area")
+        if area <= 0:
+            raise ValueError(f"{at}.area must be positive, got {area!r}")
+        ecc = check_finite(check_type(d["eccentricity"], float, f"{at}.eccentricity"),
+                           f"{at}.eccentricity")
         if not 0 <= ecc <= 1:
-            raise ValueError(f"pupils.{side}.eccentricity must lie in [0, 1], got {ecc!r}")
-        return PupilDetection(point=_point(d["point"], f"pupils.{side}.point"),
-                              area=area, eccentricity=ecc)
+            raise ValueError(f"{at}.eccentricity must lie in [0, 1], got {ecc!r}")
+        return PupilDetection(point=_point(d["point"], f"{at}.point"), area=area, eccentricity=ecc)
 
-    pair_consistent = check_type(row.get("pair_consistent"), bool, "pair_consistent", null=True)
+    pair_consistent = check_type(row["pair_consistent"], bool, "pair_consistent", null=True)
     m = check_type(row["markers"], dict, "markers")
     markers = MarkerTriple(*(_point(m[s], f"markers.{s}") for s in ("right", "middle", "left")))
     check_marker_triangle([*markers.right, *markers.middle, *markers.left])
@@ -437,7 +430,7 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
                 if None in row.values():  # DictReader's filler past a short row's end
                     raise KeyError(next(k for k, v in row.items() if v is None))
             _claim(seen, row["frame"], where)
-            if row["error"] or row["x_g"] == "":
+            if row["error"]:
                 continue
             with _reading(where):
                 points[row["frame"]] = Point(

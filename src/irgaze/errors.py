@@ -16,6 +16,10 @@ class InputFileError(IrGazeError):
     or field."""
 
 
+class ConfigError(IrGazeError):
+    """Bad run configuration: a config file, or a flag that sets a config key."""
+
+
 # --- PGM codec ---------------------------------------------------------------
 
 class PgmError(IrGazeError):

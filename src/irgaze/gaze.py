@@ -165,10 +165,10 @@ class TrainingSet:
         """Parse ``to_dict`` output.  ``reading(section)`` is entered around
         the parse of each section ("screen", "corners", "corners.3.0"), so a
         caller can name the section in the errors raised inside it.  A value
-        of the wrong JSON type raises TypeError and a coordinate that is not
-        a finite JSON number ValueError; a row whose marker triangle has an
-        edge under 1e-9 raises DegenerateTriangle, since it would fail every
-        congruency score."""
+        of the wrong JSON type, such as a coordinate that is no JSON number,
+        raises TypeError and a coordinate that is not finite ValueError; a
+        row whose marker triangle has an edge under 1e-9 raises
+        DegenerateTriangle, since it would fail every congruency score."""
         check_type(d, dict, "training set")
         screen_doc, corner_docs = (check_type(d[key], dict, key) for key in ("screen", "corners"))
         with reading("screen"):
@@ -181,7 +181,7 @@ class TrainingSet:
             for i, vd in enumerate(vector_docs):
                 with reading(f"corners.{c}.{i}"):
                     check_type(vd, dict, "vector")
-                    row = [float(check_finite(vd[k], k)) for k in COORD_KEYS]
+                    row = [float(check_finite(check_type(vd[k], float, k), k)) for k in COORD_KEYS]
                     check_marker_triangle(row[MARKER_COLS])
                     rows.append(row)
                     frames.append(check_type(vd["frame"], str, "frame"))

@@ -67,16 +67,17 @@ def check_finite(value, name: str):
 
 # The name of each JSON type, keyed by the Python type json.loads reads it as.
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               bool: "true or false"}
+               float: "a number", bool: "true or false"}
 _SHORT = reprlib.Repr()
 _SHORT.maxlevel = 2  # a whole document in a field's place shows its top level only
 
 
 def check_type(value, kind: type, name: str, null: bool = False):
     """``value`` itself, if json.loads reads it as a ``kind`` (dict, list,
-    str, int or bool, so a bool is no int), or if it is None and ``null``
-    is set; else TypeError naming ``name``, the value shortened."""
-    if type(value) is kind or null and value is None:
+    str, int or bool, so a bool is no int), as an int or a float where
+    ``kind`` is float (a JSON number), or if it is None and ``null`` is set;
+    else TypeError naming ``name``, the value shortened."""
+    if type(value) is kind or kind is float and type(value) is int or null and value is None:
         return value
     wanted = _JSON_TYPES[kind]
     if null:

@@ -426,6 +426,81 @@ def test_readme_stage_flags_table_lists_every_flag():
                       for flag, key, _ in flags if key in CONFIG_CHOICES}
 
 
+def _with_config(tmp_path, doc) -> list[str]:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return ["--config", str(cfg)]
+
+
+def _readme_ts_without_y_pl(pipeline, tmp_path):
+    ts = tmp_path / "ts.json"
+    ts.write_text(_spoiled_text(pipeline / "train.json",
+                                lambda doc: doc["corners"]["3"][0].pop("y_pl")))
+    return ["estimate", "--observations", str(pipeline / "obs.jsonl"), "--training-set", str(ts),
+            "--out", str(tmp_path / "e.csv")]
+
+
+def _readme_manifest_with_entry_7_a_number(pipeline, tmp_path):
+    bad = _spoiled_manifest(pipeline, tmp_path, lambda doc: doc["frames"].__setitem__(7, 5))
+    return ["train", "--observations", str(pipeline / "obs.jsonl"), "--manifest", str(bad),
+            "--out", str(tmp_path / "t.json")]
+
+
+def _readme_unwritable_out(pipeline, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    return [*_stage_argv(pipeline, "train"), "--out", str(blocker / "t.json")]
+
+
+# Each error message the README's CLI section quotes: the exit code and the
+# argv of a run that writes it.  A <...> or "..." in a quote stands for any text.
+README_MESSAGES = {
+    "config key 'jobs' must be an integer, got '2'": (2, lambda pipeline, tmp_path: [
+        "detect", *_with_config(tmp_path, {"jobs": "2"}), "--out", str(tmp_path / "o")]),
+    "config key 'screen.width_cm' must be a number, got '60'": (2, lambda pipeline, tmp_path: [
+        "synth", *_with_config(tmp_path, {"screen": {"width_cm": "60"}}),
+        "--out", str(tmp_path / "ds")]),
+    "config key 'metric' must be one of ('congruency', 'euclidean')": (
+        2, lambda pipeline, tmp_path: [*_stage_argv(pipeline, "train"), "--metric", "foo",
+                                       "--out", str(tmp_path / "t.json")]),
+    "config key 'synth.training_repeats' must be finite, got ...": (
+        2, lambda pipeline, tmp_path: ["synth", "--training-repeats", str(HUGE),
+                                       "--out", str(tmp_path / "ds")]),
+    "ts.json: corners.3.0: missing field 'y_pl'": (2, _readme_ts_without_y_pl),
+    "manifest.json: frames.7: malformed field: entry must be an object, got 5": (
+        2, _readme_manifest_with_entry_7_a_number),
+    "error: cannot write <--out>: <reason>": (1, _readme_unwritable_out),
+    "error: no input frames (give --manifest or PGM paths)": (
+        1, lambda pipeline, tmp_path: ["detect", "--out", str(tmp_path / "o")]),
+    "unknown config key 'detect.max_retries'": (2, lambda pipeline, tmp_path: [
+        "detect", *_with_config(tmp_path, {"detect": {"max_retries": 5}}),
+        "--out", str(tmp_path / "o")]),
+    "unknown config key '<key>'": (2, lambda pipeline, tmp_path: [
+        "detect", *_with_config(tmp_path, {"grid_n_min": 2}), "--out", str(tmp_path / "o")]),
+}
+
+
+def test_readme_quotes_no_message_without_a_run_that_writes_it():
+    """Every backquoted span of the README's CLI section that reads as an
+    error message is a key of README_MESSAGES, and every key is quoted there."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = re.sub(r"```.*?```", "", readme.split("\n## CLI\n")[1].split("\n## ")[0],
+                     flags=re.DOTALL)
+    spans = (" ".join(span.split()) for span in re.findall(r"`([^`]+)`", section))
+    quoted = [span for span in spans
+              if re.search(r"must be|missing field|malformed field|unknown config key|error:",
+                           span)]
+    assert sorted(quoted) == sorted(README_MESSAGES)
+
+
+@pytest.mark.parametrize("quote", README_MESSAGES)
+def test_cli_writes_each_message_the_readme_quotes(pipeline, tmp_path, capsys, quote):
+    code, argv = README_MESSAGES[quote]
+    assert main(argv(pipeline, tmp_path)) == code
+    pattern = re.sub(r"<[^>]*>|(\\\.){3}", ".+", re.escape(quote))
+    assert re.search(pattern, capsys.readouterr().err), pattern
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_detect_rejects_jobs_below_1_from_the_flag(pipeline, tmp_path, capsys, jobs):
     frame = next((pipeline / "ds").glob("*.pgm"))
@@ -517,6 +592,12 @@ def _drop_middle_marker(row):
     del row["markers"]["middle"]
 
 
+def _drop_pair_consistent(row):
+    """Such a row was once read as if its pair check had not run, and
+    estimate exited 0, though every other field of an ok row is required."""
+    del row["pair_consistent"]
+
+
 def _number_the_frame(row):
     row["frame"] = 5
 
@@ -556,7 +637,9 @@ def _line(text):
 
 def _left_pupil(field, value):
     """Set the left pupil's ``field``; an area or eccentricity like these was
-    once read without a check, and train and estimate exited 0."""
+    once read without a check, and train and estimate exited 0, and an
+    eccentricity of [0.5] once exited 2 on a message that named no field
+    ("'<=' not supported between instances of 'int' and 'list'")."""
     def spoil(row):
         row["pupils"]["left"][field] = value
     return spoil
@@ -564,6 +647,7 @@ def _left_pupil(field, value):
 
 @pytest.mark.parametrize("spoil, named", [
     (_drop_middle_marker, "missing field 'middle'"),
+    (_drop_pair_consistent, "missing field 'pair_consistent'"),
     (_number_the_frame, "frame must be a string"),
     (_nan_middle_marker, "malformed field: markers.middle must be finite"),
     (_infinite_left_pupil, "malformed field: pupils.left.point must be finite"),
@@ -572,10 +656,14 @@ def _left_pupil(field, value):
       for bad in ("no", None, 1, 0)),
     *((_set_field("pair_consistent", bad), f"malformed field: pair_consistent must be true, false "
        f"or null, got {bad!r}") for bad in ("no", 1, 0, [])),
-    *((_left_pupil("area", bad), f"malformed field: pupils.left.area must be a positive int, "
-       f"got {bad!r}") for bad in ("x", None, float("nan"), -3, 0, 2.0, True)),
+    *((_left_pupil("area", bad), f"malformed field: pupils.left.area must be an integer, "
+       f"got {bad!r}") for bad in ("x", None, float("nan"), 2.0, True, [5])),
+    *((_left_pupil("area", bad), f"malformed field: pupils.left.area must be positive, "
+       f"got {bad!r}") for bad in (-3, 0)),
     *((_left_pupil("eccentricity", bad), f"malformed field: pupils.left.eccentricity must be "
-       f"finite, got {bad!r}") for bad in ("x", None, float("nan"), float("inf"), True)),
+       f"a number, got {bad!r}") for bad in ("x", None, True, [0.5])),
+    *((_left_pupil("eccentricity", bad), f"malformed field: pupils.left.eccentricity must be "
+       f"finite, got {bad!r}") for bad in (float("nan"), float("inf"))),
     *((_left_pupil("eccentricity", bad), f"malformed field: pupils.left.eccentricity must lie "
        f"in [0, 1], got {bad!r}") for bad in (-3, -0.5, 1.5)),
     *((_set_field(field, bad), f"malformed field: {field} must be an object, got {bad!r}")
@@ -659,6 +747,9 @@ _TRAINING_SET_SHAPES = [
     pytest.param(_drop("metric"), "missing field 'metric'", id="no-metric"),
     pytest.param(_drop("corners", "2", 0, "frame"), "corners.2.0: missing field 'frame'",
                  id="no-frame"),
+    pytest.param(lambda doc: doc.update(metric="cosine"),
+                 "malformed field: metric must be one of ('congruency', 'euclidean')",
+                 id="metric-cosine"),
 ]
 
 
@@ -682,8 +773,12 @@ _TRAINING_SET_SHAPES = [
     pytest.param(_nan_into_corner_1, "corners.1.0: malformed field: x_mm must be finite",
                  id="nan-1.0"),
     pytest.param(lambda doc: doc["corners"]["3"][0].update(x_pl="12.5"),
-                 "corners.3.0: malformed field: x_pl must be finite, got '12.5'",
+                 "corners.3.0: malformed field: x_pl must be a number, got '12.5'",
                  id="string-x_pl"),
+    # Once "float() argument must be a string or a real number, not 'list'".
+    pytest.param(lambda doc: doc["corners"]["2"][0].update(x_mr=[1.0]),
+                 "corners.2.0: malformed field: x_mr must be a number, got [1.0]",
+                 id="list-x_mr"),
     pytest.param(lambda doc: doc["screen"].update(Lx="60.0"),
                  "screen: malformed field: screen extents must be finite, got ['60.0', 60.0]",
                  id="string-Lx"),
@@ -998,6 +1093,13 @@ _MANIFEST_SHAPES = [
     *(pytest.param(_frame_field("gaze", bad), f"frames.{{i}}: malformed field: gaze must be "
                    f"an [x, y] pair, got {bad!r}", id=f"gaze-{bad}")
       for bad in ([1, 2, 3], [1], 5)),
+    # These three are of the right type, but out of range.
+    pytest.param(lambda doc: doc["screen"].update(Lx=0),
+                 "screen: malformed field: screen extents must be positive", id="zero-Lx"),
+    *(pytest.param(lambda doc, fields=fields: _evaluation_frame(doc).update(fields),
+                   "frames.{i}: malformed field: need role 'evaluation', or 'training' with a "
+                   "corner in (1, 2, 3, 4)", id=f"{fields['role']}-role")
+      for fields in ({"role": "foo"}, {"role": "training", "corner": 5})),
 ]
 
 
@@ -1329,6 +1431,14 @@ def test_choice_flag_fails_as_its_config_key_does(tmp_path, capsys, argv, flag, 
     (json.dumps({"synth": {"poses": len(default_poses()) + 1}}), "synth", 2,
      f"error: synth.poses must lie in [0, {len(default_poses())}]"),
     ("{}", "detect", 1, "error: no input frames (give --manifest or PGM paths)"),
+    (json.dumps({"synth": {"points": 26}}), "synth", 2,
+     "error: config synth: eval_points must lie in [0, 25]"),
+    (json.dumps({"synth": {"training_repeats": -1}}), "synth", 2,
+     "error: config synth: training_repeats must be >= 0"),
+    (json.dumps({"synth": {"width": 19}}), "synth", 2,
+     "error: config synth: width and height must be at least 20"),
+    (json.dumps({"screen": {"width_cm": 0}}), "synth", 2,
+     "error: config screen: screen extents must be positive"),
 ])
 def test_bad_invocation_exits_naming_the_file_or_key(tmp_path, capsys, config, stage, code,
                                                      named):
@@ -1337,6 +1447,49 @@ def test_bad_invocation_exits_naming_the_file_or_key(tmp_path, capsys, config, s
         cfg.write_text(config)
     assert main([stage, "--config", str(cfg), "--out", str(out)]) == code
     assert named.format(cfg=cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flag", [("train", "--manifest"), ("train", "--observations"),
+                                         ("estimate", "--training-set"),
+                                         ("evaluate", "--estimates")])
+def test_missing_input_file_exits_2_naming_it(pipeline, tmp_path, capsys, stage, flag):
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    argv = [*_stage_argv(pipeline, stage), "--out", str(out)]
+    argv[argv.index(flag) + 1] = str(missing)
+    assert main(argv) == 2
+    assert f"error: cannot read {missing}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_counts_the_frames_it_skips(tmp_path, capsys):
+    """A 200x200 frame leaves the default face no 10 px margin, so synth
+    skips every frame it plans and says how many."""
+    out = tmp_path / "ds"
+    assert main(["synth", *_with_config(tmp_path, {"synth": {"width": 200, "height": 200}}),
+                 "--poses", "1", "--points", "2", "--training-repeats", "1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "0 training + 0 evaluation frames, 6 skipped")
+    assert len(json.loads((out / "manifest.json").read_text())["skipped"]) == 6
+
+
+def test_evaluate_estimate_without_an_error_needs_its_gaze_point(pipeline, tmp_path, capsys):
+    """A row whose error is empty was once left out as a failed frame when
+    its x_g was blank: with two such rows and one exact row, evaluate exited
+    0 and read 100% at every N, scored over one frame."""
+    manifest = json.loads((pipeline / "ds" / "manifest.json").read_text())
+    frames = [f for f in manifest["frames"] if f["role"] == "evaluation"][:3]
+    est, out = tmp_path / "est.csv", tmp_path / "r"
+    with open(est, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "x_g", "y_g", "eyes_used", "error"])
+        for k, f in enumerate(frames):
+            writer.writerow([Path(f["file"]).stem, "" if k else f["gaze"][0], f["gaze"][1],
+                             "both", ""])
+    assert main(["evaluate", "--estimates", str(est),
+                 "--manifest", str(pipeline / "ds" / "manifest.json"), "--out", str(out)]) == 2
+    assert f"{est}:3: malformed field" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -564,6 +564,23 @@ def test_observe_face_drops_more_eccentric_pupil_on_pair_mismatch():
     assert obs.pupils.right.point.distance_to(Point(365, 270)) < 1.0
 
 
+def test_observe_face_drops_an_eye_whose_region_is_too_narrow():
+    """A middle marker 1 px right of the left one leaves the left eye a
+    region under 4 px wide: that eye is absent and the right one is kept."""
+    canvas = blank(640, 480, 30)
+    paint_ellipse(canvas, 320, 240, 140, 110, 80)  # face
+    paint_disk(canvas, 410, 295, 7, 250)  # markers: right, left, middle
+    paint_disk(canvas, 230, 295, 7, 250)
+    paint_disk(canvas, 231, 248, 7, 250)
+    paint_disk(canvas, 365, 270, 5, 180)  # right pupil
+    img = as_image(canvas)
+    with pytest.raises(DegenerateRoi):
+        extract_eye_roi(img, detect_markers(img, DetectConfig()), "left")
+    obs = observe_face(img, DetectConfig())
+    assert obs.pupils.left is None and obs.pair_consistent is None
+    assert obs.pupils.right.point.distance_to(Point(365, 270)) < 1.0
+
+
 def test_observe_face_fails_when_no_eye_usable():
     img, feats = rendered_frame(cfg=QUIET)
     canvas = img.astype(np.float64).copy()

@@ -30,36 +30,53 @@ def test_runtime_imports_only_the_standard_library_and_numpy():
     assert not outside
 
 
+def _outside_the_input_rules(match) -> list[str]:
+    """Each node that ``match`` accepts in a module other than
+    imaging/image.py, which holds the input rules, as "path:line: source"."""
+    root = Path(irgaze.__file__).parent
+    image = root / "imaging" / "image.py"
+    sources = sorted(root.rglob("*.py"))
+    assert image in sources
+    return [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
+            for path in sources if path != image
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if match(node)]
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
 
 def test_the_finiteness_rule_is_written_once():
     """``check_finite`` in imaging/image.py is the one place that tests
     whether a number is finite: no other module names ``math.isfinite`` or
     ``sys.float_info.max``, as a call or in a comparison."""
-    root = Path(irgaze.__file__).parent
-    image = root / "imaging" / "image.py"
-    sources = sorted(root.rglob("*.py"))
-    assert image in sources
-    found = [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
-             for path in sources if path != image
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Attribute)
-             and ast.unparse(node) in ("math.isfinite", "sys.float_info.max")]
-    assert not found
+    assert not _outside_the_input_rules(
+        lambda node: isinstance(node, ast.Attribute)
+        and ast.unparse(node) in ("math.isfinite", "sys.float_info.max"))
 
 
 def test_the_json_type_rule_is_written_once():
     """``check_type`` in imaging/image.py is the one place that raises
     TypeError: every reader gets a field's JSON type check from it."""
-    root = Path(irgaze.__file__).parent
-    image = root / "imaging" / "image.py"
-    sources = sorted(root.rglob("*.py"))
-    assert image in sources
-    found = [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
-             for path in sources if path != image
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Raise) and node.exc is not None
-             and "TypeError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}]
-    assert not found
+    assert not _outside_the_input_rules(
+        lambda node: isinstance(node, ast.Raise) and node.exc is not None
+        and "TypeError" in _names(node.exc))
+
+
+def test_no_module_but_the_type_rule_tests_for_bool_or_an_exact_type():
+    """A JSON number, integer or true/false is told apart from the others
+    by ``check_type`` alone: no module outside imaging/image.py writes
+    ``isinstance(..., bool)`` or ``type(...) is ...``."""
+    def own_type_rule(node) -> bool:
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+            return len(node.args) == 2 and "bool" in _names(node.args[1])
+        return (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(side, ast.Call) and ast.unparse(side.func) == "type"
+                        for side in (node.left, *node.comparators)))
+
+    assert not _outside_the_input_rules(own_type_rule)
 
 
 def test_every_error_class_is_raised_or_a_base():
