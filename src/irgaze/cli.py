@@ -248,7 +248,7 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
     if manifest["skipped"]:
         summary += f", {len(manifest['skipped'])} skipped"
     print(summary)
-    return 0
+    return 0 if manifest["frames"] else 1
 
 
 # --- detect ---------------------------------------------------------------
@@ -433,8 +433,10 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
             if row["error"]:
                 continue
             with _reading(where):
-                points[row["frame"]] = Point(
-                    *(check_finite(float(row[field]), field) for field in ("x_g", "y_g")))
+                for field in ("x_g", "y_g"):
+                    with contextlib.suppress(ValueError):  # no number: check_finite names it
+                        row[field] = float(row[field])
+                points[row["frame"]] = Point(*(check_finite(row[f], f) for f in ("x_g", "y_g")))
     return points
 
 

@@ -79,7 +79,8 @@ class DetectConfig:
 
     def __post_init__(self):
         area = check_finite(self.expected_marker_area, "expected_marker_area")
-        if round(check_finite(3.0 * area, "expected_marker_area x 3")) < 3:  # top_n
+        check_finite(3.0 * area, "expected_marker_area x 3")  # else top_n has no integer
+        if self.top_n < 3:
             raise ValueError(f"expected_marker_area must give top_n >= 3, got {area}")
 
     @property

@@ -220,6 +220,18 @@ def draw_noise(seed: int, sigma: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_margin(features: FeaturePoints, cfg: RenderConfig) -> None:
+    """Raise FeatureOutOfFrame unless every feature center keeps
+    RENDER_MARGIN pixels to the border of a ``cfg`` frame."""
+    for name, p in zip(features._fields, features):
+        if not (RENDER_MARGIN <= p.x <= cfg.width - 1 - RENDER_MARGIN
+                and RENDER_MARGIN <= p.y <= cfg.height - 1 - RENDER_MARGIN):
+            raise FeatureOutOfFrame(
+                f"{name} at ({p.x:.1f}, {p.y:.1f}) violates the "
+                f"{RENDER_MARGIN} px margin in a {cfg.width}x{cfg.height} frame"
+            )
+
+
 def render_scene(
     truth: GroundTruth,
     layout: FaceLayout = FaceLayout(),
@@ -229,9 +241,9 @@ def render_scene(
 ) -> np.ndarray:
     """Paint the read-only frame for a ground-truth record.
 
-    Every feature center must keep RENDER_MARGIN pixels to the border.
-    Deterministic: the same (truth, layout, cfg) give byte-identical
-    images.
+    A frame that fails :func:`check_margin` raises FeatureOutOfFrame
+    before anything is painted.  Deterministic: the same (truth, layout,
+    cfg) give byte-identical images.
 
     The frame's noise is drawn here, from ``truth.seed`` by
     :func:`draw_noise` (zero when ``cfg.noise_sigma`` is 0), onto the
@@ -247,14 +259,7 @@ def render_scene(
     background, so each pixel sums the same floats in the same order as a
     full-frame blur would.
     """
-    for name, p in zip(truth.features._fields, truth.features):
-        if not (RENDER_MARGIN <= p.x <= cfg.width - 1 - RENDER_MARGIN
-                and RENDER_MARGIN <= p.y <= cfg.height - 1 - RENDER_MARGIN):
-            raise FeatureOutOfFrame(
-                f"{name} at ({p.x:.1f}, {p.y:.1f}) violates the "
-                f"{RENDER_MARGIN} px margin in a {cfg.width}x{cfg.height} frame"
-            )
-
+    check_margin(truth.features, cfg)
     shape = (cfg.height, cfg.width)
     if out is not None and out.shape != shape:
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
@@ -382,26 +387,30 @@ def _frame_seeds(master_seed: int, index: int) -> tuple[int, int]:
 
 def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     """Render the dataset into ``out_dir`` and return the manifest (also
-    written as manifest.json).  Frames whose features would leave the frame
-    are skipped and logged under "skipped".
+    written as manifest.json).  Each frame is checked by
+    :func:`check_margin` as it is planned: one whose features would leave
+    the frame is logged under "skipped" and never rendered, and the rest
+    are listed under "frames" with their ground truth.
 
-    One worker thread renders every odd frame of the plan on the second of
+    One worker thread renders every odd frame that fits on the second of
     two frame buffers, passed to :func:`render_scene` as ``out``, which
     draws the frame's noise there, while the main thread renders the even
     frame before it on the first (numpy releases the GIL in the noise draw
-    and the array passes).  The main thread encodes and writes every frame,
-    and lists frames and skips, in plan order.
+    and the array passes).  The main thread encodes and writes every frame
+    in plan order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # (frame_id, role, corner or None, truth); a frame's seeds come from its
-    # plan index, and repeats of a training target drift a little.
-    plan: list[tuple[str, str, int | None, GroundTruth]] = []
+    # A frame's seeds come from its plan index, skips included, and repeats
+    # of a training target drift a little; truths[i] renders frames[i].
+    frames: list[dict] = []
+    skipped: list[dict] = []
+    truths: list[GroundTruth] = []
 
-    def add(frame_id: str, role: str, corner: int | None, gaze: Point,
+    def add(file_name: str, role: str, corner: int | None, gaze: Point,
             pose: HeadPose, jitter: bool) -> None:
-        noise_seed, jitter_seed = _frame_seeds(spec.master_seed, len(plan))
+        noise_seed, jitter_seed = _frame_seeds(spec.master_seed, len(frames) + len(skipped))
         if jitter:
             drift = np.random.default_rng(jitter_seed).uniform(-_JITTER_PX, _JITTER_PX, 2)
             pose = HeadPose(pose.tx + float(drift[0]), pose.ty + float(drift[1]),
@@ -409,65 +418,48 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
         gaze_norm = (gaze.x / spec.screen.width_cm, gaze.y / spec.screen.height_cm)
         truth = GroundTruth(features=feature_model(pose, gaze_norm, spec.layout),
                             gaze_cm=gaze, pose=pose, seed=noise_seed)
-        plan.append((frame_id, role, corner, truth))
+        try:
+            check_margin(truth.features, spec.render)
+        except FeatureOutOfFrame as exc:
+            skipped.append({"file": file_name, "role": role, "error": str(exc)})
+            return
+        entry = {"file": file_name, "role": role, "gaze": list(gaze), "pose": pose.to_dict(),
+                 "truth": truth.coords_dict(), "seed": noise_seed}
+        if corner is not None:
+            entry["corner"] = corner
+        frames.append(entry)
+        truths.append(truth)
 
     for pi, pose in enumerate(spec.poses):
         for corner in CORNERS:
             for rep in range(spec.training_repeats):
-                add(f"train_p{pi}_c{corner}_r{rep}", "training", corner,
+                add(f"train_p{pi}_c{corner}_r{rep}.pgm", "training", corner,
                     spec.screen.corner(corner), pose, rep > 0)
     for pi, pose in enumerate(spec.poses):
         for label in range(1, spec.eval_points + 1):
-            add(f"eval_p{pi}_k{label:02d}", "evaluation", None,
+            add(f"eval_p{pi}_k{label:02d}.pgm", "evaluation", None,
                 spec.screen.cell_center(EVAL_GRID_N, label), pose, False)
 
     shape = (spec.render.height, spec.render.width)
     buffers = (np.empty(shape), np.empty(shape))
 
-    def render(index: int) -> np.ndarray | FeatureOutOfFrame:
+    def render(index: int) -> np.ndarray:
         # Frame i paints on buffers[i % 2]. Each thread renders its frames
-        # in plan order, so frame i - 2 has returned its image, a copy.
-        try:
-            return render_scene(plan[index][3], spec.layout, spec.render,
-                                out=buffers[index % 2])
-        except FeatureOutOfFrame as exc:
-            return exc
+        # in order, so frame i - 2 has returned its image, a copy.
+        return render_scene(truths[index], spec.layout, spec.render, out=buffers[index % 2])
 
-    frames = []
-    skipped = []
+    def write(index: int, img: np.ndarray) -> None:
+        (out / frames[index]["file"]).write_bytes(encode_pgm(img))
 
-    def write(index: int, img: np.ndarray | FeatureOutOfFrame) -> None:
-        frame_id, role, corner, truth = plan[index]
-        file_name = frame_id + ".pgm"
-        if isinstance(img, FeatureOutOfFrame):
-            skipped.append({"file": file_name, "role": role, "error": str(img)})
-            return
-        (out / file_name).write_bytes(encode_pgm(img))
-        entry = {
-            "file": file_name,
-            "role": role,
-            "gaze": list(truth.gaze_cm),
-            "pose": truth.pose.to_dict(),
-            "truth": truth.coords_dict(),
-            "seed": truth.seed,
-        }
-        if corner is not None:
-            entry["corner"] = corner
-        frames.append(entry)
-
-    # The pool starts its thread on the first submit, so a one-frame plan
-    # starts none; leaving the block joins it.
+    # The pool starts its thread on the first submit, so a plan with one
+    # frame that fits starts none; leaving the block joins it.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for index in range(0, len(plan), 2):
-            odd = pool.submit(render, index + 1) if index + 1 < len(plan) else None
+        for index in range(0, len(truths), 2):
+            odd = pool.submit(render, index + 1) if index + 1 < len(truths) else None
             write(index, render(index))
             if odd:
                 write(index + 1, odd.result())
 
-    manifest = {
-        "screen": spec.screen.to_dict(),
-        "frames": frames,
-        "skipped": skipped,
-    }
+    manifest = {"screen": spec.screen.to_dict(), "frames": frames, "skipped": skipped}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     return manifest

@@ -549,7 +549,7 @@ def test_synth_without_a_config_plans_the_default_dataset(tmp_path, monkeypatch)
 
     def plan_only(spec, out):
         planned.append(spec)
-        return {"frames": [], "skipped": []}
+        return {"frames": [{"role": "evaluation"}], "skipped": []}
 
     monkeypatch.setattr("irgaze.cli.generate_dataset", plan_only)
     assert main(["synth", "--out", str(tmp_path / "ds")]) == 0
@@ -1464,11 +1464,12 @@ def test_missing_input_file_exits_2_naming_it(pipeline, tmp_path, capsys, stage,
 
 def test_synth_counts_the_frames_it_skips(tmp_path, capsys):
     """A 200x200 frame leaves the default face no 10 px margin, so synth
-    skips every frame it plans and says how many."""
+    skips every frame it plans, says how many, lists each skip in the
+    manifest and exits 1, having written no frame; it once exited 0."""
     out = tmp_path / "ds"
     assert main(["synth", *_with_config(tmp_path, {"synth": {"width": 200, "height": 200}}),
                  "--poses", "1", "--points", "2", "--training-repeats", "1",
-                 "--out", str(out)]) == 0
+                 "--out", str(out)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         "0 training + 0 evaluation frames, 6 skipped")
     assert len(json.loads((out / "manifest.json").read_text())["skipped"]) == 6
@@ -1477,19 +1478,23 @@ def test_synth_counts_the_frames_it_skips(tmp_path, capsys):
 def test_evaluate_estimate_without_an_error_needs_its_gaze_point(pipeline, tmp_path, capsys):
     """A row whose error is empty was once left out as a failed frame when
     its x_g was blank: with two such rows and one exact row, evaluate exited
-    0 and read 100% at every N, scored over one frame."""
+    0 and read 100% at every N, scored over one frame.  A blank or
+    non-numeric x_g then exited 2 on float()'s message, which named no
+    field."""
     manifest = json.loads((pipeline / "ds" / "manifest.json").read_text())
     frames = [f for f in manifest["frames"] if f["role"] == "evaluation"][:3]
     est, out = tmp_path / "est.csv", tmp_path / "r"
-    with open(est, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "x_g", "y_g", "eyes_used", "error"])
-        for k, f in enumerate(frames):
-            writer.writerow([Path(f["file"]).stem, "" if k else f["gaze"][0], f["gaze"][1],
-                             "both", ""])
-    assert main(["evaluate", "--estimates", str(est),
-                 "--manifest", str(pipeline / "ds" / "manifest.json"), "--out", str(out)]) == 2
-    assert f"{est}:3: malformed field" in capsys.readouterr().err
+    for cell in ("", "abc"):
+        with open(est, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["frame", "x_g", "y_g", "eyes_used", "error"])
+            for k, f in enumerate(frames):
+                writer.writerow([Path(f["file"]).stem, cell if k else f["gaze"][0],
+                                 f["gaze"][1], "both", ""])
+        assert main(["evaluate", "--estimates", str(est), "--manifest",
+                     str(pipeline / "ds" / "manifest.json"), "--out", str(out)]) == 2
+        assert f"{est}:3: malformed field: x_g must be finite, got {cell!r}" in (
+            capsys.readouterr().err)
     assert not out.exists()
 
 

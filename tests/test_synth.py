@@ -385,9 +385,10 @@ def test_dataset_skip_between_good_poses_keeps_plan_order(tmp_path):
 
 @pytest.mark.parametrize("noise", [0.7, 0.0])
 def test_dataset_worker_and_main_thread_frames_keep_plan_order(tmp_path, noise):
-    """The worker renders the odd plan positions and the main thread the
-    even ones.  Nine frames put the out-of-frame pose at positions 3, 4
-    and 5, so skips come back from both; every written frame matches the
+    """Nine frames put the out-of-frame pose at plan positions 3, 4 and 5,
+    which are skipped when planned; the worker renders the odd positions of
+    the six frames that fit and the main thread the even ones, so each
+    thread's next frame follows a skip.  Every written frame matches the
     full-frame reference, and frames and skips keep plan order."""
     good = default_poses()
     spec = DatasetSpec(poses=(good[2], HeadPose(60.0, 240.0), good[5]), eval_points=3,
@@ -405,15 +406,25 @@ def test_dataset_worker_and_main_thread_frames_keep_plan_order(tmp_path, noise):
         assert_same_image(stored, want, entry["file"])
 
 
-@pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
-def test_one_frame_dataset_starts_no_thread(tmp_path, monkeypatch, noise_sigma):
+@pytest.mark.parametrize("noise_sigma, poses", [
+    pytest.param(0.0, default_poses()[:1], id="0.0"),
+    pytest.param(2.0, default_poses()[:1], id="2.0"),
+    pytest.param(0.0, (default_poses()[0], HeadPose(60.0, 240.0)), id="0.0-and-a-skip"),
+    pytest.param(2.0, (default_poses()[0], HeadPose(60.0, 240.0)), id="2.0-and-a-skip"),
+])
+def test_one_frame_dataset_starts_no_thread(tmp_path, monkeypatch, noise_sigma, poses):
+    """A plan with one frame that fits starts no thread, also when a
+    skipped frame follows it: the worker once started only to find that
+    frame out of the margin."""
     def refuse(thread):
         raise AssertionError(f"started {thread.name}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    spec = DatasetSpec(poses=default_poses()[:1], eval_points=1, training_repeats=0,
+    spec = DatasetSpec(poses=poses, eval_points=1, training_repeats=0,
                        render=RenderConfig(noise_sigma=noise_sigma), master_seed=4)
-    entry = generate_dataset(spec, tmp_path / "ds")["frames"][0]
+    manifest = generate_dataset(spec, tmp_path / "ds")
+    assert len(manifest["skipped"]) == len(poses) - 1
+    [entry] = manifest["frames"]
     stored = decode_pgm((tmp_path / "ds" / entry["file"]).read_bytes())
     assert_same_image(stored, reference_render(truth_from_manifest_entry(entry), spec.layout,
                                                spec.render, entry["seed"]))
