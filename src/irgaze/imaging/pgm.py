@@ -23,8 +23,10 @@ _HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\r\n]*)*([^ \t\r\n\x0b\x0c
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary PGM stream into a read-only image over its own copy
-    of the samples."""
+    """Parse a binary PGM stream into a read-only image that views the
+    samples in ``data`` when it is ``bytes``, which cannot change, and
+    otherwise (a ``bytearray``, say) in one copy of the whole stream."""
+    data = data if isinstance(data, bytes) else memoryview(data).tobytes()
     pos = 0
     fields = []
     for name in ("magic", "width", "height", "maxval"):
@@ -52,10 +54,9 @@ def decode_pgm(data: bytes) -> np.ndarray:
     # Exactly one whitespace byte separates the header from the samples.
     pos += 1
     need = width * height
-    raw = data[pos : pos + need]
-    if len(raw) < need:
-        raise TruncatedData(f"expected {need} samples, got {len(raw)}")
-    img = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    if len(data) - pos < need:
+        raise TruncatedData(f"expected {need} samples, got {max(len(data) - pos, 0)}")
+    img = np.frombuffer(data, np.uint8, count=need, offset=pos).reshape(height, width)
     img.setflags(write=False)
     return img
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,7 @@ EVAL_GRID_N = 5  # evaluation gaze points are cell centers of this n-by-n grid
 # Training-sweep translation jitter, px (head drift between repeats).
 _JITTER_PX = 12.0
 _MAX_PIXELS = np.iinfo(np.intp).max // 8  # the float64 values one numpy array can hold
+_BAND_PIXELS = 1 << 15  # float64 pixels in render_scene's row band (256 KB)
 # generate_dataset plans every frame, about 1 KB of ground truth each, in
 # memory before it writes the first; this keeps that plan near 100 MB (and
 # a 640x480 dataset near 31 GB of frames).
@@ -209,15 +211,25 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return a
 
 
-def draw_noise(seed: int, sigma: float, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` in place with ``default_rng(seed).normal(0.0, sigma,
-    out.shape)``, bit for bit: numpy draws ``normal(loc, scale)`` as
-    ``loc + scale * z``, and ``0.0 + sigma * z`` equals ``sigma * z`` (up
-    to the sign of a zero, which no sum with the scene can see).
-    Allocates no frame-sized array."""
-    np.random.default_rng(seed).standard_normal(out=out)
-    out *= sigma
-    return out
+def _noise_bands(seed: int | None, sigma: float,
+                 shape: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first row, band)`` down a frame of ``shape``; each band, a
+    view of one buffer of at least a row and about ``_BAND_PIXELS``, holds
+    its rows of ``default_rng(seed).normal(0.0, sigma, shape)`` bit for bit
+    (numpy draws it as ``0.0 + sigma * z``; a zero's sign no sum can see),
+    or zeros at sigma 0.  Successive fills give the whole-frame stream."""
+    height, width = shape
+    rows = max(1, _BAND_PIXELS // width)
+    buf = np.empty((min(rows, height), width))
+    rng = np.random.default_rng(seed) if sigma > 0 else None
+    for r0 in range(0, height, rows):
+        band = buf[: height - r0]
+        if rng is None:
+            band.fill(0.0)
+        else:
+            rng.standard_normal(out=band)
+            band *= sigma
+        yield r0, band
 
 
 def check_margin(features: FeaturePoints, cfg: RenderConfig) -> None:
@@ -236,8 +248,6 @@ def render_scene(
     truth: GroundTruth,
     layout: FaceLayout = FaceLayout(),
     cfg: RenderConfig = RenderConfig(),
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Paint the read-only frame for a ground-truth record.
 
@@ -245,31 +255,22 @@ def render_scene(
     before anything is painted.  Deterministic: the same (truth, layout,
     cfg) give byte-identical images.
 
-    The frame's noise is drawn here, from ``truth.seed`` by
-    :func:`draw_noise` (zero when ``cfg.noise_sigma`` is 0), onto the
-    canvas: ``out`` if given, a float64 (height, width) scratch buffer that
-    is overwritten, else a new array.  The scene is added onto the noise,
-    which gives the same bits as adding the noise onto the scene.
+    Painting and blurring run only on the face box: the face ellipse's
+    axis-aligned extent and every feature disk, padded by more than the
+    blur radius and clipped to the frame, because no shape reaches past
+    it.  The rest of the frame takes the blur of a 1x1 background array,
+    which is bit-exact: every tap there reads background, and the box's
+    edge padding replicates background, so each pixel sums the same floats
+    in the same order as a full-frame blur would.
 
-    Painting and blurring run only on the face box: the face's bounding
-    circle and every feature disk, padded by more than the blur radius and
-    clipped to the frame, because no shape reaches past it.  The rest of
-    the frame takes the blur of a 1x1 background array, which is bit-exact:
-    every tap there reads background, and the box's edge padding replicates
-    background, so each pixel sums the same floats in the same order as a
-    full-frame blur would.
+    The frame is built in row bands, so no frame-sized float array exists:
+    a band draws its rows of the noise from ``truth.seed``, adds the scene
+    (the same bits as scene plus noise), adds 0.5, clips to [0.5, 255.5]
+    and truncates, which gives the bytes of a clip, +0.5 and floor.
     """
     check_margin(truth.features, cfg)
-    shape = (cfg.height, cfg.width)
-    if out is not None and out.shape != shape:
-        raise ValueError(f"out must have shape {shape}, got {out.shape}")
-    canvas = np.empty(shape) if out is None else out
-    if cfg.noise_sigma > 0:
-        if truth.seed is None:
-            raise ValueError("noisy rendering needs a seed")
-        draw_noise(truth.seed, cfg.noise_sigma, canvas)
-    else:
-        canvas.fill(0.0)
+    if cfg.noise_sigma > 0 and truth.seed is None:
+        raise ValueError("noisy rendering needs a seed")
 
     k = truth.pose.scale
     f = truth.features
@@ -280,14 +281,18 @@ def render_scene(
         (f.marker_middle, layout.marker_radius * k, cfg.marker),
         (f.marker_left, layout.marker_radius * k, cfg.marker),
     )
-    circles = [(Point(truth.pose.tx, truth.pose.ty), max(layout.face_axes) * k)]
-    circles += [(center, radius) for center, radius, _ in disks]
+    # Each shape's center and x and y half-extents (the face's rotated ellipse).
+    c, s = math.cos(truth.pose.theta), math.sin(truth.pose.theta)
+    ax, ay = layout.face_axes
+    shapes = [(Point(truth.pose.tx, truth.pose.ty),
+               k * math.hypot(ax * c, ay * s), k * math.hypot(ax * s, ay * c))]
+    shapes += [(center, radius, radius) for center, radius, _ in disks]
     pad = 2 * math.ceil(3.0 * cfg.blur_sigma) + 1
-    col_lo = max(0, math.floor(min(p.x - r for p, r in circles)) - pad)
-    col_hi = min(cfg.width - 1, math.ceil(max(p.x + r for p, r in circles)) + pad)
-    row_lo = max(0, math.floor(y_to_row(max(p.y + r for p, r in circles), cfg.height)) - pad)
+    col_lo = max(0, math.floor(min(p.x - hx for p, hx, _ in shapes)) - pad)
+    col_hi = min(cfg.width - 1, math.ceil(max(p.x + hx for p, hx, _ in shapes)) + pad)
+    row_lo = max(0, math.floor(y_to_row(max(p.y + hy for p, _, hy in shapes), cfg.height)) - pad)
     row_hi = min(cfg.height - 1,
-                 math.ceil(y_to_row(min(p.y - r for p, r in circles), cfg.height)) + pad)
+                 math.ceil(y_to_row(min(p.y - hy for p, _, hy in shapes), cfg.height)) + pad)
 
     # Open grid over the box, Cartesian (y up); broadcasting evaluates the
     # same per-pixel expressions as a full meshgrid would.
@@ -297,14 +302,12 @@ def render_scene(
 
     # Face ellipse: invert the pose transform and test against the
     # axis-aligned canonical ellipse.
-    c, s = math.cos(truth.pose.theta), math.sin(truth.pose.theta)
     rx = (gx - truth.pose.tx) / k
     ry = (gy - truth.pose.ty) / k
     # In place, (local_x / ax) ** 2 + (local_y / ay) ** 2 in the same bits;
     # both arrays go before the blur.
     local_x = c * rx + s * ry
     local_y = -s * rx + c * ry
-    ax, ay = layout.face_axes
     local_x /= ax
     local_x *= local_x
     local_y /= ay
@@ -324,16 +327,20 @@ def render_scene(
                   <= radius * radius)
         box[disk_rows, disk_cols][inside] = float(level)
 
-    rows, cols = slice(row_lo, row_hi + 1), slice(col_lo, col_hi + 1)
-    canvas[rows, cols] += _gaussian_blur(box, cfg.blur_sigma)
-    outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)
-    for strip in ((slice(None, row_lo),), (slice(row_hi + 1, None),),
-                  (rows, slice(None, col_lo)), (rows, slice(col_hi + 1, None))):
-        canvas[strip] += outside[0, 0]
-
-    np.clip(canvas, 0, 255, out=canvas)
-    canvas += 0.5
-    img = np.floor(canvas, out=canvas).astype(np.uint8)
+    box = _gaussian_blur(box, cfg.blur_sigma)
+    outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)[0, 0]
+    img = np.empty((cfg.height, cfg.width), np.uint8)
+    for r0, band in _noise_bands(truth.seed, cfg.noise_sigma, img.shape):
+        # The band's box rows are band[top:bottom]; the rest is outside.
+        top, bottom = (min(max(r - r0, 0), len(band)) for r in (row_lo, row_hi + 1))
+        for strip in ((slice(None, top),), (slice(bottom, None),),
+                      (slice(top, bottom), slice(None, col_lo)),
+                      (slice(top, bottom), slice(col_hi + 1, None))):
+            band[strip] += outside
+        band[top:bottom, col_lo : col_hi + 1] += box[r0 + top - row_lo : r0 + bottom - row_lo]
+        band += 0.5
+        np.clip(band, 0.5, 255.5, out=band)
+        img[r0 : r0 + len(band)] = band
     img.setflags(write=False)
     return img
 
@@ -392,12 +399,9 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     the frame is logged under "skipped" and never rendered, and the rest
     are listed under "frames" with their ground truth.
 
-    One worker thread renders every odd frame that fits on the second of
-    two frame buffers, passed to :func:`render_scene` as ``out``, which
-    draws the frame's noise there, while the main thread renders the even
-    frame before it on the first (numpy releases the GIL in the noise draw
-    and the array passes).  The main thread encodes and writes every frame
-    in plan order.
+    One worker thread renders every odd frame that fits and the main
+    thread every even one (numpy releases the GIL in its array passes);
+    the main thread encodes and writes every frame in plan order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,13 +444,8 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
             add(f"eval_p{pi}_k{label:02d}.pgm", "evaluation", None,
                 spec.screen.cell_center(EVAL_GRID_N, label), pose, False)
 
-    shape = (spec.render.height, spec.render.width)
-    buffers = (np.empty(shape), np.empty(shape))
-
     def render(index: int) -> np.ndarray:
-        # Frame i paints on buffers[i % 2]. Each thread renders its frames
-        # in order, so frame i - 2 has returned its image, a copy.
-        return render_scene(truths[index], spec.layout, spec.render, out=buffers[index % 2])
+        return render_scene(truths[index], spec.layout, spec.render)
 
     def write(index: int, img: np.ndarray) -> None:
         (out / frames[index]["file"]).write_bytes(encode_pgm(img))

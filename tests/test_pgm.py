@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,19 @@ def test_encode_takes_a_strided_or_read_only_frame(view):
     data = encode_pgm(img)
     assert data == f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode() + img.tobytes()
     assert_same_image(decode_pgm(data), img)
+
+
+def test_decode_of_bytes_does_not_copy_the_samples():
+    """A 1280x1024 frame's 1.25 MB of samples stay in the caller's bytes."""
+    data = encode_pgm(np.arange(1280 * 1024, dtype=np.uint8).reshape(1024, 1280))
+    tracemalloc.start()
+    try:
+        img = decode_pgm(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert img.base is not None and not img.flags.writeable
 
 
 def test_decode_bad_magic():

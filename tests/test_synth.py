@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from irgaze import synth
 from irgaze.cli import main
 from irgaze.detection import DetectConfig, observe_face
 from irgaze.errors import FeatureOutOfFrame
@@ -23,7 +25,6 @@ from irgaze.synth import (
     HeadPose,
     RenderConfig,
     default_poses,
-    draw_noise,
     feature_model,
     generate_dataset,
     render_scene,
@@ -233,26 +234,43 @@ def test_render_feeds_back_through_detection():
 
 @pytest.mark.parametrize("sigma", [0.7, 2.0, 3.3])
 @pytest.mark.parametrize("shape", [(1, 517), (517, 1), (480, 640)])
-def test_draw_noise_equals_rng_normal_bit_for_bit(sigma, shape):
-    """Sigma 2.0 multiplies exactly; 0.7 and 3.3 would show a draw that
-    rounds differently from numpy's ``0.0 + sigma * z``."""
+def test_band_noise_equals_rng_normal_bit_for_bit(sigma, shape):
+    """The bands, stacked, are the whole frame's ``normal(0.0, sigma)``
+    draw.  Sigma 2.0 multiplies exactly; 0.7 and 3.3 would show a draw
+    that rounds differently from numpy's ``0.0 + sigma * z``."""
     for seed in (0, 77, 2**63 + 5):
         want = np.random.default_rng(seed).normal(0.0, sigma, shape)
-        got = draw_noise(seed, sigma, np.empty(shape))
+        got = np.concatenate([band.copy() for _, band in synth._noise_bands(seed, sigma, shape)])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("noise_sigma", [0.0, 0.7])
-def test_render_onto_a_dirty_out_buffer_equals_render_without_it(noise_sigma):
-    """``out`` is scratch: whatever it holds, the noise draw or the zero
-    fill overwrites it."""
-    cfg = RenderConfig(noise_sigma=noise_sigma)
-    truth = truth_for(HeadPose(300, 250, 0.03, 0.95), (0.2, 0.6), seed=31)
-    dirty = np.full((cfg.height, cfg.width), 1e9)
-    assert_same_image(render_scene(truth, LAYOUT, cfg, out=dirty),
-                      render_scene(truth, LAYOUT, cfg))
-    with pytest.raises(ValueError, match="out must have shape"):
-        render_scene(truth, LAYOUT, cfg, out=np.zeros((cfg.width, cfg.height)))
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.7, 2.0])
+@pytest.mark.parametrize("size", [(640, 480), (1280, 1024)])
+def test_render_in_any_band_height_matches_full_frame_reference(size, noise_sigma, monkeypatch):
+    """One row, 7 rows (which divides neither frame height) and more rows
+    than the frame has all give the full-frame painter's bytes."""
+    width, height = size
+    cfg = RenderConfig(width=width, height=height, noise_sigma=noise_sigma)
+    pose = HeadPose(width / 2 + 13.4, height / 2 - 21.7, 0.11, 1.3)
+    truth = truth_for(pose, (0.3, 0.8), seed=41)
+    want = reference_render(truth, LAYOUT, cfg, truth.seed)
+    for rows in (1, 7, height + 1):
+        monkeypatch.setattr(synth, "_BAND_PIXELS", rows * width)
+        assert_same_image(render_scene(truth, LAYOUT, cfg), want)
+
+
+def test_render_holds_no_frame_sized_float_array():
+    """Besides the uint8 frame it returns, one 1280x1024 render allocates
+    under 4 MB at its peak; a float64 frame alone is 10.5 MB."""
+    cfg = RenderConfig(width=1280, height=1024)
+    truth = truth_for(HeadPose(640, 512), (0.5, 0.5), seed=9)
+    tracemalloc.start()
+    try:
+        img = render_scene(truth, LAYOUT, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - img.nbytes < 4 * 2**20
 
 
 # Largest distance of any feature center from the face center in the default
