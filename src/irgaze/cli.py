@@ -52,6 +52,7 @@ from .imaging import Point, check_finite, check_type, decode_pgm
 from .synth import DatasetSpec, RenderConfig, default_poses, generate_dataset
 
 _SPEC = DatasetSpec()
+RENDER_KEYS = ("width", "height", "noise_sigma", "blur_sigma")  # RenderConfig's config keys
 CONFIG_DEFAULTS: dict = {
     "seed": _SPEC.master_seed,
     "metric": "congruency",
@@ -60,8 +61,7 @@ CONFIG_DEFAULTS: dict = {
     "screen": dataclasses.asdict(ScreenGeometry()),
     "detect": dataclasses.asdict(DetectConfig()),
     "synth": {
-        **{key: getattr(_SPEC.render, key)
-           for key in ("width", "height", "noise_sigma", "blur_sigma")},
+        **{key: getattr(_SPEC.render, key) for key in RENDER_KEYS},
         "poses": len(_SPEC.poses),
         "points": _SPEC.eval_points,
         "training_repeats": _SPEC.training_repeats,
@@ -227,17 +227,13 @@ def cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
     all_poses = default_poses(sy["width"], sy["height"])
     if not 0 <= sy["poses"] <= len(all_poses):
         raise ConfigError(f"synth.poses must lie in [0, {len(all_poses)}]")
-    render = _configured(
-        "synth", RenderConfig, width=sy["width"], height=sy["height"],
-        noise_sigma=sy["noise_sigma"], blur_sigma=sy["blur_sigma"],
-    )
     spec = _configured(
         "synth", DatasetSpec,
         poses=all_poses[: sy["poses"]],
         eval_points=sy["points"],
         training_repeats=sy["training_repeats"],
+        render=_configured("synth", RenderConfig, **{key: sy[key] for key in RENDER_KEYS}),
         screen=_configured("screen", ScreenGeometry, **cfg["screen"]),
-        render=render,
         master_seed=cfg["seed"],
     )
     manifest = generate_dataset(spec, args.out)

@@ -62,7 +62,7 @@ def binarize(img: np.ndarray, threshold: float) -> np.ndarray:
 
 def disk_offsets(radius: float) -> list[tuple[int, int]]:
     """(drow, dcol) offsets of the disk structuring element."""
-    if radius < 0:
+    if check_finite(radius, "radius") < 0:
         raise ValueError("radius must be >= 0")
     r = int(math.floor(radius))
     return [

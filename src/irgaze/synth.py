@@ -15,16 +15,18 @@ background array, which is bit-exact: there the full-frame blur would sum
 the same background taps in the same order.
 
 The pupil model is linear: the pupil sits at the eye center offset by
-(s - 0.5) * gain in the head frame before the pose transform.  Under a
-matched head orientation the gaze interpolation is then exact, so
-end-to-end error measures the pipeline, not model mismatch.
+(s - 0.5) * gain in the head frame before the pose transform.  At zero
+rotation the corner pupils span an axis-aligned rectangle, and the gaze
+interpolation, which reads x and y apart, is exact; a rotated pose tilts
+that rectangle, so its estimates also carry model mismatch (on the default
+dataset's exact features, up to about 0.1 cm under the corrected weighting
+and 3 cm under the literal one).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -211,27 +213,6 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return a
 
 
-def _noise_bands(seed: int | None, sigma: float,
-                 shape: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(first row, band)`` down a frame of ``shape``; each band, a
-    view of one buffer of at least a row and about ``_BAND_PIXELS``, holds
-    its rows of ``default_rng(seed).normal(0.0, sigma, shape)`` bit for bit
-    (numpy draws it as ``0.0 + sigma * z``; a zero's sign no sum can see),
-    or zeros at sigma 0.  Successive fills give the whole-frame stream."""
-    height, width = shape
-    rows = max(1, _BAND_PIXELS // width)
-    buf = np.empty((min(rows, height), width))
-    rng = np.random.default_rng(seed) if sigma > 0 else None
-    for r0 in range(0, height, rows):
-        band = buf[: height - r0]
-        if rng is None:
-            band.fill(0.0)
-        else:
-            rng.standard_normal(out=band)
-            band *= sigma
-        yield r0, band
-
-
 def check_margin(features: FeaturePoints, cfg: RenderConfig) -> None:
     """Raise FeatureOutOfFrame unless every feature center keeps
     RENDER_MARGIN pixels to the border of a ``cfg`` frame."""
@@ -263,10 +244,13 @@ def render_scene(
     edge padding replicates background, so each pixel sums the same floats
     in the same order as a full-frame blur would.
 
-    The frame is built in row bands, so no frame-sized float array exists:
-    a band draws its rows of the noise from ``truth.seed``, adds the scene
-    (the same bits as scene plus noise), adds 0.5, clips to [0.5, 255.5]
-    and truncates, which gives the bytes of a clip, +0.5 and floor.
+    The frame is built in row bands of about ``_BAND_PIXELS`` pixels in
+    one float buffer, so no frame-sized float array exists.  A band holds
+    its rows of the whole frame's ``default_rng(truth.seed).normal(0.0,
+    sigma)``, drawn as ``standard_normal`` times sigma (numpy's own ``0.0 +
+    sigma * z`` but for a zero's sign, which no sum can see), or zeros at
+    sigma 0.  It adds the scene, adds 0.5, clips to [0.5, 255.5] and
+    truncates, which gives the bytes of a clip, +0.5 and floor.
     """
     check_margin(truth.features, cfg)
     if cfg.noise_sigma > 0 and truth.seed is None:
@@ -281,18 +265,21 @@ def render_scene(
         (f.marker_middle, layout.marker_radius * k, cfg.marker),
         (f.marker_left, layout.marker_radius * k, cfg.marker),
     )
-    # Each shape's center and x and y half-extents (the face's rotated ellipse).
+    # Each shape's first and last pixel row and column: the face's rotated
+    # ellipse, then each disk.  The face box is their union, padded by more
+    # than the blur radius and clipped to the frame.
     c, s = math.cos(truth.pose.theta), math.sin(truth.pose.theta)
     ax, ay = layout.face_axes
     shapes = [(Point(truth.pose.tx, truth.pose.ty),
                k * math.hypot(ax * c, ay * s), k * math.hypot(ax * s, ay * c))]
     shapes += [(center, radius, radius) for center, radius, _ in disks]
+    bounds = [(math.floor(y_to_row(p.y + hy, cfg.height)),
+               math.ceil(y_to_row(p.y - hy, cfg.height)),
+               math.floor(p.x - hx), math.ceil(p.x + hx)) for p, hx, hy in shapes]
+    first_rows, last_rows, first_cols, last_cols = zip(*bounds)
     pad = 2 * math.ceil(3.0 * cfg.blur_sigma) + 1
-    col_lo = max(0, math.floor(min(p.x - hx for p, hx, _ in shapes)) - pad)
-    col_hi = min(cfg.width - 1, math.ceil(max(p.x + hx for p, hx, _ in shapes)) + pad)
-    row_lo = max(0, math.floor(y_to_row(max(p.y + hy for p, _, hy in shapes), cfg.height)) - pad)
-    row_hi = min(cfg.height - 1,
-                 math.ceil(y_to_row(min(p.y - hy for p, _, hy in shapes), cfg.height)) + pad)
+    row_lo, row_hi = max(0, min(first_rows) - pad), min(cfg.height - 1, max(last_rows) + pad)
+    col_lo, col_hi = max(0, min(first_cols) - pad), min(cfg.width - 1, max(last_cols) + pad)
 
     # Open grid over the box, Cartesian (y up); broadcasting evaluates the
     # same per-pixel expressions as a full meshgrid would.
@@ -318,11 +305,9 @@ def render_scene(
 
     # Each disk is tested over its own bounding rows and columns only; a
     # pixel beyond them lies more than a pixel outside the radius.
-    for center, radius, level in disks:
-        disk_rows = slice(max(math.floor(y_to_row(center.y + radius, cfg.height)) - row_lo, 0),
-                          math.ceil(y_to_row(center.y - radius, cfg.height)) - row_lo + 1)
-        disk_cols = slice(max(math.floor(center.x - radius) - col_lo, 0),
-                          math.ceil(center.x + radius) - col_lo + 1)
+    for (center, radius, level), (row0, row1, col0, col1) in zip(disks, bounds[1:]):
+        disk_rows = slice(max(row0 - row_lo, 0), row1 - row_lo + 1)
+        disk_cols = slice(max(col0 - col_lo, 0), col1 - col_lo + 1)
         inside = ((gx[:, disk_cols] - center.x) ** 2 + (gy[disk_rows] - center.y) ** 2
                   <= radius * radius)
         box[disk_rows, disk_cols][inside] = float(level)
@@ -330,7 +315,16 @@ def render_scene(
     box = _gaussian_blur(box, cfg.blur_sigma)
     outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)[0, 0]
     img = np.empty((cfg.height, cfg.width), np.uint8)
-    for r0, band in _noise_bands(truth.seed, cfg.noise_sigma, img.shape):
+    rows = max(1, _BAND_PIXELS // cfg.width)
+    buf = np.empty((min(rows, cfg.height), cfg.width))
+    rng = np.random.default_rng(truth.seed)
+    for r0 in range(0, cfg.height, rows):
+        band = buf[: cfg.height - r0]
+        if cfg.noise_sigma > 0:
+            rng.standard_normal(out=band)
+            band *= cfg.noise_sigma
+        else:
+            band.fill(0.0)
         # The band's box rows are band[top:bottom]; the rest is outside.
         top, bottom = (min(max(r - r0, 0), len(band)) for r in (row_lo, row_hi + 1))
         for strip in ((slice(None, top),), (slice(bottom, None),),
@@ -444,9 +438,6 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
             add(f"eval_p{pi}_k{label:02d}.pgm", "evaluation", None,
                 spec.screen.cell_center(EVAL_GRID_N, label), pose, False)
 
-    def render(index: int) -> np.ndarray:
-        return render_scene(truths[index], spec.layout, spec.render)
-
     def write(index: int, img: np.ndarray) -> None:
         (out / frames[index]["file"]).write_bytes(encode_pgm(img))
 
@@ -454,8 +445,9 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     # frame that fits starts none; leaving the block joins it.
     with ThreadPoolExecutor(max_workers=1) as pool:
         for index in range(0, len(truths), 2):
-            odd = pool.submit(render, index + 1) if index + 1 < len(truths) else None
-            write(index, render(index))
+            odd = (pool.submit(render_scene, truths[index + 1], spec.layout, spec.render)
+                   if index + 1 < len(truths) else None)
+            write(index, render_scene(truths[index], spec.layout, spec.render))
             if odd:
                 write(index + 1, odd.result())
 

@@ -145,6 +145,13 @@ def test_build_training_set_rejects_bad_corner_index():
         build_training_set([(obs_for_corner(1), 5)], SCREEN)
 
 
+def test_training_set_needs_one_ten_column_row_per_frame_id():
+    rows = {c: [[1.0] * (9 if c == 3 else 10)] for c in CORNERS}
+    with pytest.raises(ValueError, match=r"corner 3: need one 10-column row per frame id, "
+                                         r"got shape \(1, 9\)"):
+        make_ts(rows)
+
+
 def test_build_training_set_groups_600_frames():
     poses = [HeadPose(320 + 5 * i, 240 - 3 * i, 0.0, 0.9 + 0.02 * i) for i in range(6)]
     labeled = []
@@ -633,6 +640,14 @@ def test_screen_cell_centers_run_row_major_from_the_top_left():
 def test_grid_resolution_must_be_at_least_2(grid_of_one):
     with pytest.raises(ValueError, match="grid resolution must be at least 2"):
         grid_of_one()
+
+
+@pytest.mark.parametrize("n, label", [(5, 0), (5, 26), (2, -1)])
+def test_cell_label_must_lie_on_the_grid(n, label):
+    """Labels 0 and 26 of a 5x5 grid once gave points above and below the
+    screen."""
+    with pytest.raises(ValueError, match=f"cell label must lie in 1..{n * n}, got {label}"):
+        SCREEN.cell_center(n, label)
 
 
 def test_screen_file_keeps_the_extents_as_given():

@@ -301,6 +301,17 @@ def test_unknown_op_rejected():
         morphology(binary([[1]]), "median", 1)
 
 
+@pytest.mark.parametrize("radius, message", [
+    pytest.param(-1, "radius must be >= 0", id="negative"),
+    pytest.param(float("inf"), "radius must be finite", id="inf"),  # was an OverflowError
+    pytest.param(float("nan"), "radius must be finite", id="nan"),  # was int(nan)'s error
+    pytest.param(10**400, "radius must be finite", id="int-beyond-float"),
+])
+def test_morphology_radius_must_be_a_finite_number_at_least_0(radius, message):
+    with pytest.raises(ValueError, match=message):
+        morphology(binary([[1]]), "open", radius)
+
+
 @pytest.mark.parametrize("radius", [0, 1, 1.5, 2, 3])
 @pytest.mark.parametrize("op", ["erode", "dilate", "open", "close"])
 def test_morphology_matches_the_per_pixel_oracle(op, radius):
