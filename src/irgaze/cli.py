@@ -120,14 +120,8 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
 def load_config(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(CONFIG_DEFAULTS)
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer over int()'s digit limit
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+    with _reading(f"config {path}"):
+        raw = check_type(json.loads(Path(path).read_text()), dict, "config")
     return _merge_config(CONFIG_DEFAULTS, raw)
 
 
@@ -143,19 +137,18 @@ def _configured(section: str, factory, *args, **kwargs):
 
 @contextlib.contextmanager
 def _reading(where: str):
-    """Report an unreadable file, bad JSON or a missing or malformed field
-    met in the block as an InputFileError naming ``where``: the file, and
-    the line or the object being read."""
+    """Report an unreadable file, bad or too deeply nested JSON, or a missing
+    or malformed field met in the block as an InputFileError naming
+    ``where``: the file, and the line or the object being read."""
     try:
         yield
     except OSError as exc:
         raise InputFileError(f"cannot read {where}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputFileError(f"{where}: not valid JSON: {exc}") from exc
     except KeyError as exc:
         raise InputFileError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError, EmptyCorner,
-            DegenerateTriangle) as exc:
+    except (TypeError, ValueError, csv.Error, EmptyCorner, DegenerateTriangle) as exc:
         raise InputFileError(f"{where}: malformed field: {exc}") from exc
 
 
@@ -190,6 +183,8 @@ def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str,
                 raise ValueError(
                     f"need role 'evaluation', or 'training' with a corner in {CORNERS}")
             file = check_type(entry["file"], str, "file")
+            if "\0" in file:
+                raise ValueError(f"file must not hold a NUL byte, got {file!r}")
             frame_id = Path(file).stem
             _claim(seen, frame_id, f"{path}: frames.{i} ({file})")
             frames.append((frame_id, file, role, label))
@@ -423,6 +418,9 @@ def _load_estimates(path: str | Path) -> dict[str, Point]:
         for row in reader:
             where = f"{path}:{reader.line_num}"
             with _reading(where):
+                if None in row:  # DictReader's key for the cells past the header
+                    raise ValueError(f"{len(row[None])} cells past the header's "
+                                     f"{len(reader.fieldnames)}")
                 if None in row.values():  # DictReader's filler past a short row's end
                     raise KeyError(next(k for k, v in row.items() if v is None))
             _claim(seen, row["frame"], where)

@@ -11,13 +11,13 @@ class IrGazeError(Exception):
 
 
 class InputFileError(IrGazeError):
-    """A stage's input file (manifest, observations, training set, estimates)
-    cannot be read or lacks a field; the message names the file and the line
-    or field."""
+    """A stage's input file (config, manifest, observations, training set,
+    estimates) cannot be read or parsed or lacks a field; the message names
+    the file and the line or field."""
 
 
 class ConfigError(IrGazeError):
-    """Bad run configuration: a config file, or a flag that sets a config key."""
+    """Bad run configuration: a config value, or a flag that sets a config key."""
 
 
 # --- PGM codec ---------------------------------------------------------------

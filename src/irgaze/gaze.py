@@ -91,7 +91,7 @@ class ScreenGeometry:
 
     def cell_center(self, n: int, label: int) -> Point:
         _check_grid(n)
-        if not 1 <= label <= n * n:
+        if not 1 <= check_type(label, int, "cell label") <= n * n:
             raise ValueError(f"cell label must lie in 1..{n * n}, got {label}")
         row_from_top, col = divmod(label - 1, n)
         return Point(

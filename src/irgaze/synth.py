@@ -64,6 +64,7 @@ class HeadPose:
     scale: float = 1.0
 
     def __post_init__(self):
+        check_finite([self.tx, self.ty, self.theta, self.scale], "pose (tx, ty, theta, scale)")
         if not SCALE_RANGE[0] <= self.scale <= SCALE_RANGE[1]:
             raise ValueError(f"scale must lie in {SCALE_RANGE}")
         if abs(self.theta) > MAX_ROTATION:

@@ -386,7 +386,7 @@ def test_every_stage_takes_config_and_seed(pipeline, tmp_path):
     # An int key had no range test: 10**400 reached synth as a traceback.
     ({"synth": {"width": 10**400}}, "config key 'synth.width' must be finite"),
     ({"synth": 5}, "config key 'synth' must be an object"),
-    ([1, 2], "must hold a JSON object"),
+    ([1, 2], "config must be an object, got [1, 2]"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, override, named):
     cfg = tmp_path / "cfg.json"
@@ -466,6 +466,9 @@ README_MESSAGES = {
     "config key 'synth.training_repeats' must be finite, got ...": (
         2, lambda pipeline, tmp_path: ["synth", "--training-repeats", str(HUGE),
                                        "--out", str(tmp_path / "ds")]),
+    "config <file>: malformed field: config must be an object, got [1, 2]": (
+        2, lambda pipeline, tmp_path: ["detect", *_with_config(tmp_path, [1, 2]),
+                                       "--out", str(tmp_path / "o")]),
     "ts.json: corners.3.0: missing field 'y_pl'": (2, _readme_ts_without_y_pl),
     "manifest.json: frames.7: malformed field: entry must be an object, got 5": (
         2, _readme_manifest_with_entry_7_a_number),
@@ -962,6 +965,29 @@ def test_evaluate_non_finite_estimate_names_the_line(pipeline, tmp_path, capsys,
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("spoil, named", [
+    # A row longer than its header was once scored, exit 0.
+    pytest.param(lambda row: [*row, "a", "b"], "{bad}:3: malformed field: 2 cells past the "
+                 "header's {columns}", id="long-row"),
+    # A field past csv's limit once ended in a _csv.Error traceback, exit 1.
+    pytest.param(lambda row: ["f" * 131_073, *row[1:]], "{bad}: malformed field: field "
+                 "larger than field limit (131072)", id="overlong-field"),
+])
+def test_evaluate_estimates_past_the_header_or_csv_limit_exit_2(pipeline, tmp_path, capsys,
+                                                                spoil, named):
+    with open(pipeline / "est.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows[1] = spoil(rows[1])
+    bad, out = tmp_path / "est.csv", tmp_path / "r"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert main(["evaluate", "--estimates", str(bad),
+                 "--manifest", str(pipeline / "ds" / "manifest.json"),
+                 "--out", str(out)]) == 2
+    assert named.format(bad=bad, columns=len(header)) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _repeat_first_evaluation_frame(doc):
     """The same frame id under another file, with another gaze point."""
     first = next(f for f in doc["frames"] if f["role"] == "evaluation")
@@ -1100,10 +1126,13 @@ _MANIFEST_SHAPES = [
                    "frames.{i}: malformed field: need role 'evaluation', or 'training' with a "
                    "corner in (1, 2, 3, 4)", id=f"{fields['role']}-role")
       for fields in ({"role": "foo"}, {"role": "training", "corner": 5})),
+    # detect once ended in "embedded null byte" from read_bytes, exit 1.
+    pytest.param(_frame_field("file", "a\0b.pgm"), "frames.{i}: malformed field: file must "
+                 "not hold a NUL byte, got 'a\\x00b.pgm'", id="file-NUL"),
 ]
 
 
-@pytest.mark.parametrize("stage", ["train", "evaluate"])
+@pytest.mark.parametrize("stage", ["detect", "train", "evaluate"])
 @pytest.mark.parametrize("spoil, named", _MANIFEST_SHAPES)
 def test_manifest_of_the_wrong_shape_names_the_field(pipeline, tmp_path, capsys, stage,
                                                      spoil, named):
@@ -1290,7 +1319,7 @@ def _overlong_noise_sigma_in_config(pipeline, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"synth": {"noise_sigma": ' + "9" * 5000 + "}}")
     return (["synth", "--config", str(cfg), "--out", str(tmp_path / "out")],
-            f"config {cfg} is not valid JSON")
+            f"config {cfg}: malformed field: Exceeds the limit")
 
 
 @pytest.mark.parametrize("spoil", [_huge_gaze_in_manifest, _huge_marker_in_observations,
@@ -1447,6 +1476,23 @@ def test_bad_invocation_exits_naming_the_file_or_key(tmp_path, capsys, config, s
         cfg.write_text(config)
     assert main([stage, "--config", str(cfg), "--out", str(out)]) == code
     assert named.format(cfg=cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flag, where", [
+    pytest.param("synth", "--config", "config {bad}", id="config"),
+    pytest.param("detect", "--manifest", "{bad}", id="manifest"),
+    pytest.param("train", "--observations", "{bad}:1", id="observations"),
+    pytest.param("estimate", "--training-set", "{bad}", id="training-set"),
+])
+def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(pipeline, tmp_path,
+                                                                      capsys, stage, flag,
+                                                                      where):
+    """Each once ended in a RecursionError traceback, exit 1."""
+    bad, out = tmp_path / "deep.json", tmp_path / "out"
+    bad.write_text("[" * 100_000 + "\n")
+    assert main([*_stage_argv(pipeline, stage), flag, str(bad), "--out", str(out)]) == 2
+    assert f"{where.format(bad=bad)}: not valid JSON: " in capsys.readouterr().err
     assert not out.exists()
 
 

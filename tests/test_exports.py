@@ -64,6 +64,27 @@ def test_the_json_type_rule_is_written_once():
         and "TypeError" in _names(node.exc))
 
 
+def test_every_reader_of_an_input_file_sits_in_the_one_guard():
+    """``_reading`` in cli.py is the one place that turns a failure to read
+    or parse an input file into an exit-2 error: every ``json.loads``,
+    ``csv.reader`` and ``csv.DictReader`` call sits in a ``with _reading(...)``
+    block."""
+    root = Path(irgaze.__file__).parent
+    calls, guarded = [], set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.With) and any(
+                    isinstance(item.context_expr, ast.Call)
+                    and ast.unparse(item.context_expr.func) == "_reading"
+                    for item in node.items):
+                guarded |= {n for stmt in node.body for n in ast.walk(stmt)}
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "json.loads", "csv.reader", "csv.DictReader"):
+                calls.append((f"{path.relative_to(root)}:{node.lineno}", node))
+    assert len(calls) >= 5
+    assert [where for where, node in calls if node not in guarded] == []
+
+
 def test_no_module_but_the_type_rule_tests_for_bool_or_an_exact_type():
     """A JSON number, integer or true/false is told apart from the others
     by ``check_type`` alone: no module outside imaging/image.py writes

@@ -650,6 +650,14 @@ def test_cell_label_must_lie_on_the_grid(n, label):
         SCREEN.cell_center(n, label)
 
 
+@pytest.mark.parametrize("label", [2.5, 3.0, True])
+def test_cell_label_must_be_an_integer(label):
+    """2.5 once gave (24.0, 54.0), on the border of cells 2 and 3, and True
+    gave cell 1's centre."""
+    with pytest.raises(TypeError, match=f"cell label must be an integer, got {label}"):
+        SCREEN.cell_center(5, label)
+
+
 def test_screen_file_keeps_the_extents_as_given():
     """A config's int extent is written as an int, and read back as float."""
     doc = ScreenGeometry(52, 33.5).to_dict()

@@ -131,6 +131,11 @@ def test_pose_validation():
         HeadPose(0, 0, 0.0, 0.4)
     with pytest.raises(ValueError):
         HeadPose(0, 0, 0.5, 1.0)
+    # A NaN theta and an infinite tx were once taken, and their frame failed
+    # later as a marker at (nan, nan) out of frame.
+    for fields in ({"theta": math.nan}, {"tx": math.inf}, {"ty": -math.inf}):
+        with pytest.raises(ValueError, match=r"pose \(tx, ty, theta, scale\) must be finite"):
+            HeadPose(**{"tx": 320, "ty": 240, **fields})
 
 
 def test_layout_validation():
