@@ -152,12 +152,12 @@ def _reading(where: str):
         raise InputFileError(f"{where}: malformed field: {exc}") from exc
 
 
-def _claim(seen: dict[str, str], frame_id: str, entry: str) -> None:
-    """Record that ``entry`` holds ``frame_id``, which no entry in ``seen``
-    may hold already."""
-    if frame_id in seen:
-        raise InputFileError(f"frame id {frame_id!r} names both {seen[frame_id]} and {entry}")
-    seen[frame_id] = entry
+def _claim(seen: dict[str, str], name: str, entry: str, kind: str = "frame id") -> None:
+    """Record that ``entry`` holds the ``kind`` ``name``, which no entry in
+    ``seen`` may hold already."""
+    if name in seen:
+        raise InputFileError(f"{kind} {name!r} names both {seen[name]} and {entry}")
+    seen[name] = entry
 
 
 def _read_manifest(path: str) -> tuple[ScreenGeometry, list[tuple[str, str, str, object]]]:
@@ -442,11 +442,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: dict) -> int:
     # report column and its details file.
     stems: dict[str, str] = {}
     for est_path in args.estimates:
-        name = Path(est_path).stem
-        if name in stems:
-            raise InputFileError(
-                f"estimates {stems[name]} and {est_path} share the dataset name {name!r}")
-        stems[name] = est_path
+        _claim(stems, Path(est_path).stem, est_path, "dataset name")
 
     # Read and join every input first, so that a bad one leaves no report.
     datasets = []
@@ -498,40 +494,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name: str, func, summary: str) -> argparse.ArgumentParser:
+    def stage(name: str, func, summary: str, out: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON run-configuration file")
         p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--out", required=True, help=out)
         for flag, key, options in STAGE_FLAGS[name]:
             p.add_argument(flag, dest=key, **options)
         p.set_defaults(func=func)
         return p
 
-    p = stage("synth", cmd_synth, "generate a synthetic dataset")
-    p.add_argument("--out", required=True, help="output directory")
+    stage("synth", cmd_synth, "generate a synthetic dataset", "output directory")
 
-    p = stage("detect", cmd_detect, "detect markers and pupils in frames")
+    p = stage("detect", cmd_detect, "detect markers and pupils in frames", "observations JSONL")
     p.add_argument("images", nargs="*", help="PGM frames")
     p.add_argument("--manifest", help="dataset manifest listing the frames")
-    p.add_argument("--out", required=True, help="observations JSONL path")
 
-    p = stage("train", cmd_train, "build a training set from observations")
+    p = stage("train", cmd_train, "build a training set from observations", "training-set JSON")
     p.add_argument("--observations", required=True)
     p.add_argument("--manifest", required=True,
                    help="manifest carrying corner labels and screen geometry")
-    p.add_argument("--out", required=True, help="training-set JSON path")
 
-    p = stage("estimate", cmd_estimate, "estimate gaze points for observations")
+    p = stage("estimate", cmd_estimate, "estimate gaze points for observations", "estimates CSV")
     p.add_argument("--observations", required=True)
     p.add_argument("--training-set", dest="training_set", required=True)
-    p.add_argument("--out", required=True, help="estimates CSV path")
 
-    p = stage("evaluate", cmd_evaluate, "score estimates against ground truth")
+    p = stage("evaluate", cmd_evaluate, "score estimates against ground truth", "report directory")
     p.add_argument("--estimates", action="append", required=True,
                    help="estimates CSV (repeatable for multi-dataset reports)")
     p.add_argument("--manifest", action="append", required=True,
                    help="matching manifest (one per --estimates)")
-    p.add_argument("--out", required=True, help="report output directory")
 
     return parser
 

@@ -57,10 +57,12 @@ MARKER_AREA_BAND = (0.2, 5.0)
 MIN_ROI_SIDE = 4
 
 # Pupil search: the expected pupil diameter as a fraction of the per-frame
-# outer-marker distance (so it tracks head depth), the eccentricity from which
+# outer-marker distance (so it tracks head depth), the opening disk's
+# diameter as a fraction of that pupil diameter, the eccentricity from which
 # a blob counts as elongated, the weight of above-mean pixels in the
 # threshold, and how often an ambiguous threshold is raised before giving up.
 PUPIL_DIAMETER_FRACTION = 0.10
+OPENING_DIAMETER_FRACTION = 0.10
 ECCENTRICITY_MAX = 0.9
 HIGH_MEAN_WEIGHT = 2.0
 MAX_RETRIES = 5
@@ -259,7 +261,7 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
 def pupil_threshold(roi: np.ndarray, weight: float) -> float:
     """Weighted average intensity: pixels above the plain mean count
     ``weight`` times.  Always >= the plain mean for weight >= 1."""
-    vals = check_image(roi).astype(np.float64).ravel()
+    vals = check_image(roi).ravel()
     mean = vals.mean()
     w = np.where(vals > mean, weight, 1.0)
     return float((w * vals).sum() / w.sum())
@@ -270,20 +272,20 @@ def detect_pupil(rois: Sequence[EyeRoi],
     """Find the single bright-pupil blob inside each eye region: per region,
     the detection, or the DetectionError that region failed with.
 
-    A region is equalized, thresholded at the weighted average, opened with
-    a small disk (element diameter = 10% of ``pupil_diameter``, the expected
-    pupil diameter in pixels), stripped of border-touching and elongated
-    blobs, and the threshold is moved halfway toward the maximum whenever
-    more than one candidate survives.  All MAX_RETRIES + 1 steps are cut and
-    opened as one stack per region; the first step left with at most one
-    candidate decides.  Every region's opened stack is placed bottom-left in
-    one zero stack, which keeps each pixel's Cartesian (x, y), and labeled
+    A region is equalized, thresholded at the weighted average, opened with a
+    small disk (diameter OPENING_DIAMETER_FRACTION x ``pupil_diameter``, the
+    expected pupil diameter in pixels), stripped of border-touching and
+    elongated blobs, and the threshold is moved halfway toward the maximum
+    whenever more than one candidate survives.  All MAX_RETRIES + 1 steps are
+    cut and opened as one stack per region; the first step left with at most
+    one candidate decides.  Every region's opened stack is placed bottom-left
+    in one zero stack, which keeps each pixel's Cartesian (x, y), and labeled
     once; border contact is taken against the region's own extent.
     """
     if not rois:
         return []
     steps = MAX_RETRIES + 1
-    radius = max(1, round(0.10 * pupil_diameter)) // 2
+    radius = max(1, round(OPENING_DIAMETER_FRACTION * pupil_diameter)) // 2
     heights, widths = np.array([roi.image.shape for roi in rois]).T
     rows, cols = heights.max(), widths.max()
     stack = np.zeros((len(rois) * steps, rows, cols), dtype=bool)

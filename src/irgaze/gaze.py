@@ -118,7 +118,7 @@ class ScreenGeometry:
 
 
 def _check_grid(n: int) -> None:
-    if n < 2:
+    if check_type(n, int, "grid resolution") < 2:
         raise ValueError("grid resolution must be at least 2")
 
 

@@ -401,15 +401,21 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # A frame's seeds come from its plan index, skips included, and repeats
+    # One plan entry per frame, skips included: (file, role, corner, gaze,
+    # pose, jitter).  A frame's seeds come from its plan index, and repeats
     # of a training target drift a little; truths[i] renders frames[i].
+    plan = [(f"train_p{pi}_c{corner}_r{rep}.pgm", "training", corner,
+             spec.screen.corner(corner), pose, rep > 0)
+            for pi, pose in enumerate(spec.poses) for corner in CORNERS
+            for rep in range(spec.training_repeats)]
+    plan += [(f"eval_p{pi}_k{label:02d}.pgm", "evaluation", None,
+              spec.screen.cell_center(EVAL_GRID_N, label), pose, False)
+             for pi, pose in enumerate(spec.poses) for label in range(1, spec.eval_points + 1)]
     frames: list[dict] = []
     skipped: list[dict] = []
     truths: list[GroundTruth] = []
-
-    def add(file_name: str, role: str, corner: int | None, gaze: Point,
-            pose: HeadPose, jitter: bool) -> None:
-        noise_seed, jitter_seed = _frame_seeds(spec.master_seed, len(frames) + len(skipped))
+    for index, (file_name, role, corner, gaze, pose, jitter) in enumerate(plan):
+        noise_seed, jitter_seed = _frame_seeds(spec.master_seed, index)
         if jitter:
             drift = np.random.default_rng(jitter_seed).uniform(-_JITTER_PX, _JITTER_PX, 2)
             pose = HeadPose(pose.tx + float(drift[0]), pose.ty + float(drift[1]),
@@ -421,23 +427,13 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
             check_margin(truth.features, spec.render)
         except FeatureOutOfFrame as exc:
             skipped.append({"file": file_name, "role": role, "error": str(exc)})
-            return
+            continue
         entry = {"file": file_name, "role": role, "gaze": list(gaze), "pose": pose.to_dict(),
                  "truth": truth.coords_dict(), "seed": noise_seed}
         if corner is not None:
             entry["corner"] = corner
         frames.append(entry)
         truths.append(truth)
-
-    for pi, pose in enumerate(spec.poses):
-        for corner in CORNERS:
-            for rep in range(spec.training_repeats):
-                add(f"train_p{pi}_c{corner}_r{rep}.pgm", "training", corner,
-                    spec.screen.corner(corner), pose, rep > 0)
-    for pi, pose in enumerate(spec.poses):
-        for label in range(1, spec.eval_points + 1):
-            add(f"eval_p{pi}_k{label:02d}.pgm", "evaluation", None,
-                spec.screen.cell_center(EVAL_GRID_N, label), pose, False)
 
     def write(index: int, img: np.ndarray) -> None:
         (out / frames[index]["file"]).write_bytes(encode_pgm(img))

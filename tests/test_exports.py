@@ -1,8 +1,12 @@
 import ast
+import math
+import shutil
 import sys
 from pathlib import Path
 
 import irgaze
+from irgaze import DetectConfig, decode_pgm, observe_face
+from irgaze.synth import DatasetSpec, default_poses, generate_dataset
 
 
 def test_star_import_resolves_every_exported_name():
@@ -54,6 +58,19 @@ def test_the_finiteness_rule_is_written_once():
     assert not _outside_the_input_rules(
         lambda node: isinstance(node, ast.Attribute)
         and ast.unparse(node) in ("math.isfinite", "sys.float_info.max"))
+
+
+def test_no_module_but_the_cli_writes_to_the_terminal():
+    """The library reports through return values and exceptions: no module
+    but cli.py calls ``print`` or names ``sys.stdout`` or ``sys.stderr``."""
+    root = Path(irgaze.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node)}"
+             for path in sorted(root.rglob("*.py")) if path != root / "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+             or isinstance(node, ast.Attribute)
+             and ast.unparse(node) in ("sys.stdout", "sys.stderr")]
+    assert found == []
 
 
 def test_the_json_type_rule_is_written_once():
@@ -116,3 +133,26 @@ def test_every_error_class_is_raised_or_a_base():
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
     assert len(classes) > 10
     assert [node.name for node in classes if node.name not in constructed | bases] == []
+
+
+def test_the_readme_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    """The example once read its frame through ``open(...).read()``, which
+    left the file open.  Here a one-pose synth dataset's detected training
+    frames are its ``labeled_observations`` and an evaluation frame is its
+    ``frame.pgm``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library example\n")[1].split("```python\n")[1].split("```")[0]
+    data = tmp_path / "ds"
+    manifest = generate_dataset(
+        DatasetSpec(poses=default_poses()[:1], eval_points=1, training_repeats=1), data)
+    labeled = [(observe_face(decode_pgm((data / f["file"]).read_bytes()), DetectConfig(),
+                             frame_id=f["file"]), f["corner"])
+               for f in manifest["frames"] if f["role"] == "training"]
+    (frame,) = (f for f in manifest["frames"] if f["role"] == "evaluation")
+    shutil.copyfile(data / frame["file"], tmp_path / "frame.pgm")
+    monkeypatch.chdir(tmp_path)
+    namespace = {"labeled_observations": labeled}
+    exec(block, namespace)
+    estimate = namespace["estimate"]
+    assert capsys.readouterr().out == f"{estimate.point} both\n"
+    assert math.dist(estimate.point, frame["gaze"]) < 2.0  # cm, as the CLI's details test

@@ -642,6 +642,19 @@ def test_grid_resolution_must_be_at_least_2(grid_of_one):
         grid_of_one()
 
 
+@pytest.mark.parametrize("n", [2.5, True])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda n: score_accuracy([(Point(1, 1), Point(1, 1))], SCREEN, n),
+                 id="score_accuracy"),
+    pytest.param(lambda n: SCREEN.cell_center(n, 1), id="cell_center"),
+])
+def test_grid_resolution_must_be_an_integer(entry, n):
+    """A resolution of 2.5 once scored against half-cells, and cell_center(2.5, 1)
+    gave (12.0, 48.0)."""
+    with pytest.raises(TypeError, match=f"grid resolution must be an integer, got {n}"):
+        entry(n)
+
+
 @pytest.mark.parametrize("n, label", [(5, 0), (5, 26), (2, -1)])
 def test_cell_label_must_lie_on_the_grid(n, label):
     """Labels 0 and 26 of a 5x5 grid once gave points above and below the
