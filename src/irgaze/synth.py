@@ -401,9 +401,9 @@ def generate_dataset(spec: DatasetSpec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # One plan entry per frame, skips included: (file, role, corner, gaze,
-    # pose, jitter).  A frame's seeds come from its plan index, and repeats
-    # of a training target drift a little; truths[i] renders frames[i].
+    # One plan entry per frame, skips included, so a frame's seeds come from
+    # its plan index.  Repeats of a training target drift a little;
+    # truths[i] renders frames[i].
     plan = [(f"train_p{pi}_c{corner}_r{rep}.pgm", "training", corner,
              spec.screen.corner(corner), pose, rep > 0)
             for pi, pose in enumerate(spec.poses) for corner in CORNERS
