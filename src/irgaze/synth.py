@@ -4,9 +4,12 @@ Serves as the ground-truth oracle for the detection and estimation
 pipeline: a parametric head pose (in-plane similarity transform) and a
 normalized gaze point produce exact feature coordinates, and the renderer
 paints the matching frame (face ellipse, bright pupils, brighter markers,
-Gaussian blur, seeded Gaussian noise).  Identical inputs give bit-identical
-images.  The blur runs one horizontal pass over the box, then over its
-transpose; rows and Cartesian y convert through ``row_to_y``/``y_to_row``.
+Gaussian blur, seeded noise).  Identical inputs give bit-identical images.
+A scene pixel, whose blurred value differs from the plain background's,
+takes seeded Gaussian noise; every other pixel reads its byte from a table
+of the background level's rounded N(level, sigma) quantiles.  The blur
+runs one horizontal pass over the box, then over its transpose; rows and
+Cartesian y convert through ``row_to_y``/``y_to_row``.
 
 The renderer paints and blurs only a box around the face, since every
 shape lies inside it and the canvas beyond the blur radius is plain
@@ -25,6 +28,7 @@ and 3 cm under the literal one).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +50,7 @@ EVAL_GRID_N = 5  # evaluation gaze points are cell centers of this n-by-n grid
 # Training-sweep translation jitter, px (head drift between repeats).
 _JITTER_PX = 12.0
 _MAX_PIXELS = np.iinfo(np.intp).max // 8  # the float64 values one numpy array can hold
-_BAND_PIXELS = 1 << 15  # float64 pixels in render_scene's row band (256 KB)
+_BAND_PIXELS = 1 << 15  # pixels in render_scene's row band of uint16 draws (64 KB)
 # generate_dataset plans every frame, about 1 KB of ground truth each, in
 # memory before it writes the first; this keeps that plan near 100 MB (and
 # a 640x480 dataset near 31 GB of frames).
@@ -214,6 +218,20 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=8)
+def _background_bytes(level: float, sigma: float) -> np.ndarray:
+    """The read-only 65536-entry byte table of a plain-background pixel:
+    entry i is the rounded, clipped byte of ``level + sigma * z`` for z the
+    (i + 0.5) / 65536 quantile of N(0, 1)."""
+    # Byte b >= 1 begins where level + sigma * z reaches b - 0.5; an entry's
+    # byte is the number of those probabilities at or below its quantile.
+    cuts = [0.5 * math.erfc(-(b - 0.5 - level) / (sigma * math.sqrt(2.0)))
+            for b in range(1, 256)]
+    table = np.searchsorted(cuts, (np.arange(65536) + 0.5) / 65536, side="right").astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
 def check_margin(features: FeaturePoints, cfg: RenderConfig) -> None:
     """Raise FeatureOutOfFrame unless every feature center keeps
     RENDER_MARGIN pixels to the border of a ``cfg`` frame."""
@@ -245,13 +263,17 @@ def render_scene(
     edge padding replicates background, so each pixel sums the same floats
     in the same order as a full-frame blur would.
 
-    The frame is built in row bands of about ``_BAND_PIXELS`` pixels in
-    one float buffer, so no frame-sized float array exists.  A band holds
-    its rows of the whole frame's ``default_rng(truth.seed).normal(0.0,
-    sigma)``, drawn as ``standard_normal`` times sigma (numpy's own ``0.0 +
-    sigma * z`` but for a zero's sign, which no sum can see), or zeros at
-    sigma 0.  It adds the scene, adds 0.5, clips to [0.5, 255.5] and
-    truncates, which gives the bytes of a clip, +0.5 and floor.
+    The noise has two parts, drawn from one ``default_rng(truth.seed)``.
+    Scene pixels, the box pixels whose blurred value differs from the
+    plain-background level, come first: one ``standard_normal`` call adds
+    z times sigma to each, in raster order.  A scene value then adds 0.5,
+    clips to [0.5, 255.5] and truncates, which gives the bytes of a clip,
+    +0.5 and floor.  Then every pixel of the frame draws ``integers(0,
+    65536, dtype=np.uint16)``, in row bands of about ``_BAND_PIXELS``
+    pixels, and each pixel that is no scene pixel takes that entry of the
+    background level's quantile table (``_background_bytes``) in place of
+    a Gaussian draw and rounding.  At sigma 0 nothing is drawn, and every
+    frame is what it was before the table.
     """
     check_margin(truth.features, cfg)
     if cfg.noise_sigma > 0 and truth.seed is None:
@@ -315,27 +337,25 @@ def render_scene(
 
     box = _gaussian_blur(box, cfg.blur_sigma)
     outside = _gaussian_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)[0, 0]
+    scene = box != outside
+    values = box[scene]
     img = np.empty((cfg.height, cfg.width), np.uint8)
-    rows = max(1, _BAND_PIXELS // cfg.width)
-    buf = np.empty((min(rows, cfg.height), cfg.width))
-    rng = np.random.default_rng(truth.seed)
-    for r0 in range(0, cfg.height, rows):
-        band = buf[: cfg.height - r0]
-        if cfg.noise_sigma > 0:
-            rng.standard_normal(out=band)
-            band *= cfg.noise_sigma
-        else:
-            band.fill(0.0)
-        # The band's box rows are band[top:bottom]; the rest is outside.
-        top, bottom = (min(max(r - r0, 0), len(band)) for r in (row_lo, row_hi + 1))
-        for strip in ((slice(None, top),), (slice(bottom, None),),
-                      (slice(top, bottom), slice(None, col_lo)),
-                      (slice(top, bottom), slice(col_hi + 1, None))):
-            band[strip] += outside
-        band[top:bottom, col_lo : col_hi + 1] += box[r0 + top - row_lo : r0 + bottom - row_lo]
-        band += 0.5
-        np.clip(band, 0.5, 255.5, out=band)
-        img[r0 : r0 + len(band)] = band
+    if cfg.noise_sigma > 0:
+        rng = np.random.default_rng(truth.seed)
+        values += cfg.noise_sigma * rng.standard_normal(values.size)
+        table = _background_bytes(float(outside), cfg.noise_sigma)
+        # A call pairs its uint16 draws from 32-bit words, so every band but
+        # the last draws an even count and the bands read one call's stream.
+        rows = max(1, _BAND_PIXELS // cfg.width)
+        rows += rows * cfg.width % 2
+        for r0 in range(0, cfg.height, rows):
+            band = img[r0 : r0 + rows]
+            np.take(table, rng.integers(0, 65536, band.shape, dtype=np.uint16), out=band)
+    else:
+        img.fill(outside + 0.5)  # truncated; the background is at most 252
+    values += 0.5
+    np.clip(values, 0.5, 255.5, out=values)
+    img[row_lo : row_hi + 1, col_lo : col_hi + 1][scene] = values
     img.setflags(write=False)
     return img
 

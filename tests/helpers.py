@@ -4,8 +4,9 @@ Nothing here may call into the implementation paths it is used to check:
 the painter builds rasters directly, the flood fill is a dense BFS, the
 morphology oracle tests every offset of every pixel one by one, the
 moment oracle recomputes eccentricity from scratch with an eigen solve,
-the reference scene renderer paints and blurs the whole frame, and the
-reference closest-vector selection scores one vector at a time on Points.
+the reference scene renderer paints, blurs and draws noise for the whole
+frame, with its background table from ``statistics``' inverse normal CDF,
+and the reference closest-vector selection scores one vector at a time on Points.
 The reference labeler walks the whole mask row by row with a union-find
 over run indices and builds each region from its own pixel arrays, with
 centroid and eccentricity from that region's exact Python-int coordinate
@@ -22,7 +23,9 @@ expression replaced.
 
 from __future__ import annotations
 
+import functools
 import math
+import statistics
 from collections import deque
 
 import numpy as np
@@ -232,11 +235,11 @@ def _reference_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def reference_render(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
-                     seed: int) -> np.ndarray:
-    """Full-frame scene painter: tests the face ellipse and every disk at
-    every pixel and blurs the whole canvas.  ``render_scene`` must match
-    it byte for byte.  Skips the feature-margin check."""
+def reference_canvas(truth: GroundTruth, layout: FaceLayout,
+                     cfg: RenderConfig) -> np.ndarray:
+    """The whole frame's blurred float scene before noise: the face
+    ellipse and every disk tested at every pixel, then the full-canvas
+    blur."""
     cols = np.arange(cfg.width, dtype=np.float64)
     ys = (cfg.height - 1) - np.arange(cfg.height, dtype=np.float64)
     gx, gy = np.meshgrid(cols, ys)
@@ -262,13 +265,64 @@ def reference_render(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
     paint_disk(truth.features.marker_middle, layout.marker_radius * k, cfg.marker)
     paint_disk(truth.features.marker_left, layout.marker_radius * k, cfg.marker)
 
-    canvas = _reference_blur(canvas, cfg.blur_sigma)
+    return _reference_blur(canvas, cfg.blur_sigma)
 
+
+def _rounded(values: np.ndarray) -> np.ndarray:
+    return np.floor(np.clip(values, 0, 255) + 0.5).astype(np.uint8)
+
+
+@functools.cache
+def _midpoint_quantiles() -> np.ndarray:
+    """z at the (i + 0.5) / 65536 quantiles of N(0, 1), i = 0..65535."""
+    inv_cdf = statistics.NormalDist().inv_cdf
+    return np.array([inv_cdf((i + 0.5) / 65536) for i in range(65536)])
+
+
+def reference_plain_level(cfg: RenderConfig) -> float:
+    """The blurred value of a pixel that sees only plain background."""
+    return _reference_blur(np.full((1, 1), float(cfg.background)), cfg.blur_sigma)[0, 0]
+
+
+def reference_background_table(level: float, sigma: float) -> np.ndarray:
+    """Entry i is the rounded, clipped byte of ``level + sigma * z`` at the
+    i-th midpoint quantile z, each z from ``statistics``' inverse CDF."""
+    return _rounded(level + sigma * _midpoint_quantiles())
+
+
+def reference_render(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
+                     seed: int) -> np.ndarray:
+    """Full-frame scene painter: tests the face ellipse and every disk at
+    every pixel and blurs the whole canvas.  Noise, without any face box:
+    the scene pixels are those whose blurred value differs from the blurred
+    plain-background level; one ``standard_normal`` call gives theirs in
+    raster order, then one ``integers(0, 65536)`` call gives every pixel a
+    uint16 index, and each other pixel takes that entry of
+    ``reference_background_table``.  ``render_scene`` must match it byte
+    for byte.  Skips the feature-margin check."""
+    canvas = reference_canvas(truth, layout, cfg)
+    if cfg.noise_sigma <= 0:
+        return _rounded(canvas)
+    level = reference_plain_level(cfg)
+    scene = canvas != level
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(int(scene.sum()))
+    draws = rng.integers(0, 65536, canvas.shape, dtype=np.uint16)
+    img = reference_background_table(level, cfg.noise_sigma)[draws]
+    img[scene] = _rounded(canvas[scene] + cfg.noise_sigma * z)
+    return img
+
+
+def reference_render_gaussian(truth: GroundTruth, layout: FaceLayout, cfg: RenderConfig,
+                              seed: int) -> np.ndarray:
+    """``reference_render``'s scene with the noise every pixel took before
+    the background table: the whole frame's ``normal(0.0, sigma)``, added
+    and rounded.  Frames recorded before the table came in are these."""
+    canvas = reference_canvas(truth, layout, cfg)
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         canvas = canvas + rng.normal(0.0, cfg.noise_sigma, canvas.shape)
-
-    return np.floor(np.clip(canvas, 0, 255) + 0.5).astype(np.uint8)
+    return _rounded(canvas)
 
 
 def observation_from_row(row) -> FaceObservation:

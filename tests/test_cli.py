@@ -1180,21 +1180,21 @@ def observed(tmp_path_factory):
     return root
 
 
-# Digests taken when each training vector was still an object of five
-# Points; ts.json and est.csv must keep these bytes.
+# Digests taken when background pixels began reading their bytes from the
+# quantile table; ts.json and est.csv must keep these bytes.
 @pytest.mark.parametrize("metric, weighting, ts_digest, est_digest", [
     ("congruency", "corrected",
-     "00a98b399880d535397faffbdb31e0edd459fb0d94f48d70767ba286f98b530a",
-     "59efc5dcd32fe9f6c061974266b05fadfcf9183d1fba29adcbaef82fa154ad23"),
+     "766c6658873cde5bc123612415da83516f01c283878614ce3fae1ac05e35c863",
+     "c20f886d6eddf86cfa65736adc738b93c83e0cbd874efa9673227d3d2417e8ff"),
     ("congruency", "literal",
-     "00a98b399880d535397faffbdb31e0edd459fb0d94f48d70767ba286f98b530a",
-     "246fd9252f348c39227230fb121ed8f9a4368b645cf87e179e77e8f394ff9ae4"),
+     "766c6658873cde5bc123612415da83516f01c283878614ce3fae1ac05e35c863",
+     "0fdf30705b5af4ed050ad534cffe66943e598a85f783557678305eb7ea2883ed"),
     ("euclidean", "corrected",
-     "8e29e981158712056c3ce81d9eb0bf18ad0a349be1175e848959122820f3dde0",
-     "cec9da66fdd9fc72440f363eafce6a112474ef4973315d5cd2ec386f2b0f2be3"),
+     "0301a7b8c86e4ced6e259112b1375282f1c6f56794750fba4339bda260dbce48",
+     "e8844bf67f3f36a9a74dd395fa50d48d7aa5af7b82450b7ce08e7bcf1a181dd5"),
     ("euclidean", "literal",
-     "8e29e981158712056c3ce81d9eb0bf18ad0a349be1175e848959122820f3dde0",
-     "0d961e2271834561e9d8fe40d589b7cd5d4abd7876bf03bb4b6b03e3c329ce62"),
+     "0301a7b8c86e4ced6e259112b1375282f1c6f56794750fba4339bda260dbce48",
+     "4620506ad96316410bb6dcf3976f805b6e088b3a60b2e44d13a514c8f261adb6"),
 ])
 def test_training_set_and_estimate_bytes_are_pinned(observed, tmp_path, metric, weighting,
                                                     ts_digest, est_digest):
@@ -1208,10 +1208,10 @@ def test_training_set_and_estimate_bytes_are_pinned(observed, tmp_path, metric, 
     assert hashlib.sha256(est.read_bytes()).hexdigest() == est_digest
 
 
-# Digests taken with exact integer region moments; detect must keep these bytes.
+# Digests re-taken with the background quantile table; detect must keep these bytes.
 def test_observation_bytes_are_pinned(observed):
     digest = hashlib.sha256((observed / "obs.jsonl").read_bytes()).hexdigest()
-    assert digest == "c42da5ccfedc5d618c0274ccffda76afb01c5b8ceaf9e65f2ac1f39e9cd5e2ee"
+    assert digest == "c9b245c5dd4a794e9051e465c449c45c4805f8b5ca74eaea1b061c0e7dd5429c"
 
 
 def test_hires_observation_bytes_are_pinned(tmp_path):
@@ -1222,7 +1222,7 @@ def test_hires_observation_bytes_are_pinned(tmp_path):
                  "--points", "3", "--training-repeats", "1", "--seed", "5"]) == 0
     assert main(["detect", "--manifest", str(ds / "manifest.json"), "--out", str(obs)]) == 0
     digest = hashlib.sha256(obs.read_bytes()).hexdigest()
-    assert digest == "3e7c9d0bff6983682237af2f5665de8b118576282650200cade051aef63b797c"
+    assert digest == "5e1ae2cf1767b527f8ffbd34eaaac8ab77a7c747bd2e9f71bc075080ed34b378"
 
 
 def test_non_default_screen_bytes_are_pinned(tmp_path):
@@ -1245,8 +1245,8 @@ def test_non_default_screen_bytes_are_pinned(tmp_path):
                for name in ("ds/manifest.json", "ts.json", "est.csv", "report/report.csv")}
     assert digests == {
         "ds/manifest.json": "67d7da0d3d67e89b3c438aba92835e004122a11078d08977638da7ee23dfde2c",
-        "ts.json": "64b88f57a5458a575b1e99683c83a133846c2439bf9b5f103d6f3529afd69b34",
-        "est.csv": "725515b49591f29fbb99eb344178cd4c95d6471908ccbfa3ec82e04b7aa50907",
+        "ts.json": "da7b7b0050a000b3f057bd0749c028e5891917ebeec70c40692210a0cb2aba09",
+        "est.csv": "07aa5a1b7d377c764a82a78b5715f7906d24bcc9131376e04b6e754907b40276",
         "report/report.csv": "43caa974ac8a059dad25a7d8dc480e4c4ca55a306bbfde7f6222a68da10b8fc5",
     }
 

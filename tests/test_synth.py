@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import statistics
 import threading
 import tracemalloc
 
@@ -30,7 +31,14 @@ from irgaze.synth import (
     render_scene,
 )
 
-from helpers import assert_same_image, reference_render, truth_from_manifest_entry
+from helpers import (
+    assert_same_image,
+    reference_background_table,
+    reference_canvas,
+    reference_plain_level,
+    reference_render,
+    truth_from_manifest_entry,
+)
 
 LAYOUT = FaceLayout()
 
@@ -246,10 +254,12 @@ def test_render_feeds_back_through_detection():
 
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.7, 2.0])
-@pytest.mark.parametrize("size", [(640, 480), (1280, 1024)])
+@pytest.mark.parametrize("size", [(640, 480), (1280, 1024), (641, 481)])
 def test_render_in_any_band_height_matches_full_frame_reference(size, noise_sigma, monkeypatch):
-    """One row, 7 rows (which divides neither frame height) and more rows
-    than the frame has all give the full-frame painter's bytes."""
+    """One row, 7 rows (which divides no frame height) and more rows than
+    the frame has all give the full-frame painter's bytes, also at an odd
+    width, where a band of an odd row count would split a 32-bit word of
+    uint16 draws."""
     width, height = size
     cfg = RenderConfig(width=width, height=height, noise_sigma=noise_sigma)
     pose = HeadPose(width / 2 + 13.4, height / 2 - 21.7, 0.11, 1.3)
@@ -272,6 +282,62 @@ def test_render_holds_no_frame_sized_float_array():
     finally:
         tracemalloc.stop()
     assert peak - img.nbytes < 4 * 2**20
+
+
+@pytest.mark.parametrize("level, sigma", [
+    (reference_plain_level(RenderConfig()), 2.0), (30.0, 0.7), (0.2, 3.0), (254.6, 2.5),
+    (127.5, 40.0),
+])
+def test_background_table_is_the_inverse_cdf_oracle(level, sigma):
+    table = synth._background_bytes(level, sigma)
+    assert table.dtype == np.uint8 and table.shape == (65536,)
+    assert np.all(np.diff(table.astype(np.int16)) >= 0)
+    np.testing.assert_array_equal(table, reference_background_table(level, sigma))
+
+
+@pytest.mark.parametrize("noise_sigma", [0.7, 2.0])
+def test_plain_background_bytes_follow_the_rounded_normal(noise_sigma):
+    """Over the ~1.2M pixels of a 1280x1024 frame that see plain background,
+    each byte's share is within 5 standard errors, plus 2/65536 for the
+    table's quantization, of the probability that N(level, sigma) rounds to
+    it."""
+    cfg = RenderConfig(width=1280, height=1024, noise_sigma=noise_sigma)
+    truth = truth_for(HeadPose(640, 512, 0.1, 1.2), (0.4, 0.6), seed=2024)
+    level = reference_plain_level(cfg)
+    plain = reference_canvas(truth, LAYOUT, cfg) == level
+    counts = np.bincount(render_scene(truth, LAYOUT, cfg)[plain], minlength=256)
+    n = int(plain.sum())
+    cdf = statistics.NormalDist(level, noise_sigma).cdf
+    for b in range(256):
+        p = cdf(b + 0.5) - cdf(b - 0.5)
+        assert abs(counts[b] / n - p) <= 5 * math.sqrt(p * (1 - p) / n) + 2 / 65536, b
+
+
+def test_noisy_render_draws_gaussians_for_scene_pixels_only(monkeypatch):
+    """A 1280x1024 frame asks its generator for one Gaussian per scene
+    pixel and one uint16 per pixel of the frame, and for nothing else."""
+    cfg = RenderConfig(width=1280, height=1024)
+    truth = truth_for(HeadPose(640, 512, -0.05, 1.1), (0.7, 0.2), seed=31)
+    drawn = {}
+    make_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def standard_normal(self, size):
+            drawn["gaussians"] = drawn.get("gaussians", 0) + size
+            return self.rng.standard_normal(size)
+
+        def integers(self, low, high, size, dtype):
+            drawn["uint16"] = drawn.get("uint16", 0) + math.prod(size)
+            return self.rng.integers(low, high, size, dtype=dtype)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    render_scene(truth, LAYOUT, cfg)
+    scene = reference_canvas(truth, LAYOUT, cfg) != reference_plain_level(cfg)
+    assert drawn == {"gaussians": int(scene.sum()), "uint16": cfg.width * cfg.height}
+    assert drawn["gaussians"] < 0.1 * cfg.width * cfg.height
 
 
 # Largest distance of any feature center from the face center in the default
@@ -483,16 +549,16 @@ def _dataset_digest(directory) -> tuple[int, str]:
     return len(files), h.hexdigest()
 
 
-# Digests taken with the full-frame renderer; every frame and the manifest
-# must keep these bytes.
+# Digests taken when background pixels began reading their bytes from the
+# quantile table; every frame and the manifest must keep these bytes.
 @pytest.mark.parametrize("spec, n_files, digest", [
     (DatasetSpec(poses=default_poses()[:2], eval_points=5, training_repeats=2,
                  master_seed=1234),
-     27, "8908fedc9bb3d58958a3e26629561206dbd82763750b7b7e9945e1c61a4477b1"),
+     27, "1bc22fbff2cc13d3f1ba832f7c0a5aa3f9c1668cd9fcb2ad720d5afa40ab4f14"),
     (DatasetSpec(poses=default_poses(1280, 1024)[:1], eval_points=3,
                  training_repeats=1, render=RenderConfig(width=1280, height=1024),
                  master_seed=7),
-     8, "820600f0189c578975ed007982c90b35adfe043b693e72886b359b5d41aec85f"),
+     8, "260250e422d896f07bade91f85da3463884c9323f4b1fd6ccdc1a2c49c4063cd"),
 ], ids=["640x480", "1280x1024"])
 def test_dataset_bytes_are_pinned(tmp_path, spec, n_files, digest):
     generate_dataset(spec, tmp_path / "ds")
