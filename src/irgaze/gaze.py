@@ -128,7 +128,9 @@ class TrainingSet:
 
     ``by_corner[c]`` holds corner ``c``'s vectors as one read-only (n, 10)
     float64 array, one row per calibration frame with its columns in
-    ``COORD_KEYS`` order; ``frame_ids[c]`` names the row's frames."""
+    ``COORD_KEYS`` order; ``frame_ids[c]`` names the row's frames as a
+    tuple.  The set builds both from copies of the caller's rows (any
+    array-like) and ids, so the caller's dicts and arrays stay its own."""
 
     by_corner: dict[int, np.ndarray]
     frame_ids: dict[int, tuple[str, ...]]
@@ -138,14 +140,19 @@ class TrainingSet:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
+        by_corner, frame_ids = {}, {}
         for c in CORNERS:
             rows = self.by_corner.get(c)
             if rows is None or len(rows) == 0:
                 raise EmptyCorner(c)
-            if rows.shape != (len(self.frame_ids[c]), len(COORD_KEYS)):
+            rows = by_corner[c] = np.array(rows, dtype=np.float64)
+            frame_ids[c] = tuple(self.frame_ids[c])
+            if rows.shape != (len(frame_ids[c]), len(COORD_KEYS)):
                 raise ValueError(f"corner {c}: need one {len(COORD_KEYS)}-column row "
                                  f"per frame id, got shape {rows.shape}")
             rows.setflags(write=False)
+        object.__setattr__(self, "by_corner", by_corner)
+        object.__setattr__(self, "frame_ids", frame_ids)
 
     def counts(self) -> dict[int, int]:
         return {c: len(self.by_corner[c]) for c in CORNERS}
@@ -187,8 +194,7 @@ class TrainingSet:
                     check_marker_triangle(row[MARKER_COLS])
                     rows.append(row)
                     frames.append(check_type(vd["frame"], str, "frame"))
-            by_corner[c] = np.array(rows, dtype=np.float64).reshape(-1, len(COORD_KEYS))
-            frame_ids[c] = tuple(frames)
+            by_corner[c], frame_ids[c] = rows, frames
         return cls(by_corner=by_corner, frame_ids=frame_ids, screen=screen, metric=d["metric"])
 
     def save(self, path: str | Path) -> None:
@@ -215,11 +221,7 @@ def build_training_set(
         rows[corner].append((*m.right, *m.middle, *m.left,
                              *obs.pupils.right.point, *obs.pupils.left.point))
         frame_ids[corner].append(obs.frame_id)
-    return TrainingSet(
-        by_corner={c: np.array(rows[c], dtype=np.float64) for c in CORNERS},
-        frame_ids={c: tuple(frame_ids[c]) for c in CORNERS},
-        screen=screen, metric=metric,
-    )
+    return TrainingSet(by_corner=rows, frame_ids=frame_ids, screen=screen, metric=metric)
 
 
 def _marker_row(t: MarkerTriple) -> np.ndarray:

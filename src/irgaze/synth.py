@@ -50,7 +50,7 @@ EVAL_GRID_N = 5  # evaluation gaze points are cell centers of this n-by-n grid
 # Training-sweep translation jitter, px (head drift between repeats).
 _JITTER_PX = 12.0
 _MAX_PIXELS = np.iinfo(np.intp).max // 8  # the float64 values one numpy array can hold
-_BAND_PIXELS = 1 << 15  # pixels in render_scene's row band of uint16 draws (64 KB)
+_BAND_PIXELS = 1 << 15  # even; pixels per chunk of render_scene's uint16 draws (64 KB)
 # generate_dataset plans every frame, about 1 KB of ground truth each, in
 # memory before it writes the first; this keeps that plan near 100 MB (and
 # a 640x480 dataset near 31 GB of frames).
@@ -269,11 +269,10 @@ def render_scene(
     z times sigma to each, in raster order.  A scene value then adds 0.5,
     clips to [0.5, 255.5] and truncates, which gives the bytes of a clip,
     +0.5 and floor.  Then every pixel of the frame draws ``integers(0,
-    65536, dtype=np.uint16)``, in row bands of about ``_BAND_PIXELS``
+    65536, dtype=np.uint16)``, in raster-order chunks of ``_BAND_PIXELS``
     pixels, and each pixel that is no scene pixel takes that entry of the
     background level's quantile table (``_background_bytes``) in place of
-    a Gaussian draw and rounding.  At sigma 0 nothing is drawn, and every
-    frame is what it was before the table.
+    a Gaussian draw and rounding.  At sigma 0 nothing is drawn.
     """
     check_margin(truth.features, cfg)
     if cfg.noise_sigma > 0 and truth.seed is None:
@@ -314,17 +313,7 @@ def render_scene(
     # axis-aligned canonical ellipse.
     rx = (gx - truth.pose.tx) / k
     ry = (gy - truth.pose.ty) / k
-    # In place, (local_x / ax) ** 2 + (local_y / ay) ** 2 in the same bits;
-    # both arrays go before the blur.
-    local_x = c * rx + s * ry
-    local_y = -s * rx + c * ry
-    local_x /= ax
-    local_x *= local_x
-    local_y /= ay
-    local_y *= local_y
-    local_x += local_y
-    box[local_x <= 1.0] = float(cfg.face)
-    del local_x, local_y
+    box[((c * rx + s * ry) / ax) ** 2 + ((-s * rx + c * ry) / ay) ** 2 <= 1.0] = float(cfg.face)
 
     # Each disk is tested over its own bounding rows and columns only; a
     # pixel beyond them lies more than a pixel outside the radius.
@@ -344,13 +333,13 @@ def render_scene(
         rng = np.random.default_rng(truth.seed)
         values += cfg.noise_sigma * rng.standard_normal(values.size)
         table = _background_bytes(float(outside), cfg.noise_sigma)
-        # A call pairs its uint16 draws from 32-bit words, so every band but
-        # the last draws an even count and the bands read one call's stream.
-        rows = max(1, _BAND_PIXELS // cfg.width)
-        rows += rows * cfg.width % 2
-        for r0 in range(0, cfg.height, rows):
-            band = img[r0 : r0 + rows]
-            np.take(table, rng.integers(0, 65536, band.shape, dtype=np.uint16), out=band)
+        # A call pairs its uint16 draws from 32-bit words; every chunk but
+        # the last draws the even _BAND_PIXELS, so the chunks read one
+        # call's stream.
+        flat = img.reshape(-1)
+        for start in range(0, flat.size, _BAND_PIXELS):
+            chunk = flat[start : start + _BAND_PIXELS]
+            np.take(table, rng.integers(0, 65536, chunk.shape, dtype=np.uint16), out=chunk)
     else:
         img.fill(outside + 0.5)  # truncated; the background is at most 252
     values += 0.5

@@ -152,6 +152,19 @@ def test_training_set_needs_one_ten_column_row_per_frame_id():
         make_ts(rows)
 
 
+def test_training_set_keeps_its_own_copy_of_the_callers_data():
+    rows = {c: np.full((1, 10), float(c)) for c in CORNERS}
+    ids = {c: [f"f{c}"] for c in CORNERS}
+    ts = TrainingSet(by_corner=rows, frame_ids=ids, screen=SCREEN)
+    assert rows[1].flags.writeable
+    rows[1][0, 0] = 99.0
+    rows[2] = np.zeros((1, 10))
+    ids[3].append("g")
+    assert [ts.by_corner[c].tolist() for c in CORNERS] == [[[float(c)] * 10] for c in CORNERS]
+    assert ts.frame_ids == {c: (f"f{c}",) for c in CORNERS}
+    assert not any(ts.by_corner[c].flags.writeable for c in CORNERS)
+
+
 def test_build_training_set_groups_600_frames():
     poses = [HeadPose(320 + 5 * i, 240 - 3 * i, 0.0, 0.9 + 0.02 * i) for i in range(6)]
     labeled = []
