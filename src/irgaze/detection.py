@@ -258,12 +258,12 @@ def extract_eye_roi(img: np.ndarray, markers: MarkerTriple, side: str) -> EyeRoi
     return EyeRoi(image=crop, col_origin=col_lo, row_origin=row_lo, frame_height=height)
 
 
-def pupil_threshold(roi: np.ndarray, weight: float) -> float:
+def pupil_threshold(roi: np.ndarray) -> float:
     """Weighted average intensity: pixels above the plain mean count
-    ``weight`` times.  Always >= the plain mean for weight >= 1."""
+    HIGH_MEAN_WEIGHT times.  Always >= the plain mean."""
     vals = check_image(roi).ravel()
     mean = vals.mean()
-    w = np.where(vals > mean, weight, 1.0)
+    w = np.where(vals > mean, HIGH_MEAN_WEIGHT, 1.0)
     return float((w * vals).sum() / w.sum())
 
 
@@ -294,10 +294,10 @@ def detect_pupil(rois: Sequence[EyeRoi],
         eq = histogram_equalize(roi.image)
         i_max = float(eq.max())
         thresholds = list(accumulate(range(MAX_RETRIES), lambda t, _: t + 0.5 * (i_max - t),
-                                     initial=pupil_threshold(eq, HIGH_MEAN_WEIGHT)))
+                                     initial=pupil_threshold(eq)))
         ladders.append(thresholds)
         stack[e * steps : (e + 1) * steps, rows - heights[e] :, : widths[e]] = morphology(
-            eq >= np.array(thresholds)[:, None, None], "open", radius)
+            eq >= np.array(thresholds)[:, None, None], radius)
     regions = connected_components(stack)
     roi_of = regions.plane // steps
     min_col, min_row, max_col, max_row = regions.bbox.T

@@ -1,6 +1,6 @@
 """Self-contained 8-bit raster toolkit: PGM codec, equalization,
-thresholding, binary morphology, and connected-component analysis; the
-last two also take a (k, h, w) stack of masks and treat each plane alone."""
+thresholding, binary opening with a disk, and connected-component analysis;
+the last two also take a (k, h, w) stack of masks and treat each plane alone."""
 
 from .image import Point, check_finite, check_image, check_type, row_to_y, y_to_row
 from .ops import binarize, equalize_lut, histogram_equalize, morphology

@@ -8,13 +8,14 @@ where cdf counts pixels <= v and cdf_min is the cdf at the lowest
 occurring intensity.  A constant image maps to all zeros (the denominator
 vanishes).  Rounding is half-up so the mapping is bit-reproducible.
 
-Morphology uses a discrete disk structuring element: all offsets whose
-center distance is <= radius.  Pixels beyond the image border count as
-background, which is the usual infinite-plane embedding: the mask is
-padded with zeros once, and each erosion or dilation combines the disk's
-offset slices of that plane, AND for erosion and OR for dilation.  A
-(k, h, w) stack is padded on its last two axes only and swept in the same
-numpy calls, so no plane reaches into the next.
+morphology is a binary opening (an erosion, then a dilation) with a
+discrete disk structuring element: all offsets whose center distance is
+<= radius.  Pixels beyond the image border count as background, which is
+the usual infinite-plane embedding: the mask is padded with zeros once,
+and the erosion, then the dilation, combines the disk's offset slices of
+that plane, AND for the erosion and OR for the dilation.  A (k, h, w)
+stack is padded on its last two axes only and swept in the same numpy
+calls, so no plane reaches into the next.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ import math
 import numpy as np
 
 from .image import check_finite, check_image, check_mask
-
-_STEPS = {
-    "erode": (np.logical_and,),
-    "dilate": (np.logical_or,),
-    "open": (np.logical_and, np.logical_or),
-    "close": (np.logical_or, np.logical_and),
-}
-
 
 def equalize_lut(counts: np.ndarray) -> np.ndarray:
     """The 256-entry uint8 remap that equalizes an image whose histogram is
@@ -60,37 +53,27 @@ def binarize(img: np.ndarray, threshold: float) -> np.ndarray:
     return mask
 
 
-def disk_offsets(radius: float) -> list[tuple[int, int]]:
-    """(drow, dcol) offsets of the disk structuring element."""
+def morphology(mask: np.ndarray, radius: float) -> np.ndarray:
+    """The read-only opening of ``mask``, or of each plane of a (k, h, w)
+    stack, with the disk of ``radius``."""
     if check_finite(radius, "radius") < 0:
         raise ValueError("radius must be >= 0")
-    r = int(math.floor(radius))
-    return [
-        (dr, dc)
-        for dr in range(-r, r + 1)
-        for dc in range(-r, r + 1)
-        if dr * dr + dc * dc <= radius * radius
-    ]
-
-
-def morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray:
-    """The read-only result of eroding, dilating, opening or closing
-    ``mask``, or each plane of a (k, h, w) stack, with the disk of ``radius``."""
-    if op not in _STEPS:
-        raise ValueError(f"unknown morphology op {op!r}")
-    steps = _STEPS[op]
-    offsets = disk_offsets(radius)
-    r = int(math.floor(radius))
-    # Each step combines the plane's slices at every offset for the pixels
-    # at least r from its edge, so the plane starts padded with r zeros per
-    # step.  Closing must run on the padded plane: clipping the intermediate
-    # dilation at the raster edge would let the erosion eat foreground that
-    # touches the border, breaking X <= close(X).
     *k, h, w = check_mask(mask).shape
-    pad = r * len(steps)
+    r = int(math.floor(radius))
+    if 2 * r >= min(h, w):
+        # From every pixel one of the disk's axis offsets (r rows or columns
+        # either way) lands past the zero border: the erosion is empty.
+        empty = np.zeros(mask.shape, dtype=bool)
+        empty.setflags(write=False)
+        return empty
+    offsets = [(dr, dc) for dr in range(-r, r + 1) for dc in range(-r, r + 1)
+               if dr * dr + dc * dc <= radius * radius]
+    # Each step combines the plane's slices at every offset for the pixels at
+    # least r from its edge, so the plane starts padded with r zeros per step.
+    pad = 2 * r
     plane = np.zeros((*k, h + 2 * pad, w + 2 * pad), dtype=bool)
     plane[..., pad : pad + h, pad : pad + w] = mask
-    for combine in steps:
+    for combine in (np.logical_and, np.logical_or):
         rows, cols = plane.shape[-2] - 2 * r, plane.shape[-1] - 2 * r
         out = plane[..., r : r + rows, r : r + cols].copy()
         for dr, dc in offsets:

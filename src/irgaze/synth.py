@@ -89,9 +89,11 @@ class HeadPose:
 class FaceLayout:
     """Canonical face geometry in head-local coordinates (origin at the
     face center, pose scale 1, no rotation).  Outer markers sit above the
-    eyebrows, the middle marker below the area between the eyes, so the
-    rectangle spanned by an outer marker and the middle marker always
-    contains its eye."""
+    eyebrows, the middle marker below the area between the eyes, so at
+    rotation 0 the rectangle spanned by an outer marker and the middle
+    marker contains its eye.  A rotated pose turns the markers with the
+    face, and the axis-aligned rectangle of the turned markers can cut
+    off part of the pupil's disk or all of it."""
 
     marker_right: Point = Point(90.0, 55.0)
     marker_left: Point = Point(-90.0, 55.0)

@@ -32,7 +32,6 @@ import numpy as np
 
 from irgaze.detection import (
     ECCENTRICITY_MAX,
-    HIGH_MEAN_WEIGHT,
     MAX_RETRIES,
     EyeRoi,
     FaceObservation,
@@ -164,11 +163,12 @@ def moment_eccentricity(mask: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - eig[0] / eig[1])))
 
 
-def reference_morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray:
-    """Brute-force binary morphology, one pixel at a time, with a disk
+def reference_morphology(mask: np.ndarray, radius: float) -> np.ndarray:
+    """Brute-force binary opening, one pixel at a time, with a disk
     element: every offset within ``radius`` of the center.  The mask is
-    embedded in an empty plane, so pixels beyond its border are background
-    and a dilation may spill past the border before a closing's erosion."""
+    embedded in an empty plane, so pixels beyond its border are background;
+    the erosion runs over a margin of r pixels round the mask, every pixel
+    the dilation can reach from inside it."""
     r = math.floor(radius)
     disk = [(dr, dc) for dr in range(-r, r + 1) for dc in range(-r, r + 1)
             if dr * dr + dc * dc <= radius * radius]
@@ -187,11 +187,7 @@ def reference_morphology(mask: np.ndarray, op: str, radius: float) -> np.ndarray
         return np.array([[any(on(a, row - dr, col - dc) for dr, dc in disk)
                           for col in range(a.shape[1])] for row in range(a.shape[0])])
 
-    steps = {"erode": (erode,), "dilate": (dilate,), "open": (erode, dilate),
-             "close": (dilate, erode)}[op]
-    for step in steps:
-        plane = step(plane)
-    return plane[r : r + h, r : r + w]
+    return dilate(erode(plane))[r : r + h, r : r + w]
 
 
 def synthetic_observation(
@@ -514,12 +510,12 @@ def reference_detect_pupil(roi: EyeRoi, pupil_diameter: float) -> tuple[PupilDet
     element_diameter = max(1, round(0.10 * pupil_diameter))
     cleanup_radius = element_diameter // 2
 
-    threshold = pupil_threshold(eq, HIGH_MEAN_WEIGHT)
+    threshold = pupil_threshold(eq)
     i_max = float(eq.max())
 
     for attempt in range(MAX_RETRIES + 1):
         regions = connected_components(
-            morphology(binarize(eq, threshold), "open", cleanup_radius))
+            morphology(binarize(eq, threshold), cleanup_radius))
         min_col, min_row, max_col, max_row = regions.bbox.T
         border = ((min_row == 0) | (max_row == eq.shape[0] - 1) | (min_col == 0)
                   | (max_col == eq.shape[1] - 1))

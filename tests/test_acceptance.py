@@ -321,14 +321,10 @@ def test_imaging_oracles(capsys):
         small = rng.random((h, w)) < 0.4
         big = small | (rng.random((h, w)) < 0.2)
         radius = int(rng.integers(1, 4))
-        for op in ("erode", "dilate", "open", "close"):
-            assert (morphology(small, op, radius) <= morphology(big, op, radius)).all()
-        opened = morphology(small, "open", radius)
-        assert np.array_equal(morphology(opened, "open", radius), opened)
-        assert (morphology(small, "erode", radius) <= small).all()
-        assert (small <= morphology(small, "dilate", radius)).all()
+        opened = morphology(small, radius)
+        assert (opened <= morphology(big, radius)).all()
+        assert np.array_equal(morphology(opened, radius), opened)
         assert (opened <= small).all()
-        assert (small <= morphology(small, "close", radius)).all()
         morph_checked += 1
 
     pgm_checked = 0

@@ -63,25 +63,19 @@ def rendered_frame(pose=HeadPose(320, 240), gaze=(0.5, 0.5), cfg=RenderConfig(),
 
 def test_pupil_threshold_constant_region():
     roi = np.full((4, 4), 100, dtype=np.uint8)
-    assert pupil_threshold(roi, 2.0) == 100.0
+    assert pupil_threshold(roi) == 100.0
 
 
 def test_pupil_threshold_weighted_example():
     roi = np.array([[10, 10, 100]], dtype=np.uint8)
-    assert pupil_threshold(roi, 2.0) == pytest.approx(55.0)
-
-
-def test_pupil_threshold_weight_one_is_plain_mean():
-    rng = np.random.default_rng(3)
-    roi = rng.integers(0, 256, (9, 7), dtype=np.uint8)
-    assert pupil_threshold(roi, 1.0) == pytest.approx(float(roi.mean()))
+    assert pupil_threshold(roi) == pytest.approx(55.0)
 
 
 def test_pupil_threshold_never_below_mean():
     rng = np.random.default_rng(4)
     for _ in range(20):
         roi = rng.integers(0, 256, (6, 6), dtype=np.uint8)
-        assert pupil_threshold(roi, 2.0) >= float(roi.mean()) - 1e-9
+        assert pupil_threshold(roi) >= float(roi.mean()) - 1e-9
 
 
 # --- validate_pupil_pair -----------------------------------------------------
