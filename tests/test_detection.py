@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ def test_pupil_threshold_constant_region():
 def test_pupil_threshold_weighted_example():
     roi = np.array([[10, 10, 100]], dtype=np.uint8)
     assert pupil_threshold(roi) == pytest.approx(55.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pupil_threshold_counts_above_mean_pixels_high_mean_weight_times(seed):
+    """Checked in exact rational arithmetic against the weighted mean."""
+    roi = np.random.default_rng(seed).integers(0, 256, (5 + seed, 8), dtype=np.uint8)
+    vals = [int(v) for v in roi.ravel()]
+    mean = Fraction(sum(vals), len(vals))
+    weight = Fraction(detection.HIGH_MEAN_WEIGHT)
+    weights = [weight if v > mean else 1 for v in vals]
+    expected = sum(wt * v for wt, v in zip(weights, vals)) / sum(weights)
+    assert pupil_threshold(roi) == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_pupil_threshold_never_below_mean():

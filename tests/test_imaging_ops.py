@@ -336,6 +336,58 @@ def test_a_disk_wider_than_the_plane_opens_it_to_empty(shape):
     assert not out.any()
 
 
+@pytest.mark.parametrize("radius", [0.5, 0.99])
+@pytest.mark.parametrize("shape", [(4, 6), (3, 4, 6)], ids=["mask", "stack"])
+def test_a_disk_under_radius_one_is_the_identity(shape, radius):
+    """Such a disk holds its center alone, so the opening changes nothing."""
+    mask = np.random.default_rng(11).random(shape) < 0.5
+    out = morphology(mask, radius)
+    assert np.array_equal(out, mask) and not out.flags.writeable
+
+
+@pytest.mark.parametrize("h, w", [(3, 3), (3, 8), (8, 3), (4, 4), (4, 9), (9, 4), (5, 6),
+                                  (6, 5)])
+def test_the_early_exit_starts_at_the_first_radius_that_empties_a_full_plane(h, w):
+    """A full plane keeps its center under the largest disk that still fits
+    (2r + 1 <= min(h, w)) and is emptied by the next one; on either side of
+    that radius, fractional radii included, random masks match the oracle."""
+    fit = (min(h, w) - 1) // 2
+    full = np.ones((h, w), dtype=bool)
+    assert morphology(full, fit)[h // 2, w // 2]
+    assert not morphology(full, fit + 1).any()
+    rng = np.random.default_rng(h * 31 + w)
+    for radius in (fit, fit + 0.5, fit + 1):
+        for density in (0.6, 0.9, 1.0):
+            mask = rng.random((h, w)) < density
+            assert np.array_equal(morphology(mask, radius),
+                                  reference_morphology(mask, radius)), (radius, density)
+
+
+@pytest.mark.parametrize("radius", [1, 1.5, 2, 3])
+def test_the_opening_commutes_with_transposes_and_flips(radius):
+    """The disk is symmetric under both axes and their swap."""
+    rng = np.random.default_rng(77)
+    for h, w in [(7, 7), (9, 13), (14, 6)]:
+        mask = rng.random((h, w)) < 0.7
+        opened = morphology(mask, radius)
+        assert np.array_equal(morphology(mask.T, radius), opened.T)
+        assert np.array_equal(morphology(mask[::-1], radius), opened[::-1])
+        assert np.array_equal(morphology(mask[:, ::-1], radius), opened[:, ::-1])
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_a_zero_margin_round_the_mask_leaves_its_opening_unchanged(radius):
+    """Pixels past the border are background, so a mask padded with explicit
+    zeros opens to the padded opening, the early exit on the smaller plane
+    included."""
+    rng = np.random.default_rng(5)
+    for h, w in [(5, 5), (6, 11), (10, 8)]:
+        mask = rng.random((h, w)) < 0.8
+        padded = np.pad(mask, radius + 2)
+        assert np.array_equal(morphology(padded, radius),
+                              np.pad(morphology(mask, radius), radius + 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(img=random_binary(), radius=st.sampled_from([1, 1.5, 2, 3]))
 def test_open_is_idempotent(img, radius):
